@@ -142,7 +142,7 @@ def _cmd_simulate(args) -> int:
         "simulate", manifest_config, args.seed,
         [spec_path] if spec_path else [],
         ["results.csv", "summary.csv"],
-        time.perf_counter() - start,
+        time.perf_counter() - start, out_dir,
     ))
     print(f"simulate: {len(results)} result cells"
           f" ({len(kinds)} policies x {len(fractions)} capacities x"
@@ -182,7 +182,7 @@ def _cmd_estimate(args) -> int:
     }
     storage.write_manifest(out_dir, storage.make_manifest(
         "estimate", manifest_config, 0, [args.histories],
-        ["estimates.csv"], time.perf_counter() - start,
+        ["estimates.csv"], time.perf_counter() - start, out_dir,
     ))
     print(f"estimate: {len(estimates)} patients -> {out_dir}")
     return 0
@@ -226,6 +226,7 @@ def _cmd_cluster(args) -> int:
         "cluster",
         {"params": args.params, "k": args.k, "elbow": elbow_config},
         args.seed, [args.params], outputs, time.perf_counter() - start,
+        out_dir,
     ))
     print(f"cluster: k={args.k} inertia={result.inertia!r} -> {out_dir}")
     return 0
@@ -246,7 +247,7 @@ def _cmd_scenario_gen(args) -> int:
         {"scenario": storage.scenario_to_dict(spec),
          "population": spec.population},
         args.seed, [spec_path] if spec_path else [],
-        [os.path.basename(out_file)], time.perf_counter() - start,
+        [os.path.basename(out_file)], time.perf_counter() - start, out_dir,
     ))
     print(f"scenario-gen: {len(sampled)} patients -> {out_file}")
     return 0
@@ -349,7 +350,7 @@ def _cmd_report(args) -> int:
         "report",
         {"results_dir": res_dir, "detail_capacity_pct": detail_pct},
         0, [results_path, summary_path], outputs,
-        time.perf_counter() - start,
+        time.perf_counter() - start, out_dir,
     ))
     print(f"report: {len(outputs)} charts -> {out_dir}")
     return 0

@@ -14,7 +14,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import NoiseModel, PatientParams, PatientState, step_patient
+from .model import (
+    NoiseModel,
+    ParamArrays,
+    PatientParams,
+    PatientState,
+    StateArrays,
+    step_cohort,
+    step_patient,
+)
 from .policy import PolicySpec, interest_set, select_visits
 
 DEFAULT_DELTA = math.log(125.0)
@@ -82,7 +90,6 @@ class RunResult:
     policy_kind: str
     capacity_fraction: float
     replication: int
-    seed: int
     in_control: Tuple[int, ...]
     enrolled: Tuple[int, ...]
     visits_total: Tuple[int, ...]
@@ -133,11 +140,6 @@ def noise_stream_seed(base_seed: int, replication: int) -> int:
     return stable_hash64(base_seed, "xi", replication)
 
 
-def cell_seed(base_seed: int, kind: str, fraction: float, replication: int) -> int:
-    """Identifying seed recorded with each result cell."""
-    return stable_hash64(base_seed, kind, int(round(fraction * 10000)), replication)
-
-
 # ---------------------------------------------------------------------------
 # core simulation
 # ---------------------------------------------------------------------------
@@ -170,16 +172,17 @@ def simulate(
     Per period: the policy selects at most C patients (classified as
     screening visits when the patient was unenrolled), every patient
     advances one step with its own noise draw, and metrics are recorded on
-    the post-transition states. Fully deterministic given (cohort, spec,
-    config, fraction, replication).
+    the post-transition states. The cohort is held as struct-of-arrays and
+    advanced with one array step per period. Fully deterministic given
+    (cohort, spec, config, fraction, replication).
     """
     n_periods = config.horizon
     population = len(cohort)
     C = capacity_from_fraction(fraction, population)
     xi = _draw_noise_matrix(config, replication, population)
 
-    states = list(cohort.initial_states)
-    params = list(cohort.params)
+    states = StateArrays.of(cohort.initial_states)
+    params = ParamArrays.of(cohort.params)
 
     in_control: List[int] = []
     enrolled: List[int] = []
@@ -189,28 +192,24 @@ def simulate(
     for t in range(1, n_periods + 1):
         remaining = n_periods - t + 1
         chosen = select_visits(states, params, C, spec, remaining)
-        screening.append(sum(1 for i in chosen if states[i].z_prev == 0))
+        y = np.zeros(population, dtype=bool)
+        y[list(chosen)] = True
+        screening.append(int(np.count_nonzero(y & (states.z_prev == 0))))
         visits_total.append(len(chosen))
 
-        n_in, n_enr = 0, 0
-        for i in range(population):
-            y = 1 if i in chosen else 0
-            states[i], z = step_patient(states[i], params[i], y, float(xi[t - 1, i]))
-            n_in += states[i].b <= config.delta
-            n_enr += z
-        in_control.append(n_in)
-        enrolled.append(n_enr)
+        states, z = step_cohort(states, params, y, xi[t - 1])
+        in_control.append(int(np.count_nonzero(states.b <= config.delta)))
+        enrolled.append(int(np.count_nonzero(z)))
 
     return RunResult(
         policy_kind=spec.kind,
         capacity_fraction=fraction,
         replication=replication,
-        seed=cell_seed(config.base_seed, spec.kind, fraction, replication),
         in_control=tuple(in_control),
         enrolled=tuple(enrolled),
         visits_total=tuple(visits_total),
         screening_visits=tuple(screening),
-        final_log_fbg=tuple(s.b for s in states),
+        final_log_fbg=tuple(states.b.tolist()),
         ppc_fraction=sum(in_control) / (population * n_periods),
     )
 

@@ -8,12 +8,19 @@ Each period the provider decides whether to visit (y); the patient then
 decides whether to (stay) enrolled (z) by thresholding a closed-form
 net benefit, and all states advance through linear dynamics.
 
-Everything in this module is a pure function of its arguments.
+Everything in this module is a pure function of its arguments. The
+dynamics read their inputs by attribute and use only elementwise
+operations, so the same functions advance one patient (PatientState,
+PatientParams, Python numbers) or a whole cohort held as struct-of-arrays
+(StateArrays, ParamArrays, numpy arrays) with identical floating-point
+results per patient.
 """
 
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Sequence, Tuple, Union
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -90,35 +97,76 @@ class PatientState:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Mean-zero disturbance spec: process noise xi and observation noise eps."""
+    """Mean-zero Gaussian process noise xi on log-FBG."""
 
     sigma_xi: float = 0.05
-    sigma_eps: float = 0.1
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.sigma_xi < 0 or self.sigma_eps < 0:
-            raise ValueError("noise standard deviations must be >= 0")
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported noise family: {self.family!r}")
+        if self.sigma_xi < 0:
+            raise ValueError("noise standard deviation must be >= 0")
 
+
+class ParamArrays(NamedTuple):
+    """A cohort's PatientParams as aligned float arrays, one entry per patient."""
+
+    p: np.ndarray
+    mu: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    lam: np.ndarray
+    gamma: np.ndarray
+    rho: np.ndarray
+    s_base: np.ndarray
+    theta_base: np.ndarray
+
+    @classmethod
+    def of(cls, params: Sequence[PatientParams]) -> "ParamArrays":
+        return cls(*(np.array([getattr(x, f) for x in params], dtype=float)
+                     for f in cls._fields))
+
+    def take(self, index: np.ndarray) -> "ParamArrays":
+        return ParamArrays(*(a[index] for a in self))
+
+
+class StateArrays(NamedTuple):
+    """A cohort's PatientStates as aligned arrays (z_prev as ints)."""
+
+    b: np.ndarray
+    s: np.ndarray
+    theta: np.ndarray
+    z_prev: np.ndarray
+
+    @classmethod
+    def of(cls, states: Sequence[PatientState]) -> "StateArrays":
+        return cls(*(np.array([getattr(x, f) for x in states],
+                              dtype=int if f == "z_prev" else float)
+                     for f in cls._fields))
+
+    def take(self, index: np.ndarray) -> "StateArrays":
+        return StateArrays(*(a[index] for a in self))
+
+
+# One patient or a whole cohort; numbers are Python scalars or arrays.
+State = Union[PatientState, StateArrays]
+Params = Union[PatientParams, ParamArrays]
+Num = Union[float, np.ndarray]
 
 # ---------------------------------------------------------------------------
 # state dynamics
 # ---------------------------------------------------------------------------
 
 
-def step_fbg(state: PatientState, params: PatientParams, y: int, z: int, xi: float) -> float:
+def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num) -> Num:
     """Next log-FBG: b + p - mu*z - alpha*y*z + xi.
 
     Unmitigated, log-FBG drifts up by p each period; enrollment pulls it
     down by mu and a management visit by a further alpha. The return value
-    may be any real — clamping to >= 0 happens at state construction.
+    may be any real — clamping to >= 0 happens in the period step.
     """
     return state.b + params.p - params.mu * z - params.alpha * y * z + xi
 
 
-def step_adverse(s: float, params: PatientParams, y: int, z: int) -> float:
+def step_adverse(s: Num, params: Params, y: Num, z: Num) -> Num:
     """Next adverse-factor level: z*(gamma*(s - s_base) + s_base) + beta*y*z.
 
     Deviations from the enrolled steady state s_base decay geometrically at
@@ -127,18 +175,19 @@ def step_adverse(s: float, params: PatientParams, y: int, z: int) -> float:
     return z * (params.gamma * (s - params.s_base) + params.s_base) + params.beta * y * z
 
 
-def step_perception(theta: float, params: PatientParams, y: int, z: int) -> float:
+def step_perception(theta: Num, params: Params, y: Num, z: Num) -> Num:
     """Next perceived importance, floored at zero.
 
     Reverts toward theta_base at rate rho; a visit while enrolled reduces
     it by lam. The raw recurrence can go negative when lam is large, so the
-    result is clamped at 0 to stay in the model's feasible region.
+    result is clamped at 0 to stay in the model's feasible region (exactly
+    max(0.0, raw), elementwise).
     """
     raw = params.rho * (theta - params.theta_base) + params.theta_base - params.lam * y * z
-    return max(0.0, raw)
+    return np.where(raw > 0.0, raw, 0.0)
 
 
-def benefit(state: PatientState, params: PatientParams, y: int) -> float:
+def benefit(state: State, params: Params, y: Num) -> Num:
     """Net benefit of enrolling this period, given the visit decision y.
 
     Closed form: mu - theta*(gamma*(s - s_base) + s_base) + (alpha - theta*beta)*y.
@@ -148,32 +197,50 @@ def benefit(state: PatientState, params: PatientParams, y: int) -> float:
     return params.mu - state.theta * decayed + (params.alpha - state.theta * params.beta) * y
 
 
-def enroll_decision(z_prev: int, y: int, B: float) -> int:
-    """Enrollment indicator (z_prev OR y) * 1[B >= 0].
+def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
+    """Enrollment indicator (z_prev OR y) * 1[B >= 0], as an int (or int array).
 
     A patient can only be enrolled if already enrolled or visited this
     period, and stays/joins exactly when the net benefit is nonnegative
     (ties break in favor of enrolling).
     """
-    offered = z_prev or y
-    return 1 if (offered and B >= 0.0) else 0
+    return (z_prev | y) & (B >= 0.0)
+
+
+def _advance(state: State, params: Params, y: Num, xi: Num):
+    """One period on a patient or a cohort: (b, s, theta, z) after it.
+
+    The provider's y precedes the patient's z within the period; the benefit
+    is evaluated at the current (s, theta). Log-FBG is clamped at 0, exactly
+    as PatientState does on construction.
+    """
+    B = benefit(state, params, y)
+    z = enroll_decision(state.z_prev, y, B)
+    b = step_fbg(state, params, y, z, xi)
+    return (np.where(b < 0.0, 0.0, b), step_adverse(state.s, params, y, z),
+            step_perception(state.theta, params, y, z), z)
 
 
 def step_patient(
     state: PatientState, params: PatientParams, y: int, xi: float
 ) -> Tuple[PatientState, int]:
-    """Advance one period: visit decision -> enrollment decision -> dynamics.
+    """Advance one patient one period: visit -> enrollment -> dynamics.
 
-    The provider's y precedes the patient's z within the period; the benefit
-    is evaluated at the current (s, theta). Returns the next state (with
-    z_prev set to the realized z) and the realized z itself.
+    Returns the next state (with z_prev set to the realized z) and the
+    realized z itself.
     """
-    B = benefit(state, params, y)
-    z = enroll_decision(state.z_prev, y, B)
-    nxt = PatientState(
-        b=step_fbg(state, params, y, z, xi),
-        s=step_adverse(state.s, params, y, z),
-        theta=step_perception(state.theta, params, y, z),
-        z_prev=z,
-    )
-    return nxt, z
+    b, s, theta, z = _advance(state, params, y, xi)
+    z = int(z)
+    return PatientState(b=float(b), s=float(s), theta=float(theta), z_prev=z), z
+
+
+def step_cohort(
+    state: StateArrays, params: ParamArrays, y: np.ndarray, xi: Num
+) -> Tuple[StateArrays, np.ndarray]:
+    """step_patient for every patient of a cohort at once.
+
+    y is the visit mask (bool or 0/1 per patient) and xi the noise draw per
+    patient (or one scalar for all). Returns the next states and z.
+    """
+    nxt = StateArrays(*_advance(state, params, y, xi))
+    return nxt, nxt.z_prev

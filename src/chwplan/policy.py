@@ -5,12 +5,26 @@ benefit with and without a visit. The multi-patient heuristic filters the
 cohort to the "patients of interest" (those the single-patient rule would
 visit), then breaks capacity ties with one of four rankings. Naive
 baselines rank everyone with no filtering.
+
+The cohort functions take the cohort as struct-of-arrays (StateArrays,
+ParamArrays) or as aligned sequences of PatientState/PatientParams.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set
+from typing import Sequence, Set, Tuple, Union
 
-from .model import PatientParams, PatientState, benefit, step_patient
+import numpy as np
+
+from .model import (
+    ParamArrays,
+    Params,
+    PatientParams,
+    PatientState,
+    State,
+    StateArrays,
+    benefit,
+    step_cohort,
+)
 
 EA_KINDS = ("ea_asc_fbg", "ea_desc_fbg", "ea_desc_vtg", "ea_desc_vtg_per_visit")
 BASELINE_KINDS = ("visit_no_one", "visit_everyone", "asc_fbg", "desc_fbg")
@@ -37,7 +51,8 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class RolloutSummary:
-    """Deterministic look-ahead forecast for one patient.
+    """Deterministic look-ahead forecast for one patient (ints) or for
+    several at once (int arrays, one entry per patient).
 
     v_tilde counts future in-control periods; visits counts the visits the
     single-patient rule would spend producing them.
@@ -47,38 +62,75 @@ class RolloutSummary:
     visits: int
 
 
-def single_patient_action(state: PatientState, params: PatientParams) -> int:
-    """Optimal visit decision for an isolated patient.
+def single_patient_action(state: State, params: Params):
+    """Optimal visit decision for an isolated patient, as a bool (or mask).
 
     Visit exactly when the visit either causes an enrollment that would not
     happen otherwise, prevents a dropout, or strictly raises an enrolled
     patient's benefit; in every remaining case (including indifference)
     don't spend the visit.
     """
-    b1 = benefit(state, params, y=1)
-    if b1 < 0.0:
-        return 0
-    b0 = benefit(state, params, y=0)
-    if b0 < 0.0:
-        return 1
-    if state.z_prev == 0:
-        return 1
-    # enrolled either way; visit only for a strict benefit improvement
-    return 1 if (b1 - b0) > 0.0 else 0
+    b1 = benefit(state, params, 1)
+    b0 = benefit(state, params, 0)
+    return (b1 >= 0.0) & ((b0 < 0.0) | (state.z_prev == 0) | ((b1 - b0) > 0.0))
 
 
-def interest_set(
-    states: Sequence[PatientState], params: Sequence[PatientParams]
-) -> Set[int]:
-    """Indices of patients the single-patient rule would visit right now."""
-    if len(states) != len(params):
+CohortStates = Union[StateArrays, Sequence[PatientState]]
+CohortParams = Union[ParamArrays, Sequence[PatientParams]]
+
+
+def _as_arrays(
+    states: CohortStates, params: CohortParams
+) -> Tuple[StateArrays, ParamArrays]:
+    """The cohort as struct-of-arrays, converting dataclass sequences."""
+    if not isinstance(states, StateArrays):
+        states, params = StateArrays.of(states), ParamArrays.of(params)
+    if len(states.b) != len(params.p):
         raise ValueError(
-            f"states/params misaligned: {len(states)} states vs {len(params)} params"
+            f"states/params misaligned: {len(states.b)} states vs {len(params.p)} params"
         )
-    return {
-        i for i, (st, pr) in enumerate(zip(states, params))
-        if single_patient_action(st, pr) == 1
-    }
+    return states, params
+
+
+def interest_set(states: CohortStates, params: CohortParams) -> Set[int]:
+    """Indices of patients the single-patient rule would visit right now."""
+    states, params = _as_arrays(states, params)
+    return set(np.flatnonzero(single_patient_action(states, params)).tolist())
+
+
+def rollout_cohort(
+    states: StateArrays,
+    params: ParamArrays,
+    periods_remaining: int,
+    delta: float,
+) -> RolloutSummary:
+    """Noise-free forward simulation under the single-patient rule.
+
+    Every patient of the cohort is rolled out independently and all at
+    once, one array step per remaining period.
+
+    Args:
+        states: current (pre-decision) patient states.
+        params: patient constants.
+        periods_remaining: number of decisions left, counting the current
+            period's.
+        delta: in-control threshold on log-FBG.
+
+    Returns:
+        RolloutSummary of int arrays counting each patient's
+        post-transition in-control periods and visits over the window.
+        periods_remaining=0 yields zeros.
+    """
+    if periods_remaining < 0:
+        raise ValueError("periods_remaining must be >= 0")
+    v_tilde = np.zeros(len(states.b), dtype=int)
+    visits = np.zeros(len(states.b), dtype=int)
+    for _ in range(periods_remaining):
+        y = single_patient_action(states, params)
+        states, _ = step_cohort(states, params, y, 0.0)
+        visits += y
+        v_tilde += states.b <= delta
+    return RolloutSummary(v_tilde=v_tilde, visits=visits)
 
 
 def rollout_single(
@@ -87,70 +139,50 @@ def rollout_single(
     periods_remaining: int,
     delta: float,
 ) -> RolloutSummary:
-    """Noise-free forward simulation under the single-patient rule.
-
-    Args:
-        state: current (pre-decision) patient state.
-        params: patient constants.
-        periods_remaining: number of decisions left, counting the current
-            period's.
-        delta: in-control threshold on log-FBG.
-
-    Returns:
-        RolloutSummary counting post-transition in-control periods and
-        visits over the window. periods_remaining=0 yields (0, 0).
-    """
-    if periods_remaining < 0:
-        raise ValueError("periods_remaining must be >= 0")
-    v_tilde = 0
-    visits = 0
-    cur = state
-    for _ in range(periods_remaining):
-        y = single_patient_action(cur, params)
-        cur, _ = step_patient(cur, params, y, xi=0.0)
-        visits += y
-        if cur.b <= delta:
-            v_tilde += 1
-    return RolloutSummary(v_tilde=v_tilde, visits=visits)
+    """rollout_cohort for one patient, with int counts."""
+    rs = rollout_cohort(StateArrays.of([state]), ParamArrays.of([params]),
+                        periods_remaining, delta)
+    return RolloutSummary(v_tilde=int(rs.v_tilde[0]), visits=int(rs.visits[0]))
 
 
-def _value_per_visit_key(rs: RolloutSummary, index: int):
+def _value_per_visit_key(rs: RolloutSummary, index):
     """Sort key for the value-per-visit ranking (ascending sort order).
 
     A patient predicted to need zero visits is free value and outranks
     every finite ratio; free patients order among themselves by more value
     first, and any remaining ties fall back to ascending patient index.
+    Takes scalars (a tuple to sort by) or arrays (lexsort keys, primary
+    first).
     """
-    if rs.visits == 0:
-        return (0, -rs.v_tilde, index)
-    return (1, -rs.v_tilde / rs.visits, index)
+    return (rs.visits > 0, -rs.v_tilde / np.maximum(rs.visits, 1), index)
 
 
 def _rank_interest_set(
-    members: List[int],
-    states: Sequence[PatientState],
-    params: Sequence[PatientParams],
+    members: np.ndarray,
+    states: StateArrays,
+    params: ParamArrays,
     spec: PolicySpec,
     periods_remaining: int,
-) -> List[int]:
-    """Order interest-set members by the policy kind's tie-breaking rule."""
+) -> np.ndarray:
+    """Order interest-set members (ascending indices) by the policy kind's
+    tie-breaking rule; a stable sort leaves ties in index order."""
     if spec.kind == "ea_asc_fbg":
-        return sorted(members, key=lambda i: (states[i].b, i))
-    if spec.kind == "ea_desc_fbg":
-        return sorted(members, key=lambda i: (-states[i].b, i))
-
-    summaries = {
-        i: rollout_single(states[i], params[i], periods_remaining, spec.delta)
-        for i in members
-    }
-    if spec.kind == "ea_desc_vtg":
-        return sorted(members, key=lambda i: (-summaries[i].v_tilde, i))
-    return sorted(members, key=lambda i: _value_per_visit_key(summaries[i], i))
+        keys = (states.b[members],)
+    elif spec.kind == "ea_desc_fbg":
+        keys = (-states.b[members],)
+    else:
+        rs = rollout_cohort(states.take(members), params.take(members),
+                            periods_remaining, spec.delta)
+        if spec.kind == "ea_desc_vtg":
+            keys = (-rs.v_tilde,)
+        else:
+            keys = _value_per_visit_key(rs, members)[:2]
+    return members[np.lexsort(keys[::-1])]
 
 
 def select_visits(
-    states: Sequence[PatientState],
-    params: Sequence[PatientParams],
+    states: CohortStates,
+    params: CohortParams,
     C: int,
     spec: PolicySpec,
     periods_remaining: int,
@@ -165,20 +197,20 @@ def select_visits(
     """
     if C < 0:
         raise ValueError("capacity must be >= 0")
-    n = len(states)
+    states, params = _as_arrays(states, params)
+    n = len(states.b)
     if spec.kind == "visit_no_one":
         return set()
     if spec.kind == "visit_everyone":
         return set(range(n))
     if spec.kind == "asc_fbg":
-        order = sorted(range(n), key=lambda i: (states[i].b, i))
-        return set(order[:C])
+        return set(np.lexsort((states.b,))[:C].tolist())
     if spec.kind == "desc_fbg":
-        order = sorted(range(n), key=lambda i: (-states[i].b, i))
-        return set(order[:C])
+        return set(np.lexsort((-states.b,))[:C].tolist())
 
-    members = sorted(interest_set(states, params))
+    members = interest_set(states, params)
     if len(members) <= C:
-        return set(members)
-    ranked = _rank_interest_set(members, states, params, spec, periods_remaining)
-    return set(ranked[:C])
+        return members
+    ranked = _rank_interest_set(np.array(sorted(members)), states, params,
+                                spec, periods_remaining)
+    return set(ranked[:C].tolist())

@@ -387,6 +387,7 @@ class RunManifest:
     base_seed: int
     input_digests: Dict[str, str]
     outputs: Tuple[str, ...]
+    output_digests: Dict[str, str]
     duration_seconds: float
 
 
@@ -399,6 +400,7 @@ def write_manifest(directory: str, manifest: RunManifest) -> str:
         "base_seed": manifest.base_seed,
         "input_digests": manifest.input_digests,
         "outputs": list(manifest.outputs),
+        "output_digests": manifest.output_digests,
         "duration_seconds": manifest.duration_seconds,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -417,7 +419,9 @@ def read_manifest(directory: str) -> dict:
 
 def make_manifest(command: str, config: dict, base_seed: int,
                   input_paths: Sequence[str], outputs: Sequence[str],
-                  duration_seconds: float) -> RunManifest:
+                  duration_seconds: float,
+                  out_dir: Optional[str] = None) -> RunManifest:
+    """Manifest of a run; with out_dir, the sha256 of each listed output in it."""
     return RunManifest(
         tool_version=__version__,
         command=command,
@@ -425,5 +429,7 @@ def make_manifest(command: str, config: dict, base_seed: int,
         base_seed=base_seed,
         input_digests={p: sha256_file(p) for p in input_paths},
         outputs=tuple(outputs),
+        output_digests=({name: sha256_file(os.path.join(out_dir, name))
+                         for name in outputs} if out_dir is not None else {}),
         duration_seconds=round(duration_seconds, 3),
     )

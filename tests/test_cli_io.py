@@ -110,7 +110,7 @@ def _run_result(policy, fraction, rep, in_control=(1, 2)):
     periods = len(in_control)
     return RunResult(
         policy_kind=policy, capacity_fraction=fraction, replication=rep,
-        seed=0, in_control=tuple(in_control),
+        in_control=tuple(in_control),
         enrolled=tuple(range(periods)), visits_total=(2,) * periods,
         screening_visits=(1,) * periods,
         final_log_fbg=(4.1, 4.9, 5.3), ppc_fraction=0.25,
@@ -395,6 +395,14 @@ class TestCliSimulate:
         assert manifest["config"]["population"] == 12
         assert manifest["config"]["capacity_pct"] == [10.0, 20.0]
         assert sorted(manifest["outputs"]) == ["results.csv", "summary.csv"]
+
+    def test_manifest_records_output_digests(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(SIM_ARGS + ["--out", str(out)]) == 0
+        manifest = storage.read_manifest(str(out))
+        assert manifest["output_digests"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("results.csv", "summary.csv")}
 
     def test_rerun_is_byte_identical_except_duration(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

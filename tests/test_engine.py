@@ -14,7 +14,6 @@ from chwplan.engine import (
     brute_force_plan,
     capacity_from_fraction,
     capacity_sweep,
-    cell_seed,
     cohort_stream_seed,
     enrollment_share_window,
     noise_stream_seed,
@@ -157,13 +156,6 @@ def test_ppc_additivity_and_visit_bounds():
             assert 0 <= scr <= tot <= C
 
 
-def test_metadata_seed_identifies_cell():
-    cohort = fresh_cohort([5.0], GROUP_A)
-    cfg = quiet_config()
-    res = simulate(cohort, PolicySpec("visit_no_one", DELTA), cfg, 0.5, replication=3)
-    assert res.seed == cell_seed(cfg.base_seed, "visit_no_one", 0.5, 3)
-
-
 # ---------------------------------------------------------------------------
 # seeding helpers
 # ---------------------------------------------------------------------------
@@ -179,8 +171,6 @@ def test_stream_seeds_do_not_depend_on_policy_or_fraction():
     # the cohort/noise streams are functions of (base_seed, replication) only
     assert cohort_stream_seed(9, 4) == cohort_stream_seed(9, 4)
     assert noise_stream_seed(9, 4) != noise_stream_seed(9, 5)
-    assert cell_seed(9, "asc_fbg", 0.2, 1) != cell_seed(9, "desc_fbg", 0.2, 1)
-    assert cell_seed(9, "asc_fbg", 0.2, 1) != cell_seed(9, "asc_fbg", 0.25, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,6 @@ def fake_result(kind, fraction, replication, ppc, in_control=None, visits=None,
     n = 4
     return RunResult(
         policy_kind=kind, capacity_fraction=fraction, replication=replication,
-        seed=0,
         in_control=tuple(in_control or [1] * n),
         enrolled=tuple(enrolled or [1] * n),
         visits_total=tuple(visits or [2] * n),

@@ -78,8 +78,6 @@ def test_noise_model_validation():
     NoiseModel()  # defaults are fine
     with pytest.raises(ValueError):
         NoiseModel(sigma_xi=-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(family="cauchy")
 
 
 # ---------------------------------------------------------------------------
