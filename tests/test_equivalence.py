@@ -121,10 +121,12 @@ def test_clamps_fire_and_match_in_the_array_step():
     heavy = PatientParams(p=0.1, mu=1.0, alpha=1.0, beta=0.5, lam=5.0,
                           gamma=0.5, rho=0.5, s_base=0.0, theta_base=0.2)
     low = PatientState(b=0.1, s=0.5, theta=0.5, z_prev=1)
+    floored = PatientState(b=5.0, s=0.0, theta=0.3, z_prev=1)
+    at_zero = PatientState(b=0.0, s=0.0, theta=0.0, z_prev=0)
     cohort = [
-        (plain, low, True, -0.5),                                   # b clamp
-        (heavy, PatientState(b=5.0, s=0.0, theta=0.3, z_prev=1), True, 0.0),  # theta floor
-        (plain, PatientState(b=0.0, s=0.0, theta=0.0, z_prev=0), False, 0.0),  # on both
+        (plain, low, True, -0.5),      # raw log-FBG update goes negative
+        (heavy, floored, True, 0.0),   # raw perception update goes negative
+        (plain, at_zero, False, 0.0),  # starts on both clamps
     ]
     assert step_fbg(low, plain, 1, 1, -0.5) < 0.0
     states, params = _arrays(cohort)
