@@ -21,9 +21,8 @@ from .model import (
     PatientState,
     StateArrays,
     step_cohort,
-    step_patient,
 )
-from .policy import PolicySpec, interest_set, select_visits
+from .policy import PolicySpec, select_visits, single_patient_action
 
 DEFAULT_DELTA = math.log(125.0)
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -326,6 +325,36 @@ def enrollment_share_window(
 # ---------------------------------------------------------------------------
 
 ENUMERATION_BUDGET = 10_000_000
+# Schedules of at most this many leaves are searched breadth-first in one
+# batch of array steps; larger searches go depth-first down to that size.
+SEARCH_BATCH_LEAVES = 1 << 15
+
+
+def _expand(
+    states: StateArrays,
+    reward: np.ndarray,
+    params: ParamArrays,
+    visit_masks: np.ndarray,
+    delta: float,
+    interest_only: bool,
+) -> Tuple[np.ndarray, np.ndarray, StateArrays, np.ndarray]:
+    """Every child of every node of one search level, in one array step.
+
+    states holds one row per node (node x patient arrays) and reward each
+    node's in-control periods so far. A child visits one allowed subset
+    (a row of visit_masks); with interest_only, only subsets of the node's
+    interest set are allowed. Children come ordered by node, then by
+    subset, and are returned as (parent node, subset index, states,
+    rewards).
+    """
+    if interest_only:
+        outside = ~single_patient_action(states, params)
+        allowed = ~(outside[:, None, :] & visit_masks[None, :, :]).any(axis=2)
+    else:
+        allowed = np.ones((len(reward), len(visit_masks)), dtype=bool)
+    parent, chosen = np.nonzero(allowed)
+    nxt, _ = step_cohort(states.take(parent), params, visit_masks[chosen], 0.0)
+    return parent, chosen, nxt, reward[parent] + np.count_nonzero(nxt.b <= delta, axis=1)
 
 
 def brute_force_plan(
@@ -358,34 +387,44 @@ def brute_force_plan(
             for k in range(0, min(C, population) + 1)
         )
     )
+    visit_masks = np.array([np.isin(np.arange(population), sub) for sub in subsets])
+    params = ParamArrays.of(cohort.params)
+
+    def expand(states, reward):
+        return _expand(states, reward, params, visit_masks, delta, interest_only)
+
+    def search_batch(states, reward, periods):
+        # Breadth-first over the remaining periods; the first maximum of the
+        # last level is the lexicographically smallest best schedule.
+        levels = []
+        for _ in range(periods):
+            parent, chosen, states, reward = expand(states, reward)
+            levels.append((parent, chosen))
+        leaf = int(np.argmax(reward))
+        value = int(reward[leaf])
+        picks = []
+        for parent, chosen in reversed(levels):
+            picks.append(subsets[chosen[leaf]])
+            leaf = parent[leaf]
+        return value, tuple(reversed(picks))
 
     best_value = -1
     best_schedule: Optional[Tuple[Tuple[int, ...], ...]] = None
-    schedule: List[Tuple[int, ...]] = []
 
-    def dfs(states: Tuple[PatientState, ...], t: int, reward: int):
+    def dfs(states: StateArrays, reward: np.ndarray, prefix: Tuple[Tuple[int, ...], ...]):
         nonlocal best_value, best_schedule
-        if t == N:
-            if reward > best_value:
-                best_value = reward
-                best_schedule = tuple(schedule)
+        periods = N - len(prefix)
+        if per_period ** periods <= SEARCH_BATCH_LEAVES:
+            value, rest = search_batch(states, reward, periods)
+            if value > best_value:
+                best_value = value
+                best_schedule = prefix + rest
             return
-        allowed = subsets
-        if interest_only:
-            members = interest_set(states, cohort.params)
-            allowed = [sub for sub in subsets if set(sub) <= members]
-        for sub in allowed:
-            nxt = []
-            gained = 0
-            for i in range(population):
-                y = 1 if i in sub else 0
-                ns, _ = step_patient(states[i], cohort.params[i], y, xi=0.0)
-                gained += ns.b <= delta
-                nxt.append(ns)
-            schedule.append(sub)
-            dfs(tuple(nxt), t + 1, reward + gained)
-            schedule.pop()
+        _, chosen, nxt, rewards = expand(states, reward)
+        for k in range(len(chosen)):
+            dfs(nxt.take([k]), rewards[k:k + 1], prefix + (subsets[chosen[k]],))
 
-    dfs(tuple(cohort.initial_states), 0, 0)
+    start = StateArrays(*(a[None, :] for a in StateArrays.of(cohort.initial_states)))
+    dfs(start, np.zeros(1, dtype=int), ())
     assert best_schedule is not None
     return best_value, best_schedule

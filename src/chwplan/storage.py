@@ -419,9 +419,8 @@ def read_manifest(directory: str) -> dict:
 
 def make_manifest(command: str, config: dict, base_seed: int,
                   input_paths: Sequence[str], outputs: Sequence[str],
-                  duration_seconds: float,
-                  out_dir: Optional[str] = None) -> RunManifest:
-    """Manifest of a run; with out_dir, the sha256 of each listed output in it."""
+                  duration_seconds: float, out_dir: str) -> RunManifest:
+    """Manifest of a run, with the sha256 of each listed output in out_dir."""
     return RunManifest(
         tool_version=__version__,
         command=command,
@@ -429,7 +428,7 @@ def make_manifest(command: str, config: dict, base_seed: int,
         base_seed=base_seed,
         input_digests={p: sha256_file(p) for p in input_paths},
         outputs=tuple(outputs),
-        output_digests=({name: sha256_file(os.path.join(out_dir, name))
-                         for name in outputs} if out_dir is not None else {}),
+        output_digests={name: sha256_file(os.path.join(out_dir, name))
+                        for name in outputs},
         duration_seconds=round(duration_seconds, 3),
     )

@@ -267,8 +267,10 @@ class TestManifest:
     def test_round_trip_and_input_digest(self, tmp_path):
         blob = tmp_path / "input.csv"
         blob.write_bytes(b"alpha,beta\n1,2\n")
+        (tmp_path / "results.csv").write_bytes(b"x\n")
         manifest = storage.make_manifest(
-            "simulate", {"k": 1}, 42, [str(blob)], ["results.csv"], 1.23456)
+            "simulate", {"k": 1}, 42, [str(blob)], ["results.csv"], 1.23456,
+            str(tmp_path))
         storage.write_manifest(str(tmp_path), manifest)
         back = storage.read_manifest(str(tmp_path))
         assert back["command"] == "simulate"
@@ -277,6 +279,8 @@ class TestManifest:
         assert back["duration_seconds"] == 1.235  # rounded to ms
         expected = hashlib.sha256(b"alpha,beta\n1,2\n").hexdigest()
         assert back["input_digests"][str(blob)] == expected
+        assert back["output_digests"] == {
+            "results.csv": hashlib.sha256(b"x\n").hexdigest()}
 
     def test_missing_manifest_is_a_clear_error(self, tmp_path):
         with pytest.raises(ValueError, match="no manifest.json found"):
@@ -539,7 +543,7 @@ class TestCliErrors:
         storage.write_results_csv(str(out / "results.csv"), [])
         storage.write_summary_csv(str(out / "summary.csv"), [])
         storage.write_manifest(str(out), storage.make_manifest(
-            "simulate", {"population": 5}, 0, [], [], 0.0))
+            "simulate", {"population": 5}, 0, [], [], 0.0, str(out)))
         assert main(["report", "--results", str(out)]) == 1
         assert "results are empty" in capsys.readouterr().err
 
