@@ -180,9 +180,15 @@ def _cmd_estimate(args) -> int:
         "sigma_eps": config.sigma_eps,
         "sigma_xi": config.sigma_xi,
     }
+    work = {
+        "grid_cells_solved": sum(e.cells_solved for _, e in estimates),
+        "grid_cells_primal_infeasible": sum(e.cells_infeasible for _, e in estimates),
+        "grid_cells_nonconverged": sum(e.cells_nonconverged for _, e in estimates),
+        "qp_iterations": sum(e.qp_iterations for _, e in estimates),
+    }
     storage.write_manifest(out_dir, storage.make_manifest(
         "estimate", manifest_config, 0, [args.histories],
-        ["estimates.csv"], time.perf_counter() - start, out_dir,
+        ["estimates.csv"], time.perf_counter() - start, out_dir, work=work,
     ))
     print(f"estimate: {len(estimates)} patients -> {out_dir}")
     return 0

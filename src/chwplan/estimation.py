@@ -15,14 +15,17 @@ linear in (b, p, mu, alpha). Gaussian observation and process noise make
 the objective quadratic.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import PatientParams
-from .qp import QPConvergenceError, solve_qp
+from .qp import QPConvergenceError, QPResult, solve_qp, solve_qps
+
+Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
 
 
 class EstimationFailedError(Exception):
@@ -139,9 +142,13 @@ class EstimationConfig:
 
 @dataclass(frozen=True)
 class InnerSolution:
-    """Outcome of one grid cell's convex subproblem."""
+    """Outcome of one grid cell's convex subproblem.
 
-    feasible: bool
+    status is the QP's: "solved", "primal_infeasible" or "nonconverged".
+    Only solved cells carry a fit; the others have nll = +inf.
+    """
+
+    status: str
     nll: float
     p: float
     mu: float
@@ -152,16 +159,25 @@ class InnerSolution:
     innovations: Tuple[float, ...]
     iterations: int
 
+    @property
+    def feasible(self) -> bool:
+        return self.status == "solved"
+
 
 @dataclass(frozen=True)
 class EstimationResult:
     params: PatientParams
     nll: float
-    grid_cell: Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
+    grid_cell: Cell
     latent_log_fbg: Tuple[float, ...]
     latent_adverse: Tuple[float, ...]
     latent_perception: Tuple[float, ...]
     innovations: Tuple[float, ...]
+    # the grid search's work: cells by QP status, and ADMM iterations summed
+    cells_solved: int
+    cells_infeasible: int
+    cells_nonconverged: int
+    qp_iterations: int
 
 
 def reconstruct_adverse(
@@ -204,6 +220,127 @@ def _was_offered(history: VisitHistory, t: int) -> bool:
     return history.visited[t] == 1 or (t > 0 and history.enrolled[t - 1] == 1)
 
 
+def _objective(history: VisitHistory, config: EstimationConfig):
+    """P and q of the inner QP: the Gaussian negative log-likelihood.
+
+    It depends on the record and the noise scales only, so every grid
+    cell of a history shares it.
+    """
+    y, z = history.visited, history.enrolled
+    T = history.length
+    n = T + 5
+    ip, imu, ial = T, T + 1, T + 2
+    w_eps = 1.0 / config.sigma_eps**2
+    w_xi = 1.0 / config.sigma_xi**2
+
+    P = np.zeros((n, n))
+    q = np.zeros(n)
+    for t, val in history.observations:
+        P[t, t] += w_eps
+        q[t] -= w_eps * val
+    for t in range(T - 1):
+        d = np.zeros(n)
+        d[t + 1] = 1.0
+        d[t] = -1.0
+        d[ip] = -1.0
+        d[imu] = float(z[t])
+        d[ial] = float(y[t] * z[t])
+        P += w_xi * np.outer(d, d)
+    return P, q
+
+
+def _constraints(history: VisitHistory, cell: Cell, config: EstimationConfig):
+    """A, l, u of one grid cell's inner QP, row blocks in this order:
+
+    b_t >= 0; the five parameters in [0, param_upper_bound]; theta_t =
+    theta_base + c_t*lam >= 0; and the enrollment benefit's sign per
+    period (big-M bounded): >= 0 when enrolled, <= -strict_gap when an
+    offer was declined, <= 0 otherwise.
+    """
+    s_base, beta, gamma, rho = cell
+    T = history.length
+    n = T + 5
+    imu, ial, ith, ila = T + 1, T + 2, T + 3, T + 4
+
+    s = reconstruct_adverse(history, s_base, beta, gamma)
+    c = np.array(perception_coefficients(history, rho))
+    g = [gamma * (s[t] - s_base) + s_base for t in range(T)]
+    h = np.array([g[t] + beta * history.visited[t] for t in range(T)])
+
+    if config.big_m is not None:
+        big_m = config.big_m
+    else:
+        ub = config.param_upper_bound
+        theta_max = ub * (1.0 + max(abs(ct) for ct in c))
+        big_m = 2.0 * (ub + ub + theta_max * (max(g) + beta))
+
+    A = np.zeros((3 * T + 5, n))
+    A[:n] = np.eye(n)
+    theta_rows = A[T + 5:2 * T + 5]
+    theta_rows[:, ith] = 1.0
+    theta_rows[:, ila] = c
+    benefit_rows = A[2 * T + 5:]
+    benefit_rows[:, imu] = 1.0
+    benefit_rows[:, ial] = history.visited
+    benefit_rows[:, ith] = -h
+    benefit_rows[:, ila] = -h * c
+
+    enrolled = np.array(history.enrolled) == 1
+    offered = np.array([_was_offered(history, t) for t in range(T)])
+    l = np.concatenate([
+        np.zeros(2 * T + 5),
+        np.where(enrolled, 0.0, -big_m),
+    ])
+    u = np.concatenate([
+        np.full(T, math.inf),
+        np.full(5, config.param_upper_bound),
+        np.full(T, math.inf),
+        np.where(enrolled, big_m, np.where(offered, -config.strict_gap, 0.0)),
+    ])
+    return A, l, u
+
+
+def _inner_solution(
+    history: VisitHistory, cell: Cell, config: EstimationConfig, result: QPResult
+) -> InnerSolution:
+    """A cell's fit from its QP result; unsolved cells get nll = +inf.
+
+    A cell whose subproblem is infeasible, or cannot be solved to
+    tolerance within the iteration budget, cannot be trusted as the
+    minimizer either way; it is dropped from the search instead of
+    aborting the whole grid.
+    """
+    if result.status != "solved":
+        return InnerSolution(result.status, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0,
+                             (), (), result.iterations)
+
+    x = result.x
+    A, l, u = _constraints(history, cell, config)
+    audit = max(float(np.max(l - A @ x)), float(np.max(A @ x - u)))
+    if audit > 10.0 * config.qp_tolerance:
+        raise RuntimeError(
+            f"solver reported success but a constraint is violated by {audit:.3e}"
+        )
+
+    y, z = history.visited, history.enrolled
+    T = history.length
+    ub = config.param_upper_bound
+    b = tuple(max(float(v), 0.0) for v in x[:T])
+    p, mu, alpha, theta_base, lam = (
+        min(max(float(x[j]), 0.0), ub) for j in range(T, T + 5)
+    )
+    xi = tuple(
+        b[t + 1] - b[t] - p + mu * z[t] + alpha * y[t] * z[t] for t in range(T - 1)
+    )
+    w_eps = 1.0 / config.sigma_eps**2
+    w_xi = 1.0 / config.sigma_xi**2
+    obs = history.observed_map
+    nll = 0.5 * w_eps * sum((b[t] - val) ** 2 for t, val in obs.items())
+    nll += 0.5 * w_xi * sum(v**2 for v in xi)
+    return InnerSolution("solved", nll, p, mu, alpha, theta_base, lam, b, xi,
+                         result.iterations)
+
+
 def solve_inner(
     history: VisitHistory,
     s_base: float,
@@ -221,107 +358,42 @@ def solve_inner(
     this cell's shape parameters) come back with nll = +inf. Declining
     while an offer stood is a strict preference, encoded as benefit <=
     -strict_gap; without an offer only the weak bound benefit <= 0
-    applies.
+    applies. solve_cells fits many cells of one history at once.
     """
-    y, z = history.visited, history.enrolled
-    T = history.length
-    n = T + 5
-    ip, imu, ial, ith, ila = T, T + 1, T + 2, T + 3, T + 4
-
-    s = reconstruct_adverse(history, s_base, beta, gamma)
-    c = perception_coefficients(history, rho)
-    g = [gamma * (s[t] - s_base) + s_base for t in range(T)]
-    h = [g[t] + beta * y[t] for t in range(T)]
-
-    if config.big_m is not None:
-        big_m = config.big_m
-    else:
-        ub = config.param_upper_bound
-        theta_max = ub * (1.0 + max(abs(ct) for ct in c))
-        big_m = 2.0 * (ub + ub + theta_max * (max(g) + beta))
-
-    w_eps = 1.0 / config.sigma_eps**2
-    w_xi = 1.0 / config.sigma_xi**2
-
-    P = np.zeros((n, n))
-    q = np.zeros(n)
-    for t, val in history.observations:
-        P[t, t] += w_eps
-        q[t] -= w_eps * val
-    for t in range(T - 1):
-        d = np.zeros(n)
-        d[t + 1] = 1.0
-        d[t] = -1.0
-        d[ip] = -1.0
-        d[imu] = float(z[t])
-        d[ial] = float(y[t] * z[t])
-        P += w_xi * np.outer(d, d)
-
-    rows, lo, hi = [], [], []
-
-    def add_row(coeffs, lower, upper):
-        a = np.zeros(n)
-        for j, v in coeffs:
-            a[j] = v
-        rows.append(a)
-        lo.append(lower)
-        hi.append(upper)
-
-    for t in range(T):
-        add_row([(t, 1.0)], 0.0, math.inf)
-    for j in (ip, imu, ial, ith, ila):
-        add_row([(j, 1.0)], 0.0, config.param_upper_bound)
-    for t in range(T):
-        add_row([(ith, 1.0), (ila, c[t])], 0.0, math.inf)
-    for t in range(T):
-        coeffs = [(imu, 1.0), (ial, float(y[t])), (ith, -h[t]), (ila, -h[t] * c[t])]
-        if z[t] == 1:
-            add_row(coeffs, 0.0, big_m)
-        elif _was_offered(history, t):
-            add_row(coeffs, -big_m, -config.strict_gap)
-        else:
-            add_row(coeffs, -big_m, 0.0)
-
-    A = np.vstack(rows)
-    l = np.array(lo)
-    u = np.array(hi)
-
+    cell = (s_base, beta, gamma, rho)
+    P, q = _objective(history, config)
+    A, l, u = _constraints(history, cell, config)
     try:
-        result = solve_qp(
-            P, q, A, l, u,
-            tolerance=config.qp_tolerance,
-            max_iterations=config.qp_max_iterations,
-        )
+        result = solve_qp(P, q, A, l, u, tolerance=config.qp_tolerance,
+                          max_iterations=config.qp_max_iterations)
     except QPConvergenceError as exc:
-        # A cell whose subproblem cannot be solved to tolerance within the
-        # iteration budget cannot be trusted as the minimizer either way;
-        # drop it from the search instead of aborting the whole grid.
-        return InnerSolution(False, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, (), (),
-                             exc.iterations)
-    if result.status == "primal_infeasible":
-        return InnerSolution(False, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, (), (),
-                             result.iterations)
+        result = QPResult("nonconverged", None, None, None, exc.iterations,
+                          exc.primal_residual, exc.dual_residual)
+    return _inner_solution(history, cell, config, result)
 
-    x = result.x
-    audit = max(float(np.max(l - A @ x)), float(np.max(A @ x - u)))
-    if audit > 10.0 * config.qp_tolerance:
-        raise RuntimeError(
-            f"solver reported success but a constraint is violated by {audit:.3e}"
-        )
 
-    ub = config.param_upper_bound
-    b = tuple(max(float(v), 0.0) for v in x[:T])
-    p, mu, alpha, theta_base, lam = (
-        min(max(float(x[j]), 0.0), ub) for j in (ip, imu, ial, ith, ila)
+def grid_cells(config: EstimationConfig) -> List[Cell]:
+    """The full Cartesian grid, s_base outermost and rho innermost."""
+    return list(itertools.product(config.grid_s_base, config.grid_beta,
+                                  config.grid_gamma, config.grid_rho))
+
+
+def solve_cells(
+    history: VisitHistory, cells: Sequence[Cell], config: EstimationConfig
+) -> Iterator[InnerSolution]:
+    """solve_inner for every cell, in order, as one batched QP solve.
+
+    The cells share the objective, so it is built once; their constraint
+    sets are built as the solver's pool asks for them, and each cell's
+    solution is yielded as soon as the cells before it are done.
+    """
+    P, q = _objective(history, config)
+    results = solve_qps(
+        P, q, (_constraints(history, cell, config) for cell in cells),
+        tolerance=config.qp_tolerance, max_iterations=config.qp_max_iterations,
     )
-    xi = tuple(
-        b[t + 1] - b[t] - p + mu * z[t] + alpha * y[t] * z[t] for t in range(T - 1)
-    )
-    obs = history.observed_map
-    nll = 0.5 * w_eps * sum((b[t] - val) ** 2 for t, val in obs.items())
-    nll += 0.5 * w_xi * sum(v**2 for v in xi)
-    return InnerSolution(True, nll, p, mu, alpha, theta_base, lam, b, xi,
-                         result.iterations)
+    return (_inner_solution(history, cell, config, result)
+            for cell, result in zip(cells, results))
 
 
 def estimate_patient(
@@ -329,28 +401,31 @@ def estimate_patient(
 ) -> EstimationResult:
     """Grid-search MLE over (s_base, beta, gamma, rho) cells.
 
-    Visits the full Cartesian grid in a fixed order (s_base outermost,
-    rho innermost), keeps the strictly best feasible cell, and therefore
-    resolves ties toward the earliest cell in that order. "Strictly
-    best" is judged with a small relative slack (nll_tie_tolerance):
-    cells whose objectives differ by less than solver precision are
-    genuine ties, and letting the last few floating-point bits pick the
-    winner would make the selected cell non-reproducible.
+    Solves the full Cartesian grid (grid_cells order), keeps the strictly
+    best feasible cell, and therefore resolves ties toward the earliest
+    cell in that order. "Strictly best" is judged with a small relative
+    slack (nll_tie_tolerance): cells whose objectives differ by less than
+    solver precision are genuine ties, and letting the last few
+    floating-point bits pick the winner would make the selected cell
+    non-reproducible. Infeasible and nonconverged cells are dropped and
+    counted in the result.
     """
+    cells = grid_cells(config)
+    statuses: Dict[str, int] = dict.fromkeys(
+        ("solved", "primal_infeasible", "nonconverged"), 0)
+    iterations = 0
     best: Optional[InnerSolution] = None
     best_cell = None
-    for s_base in config.grid_s_base:
-        for beta in config.grid_beta:
-            for gamma in config.grid_gamma:
-                for rho in config.grid_rho:
-                    sol = solve_inner(history, s_base, beta, gamma, rho, config)
-                    if not sol.feasible:
-                        continue
-                    if best is None or sol.nll < best.nll - (
-                        config.nll_tie_tolerance * (1.0 + abs(best.nll))
-                    ):
-                        best = sol
-                        best_cell = (s_base, beta, gamma, rho)
+    for cell, sol in zip(cells, solve_cells(history, cells, config)):
+        statuses[sol.status] += 1
+        iterations += sol.iterations
+        if not sol.feasible:
+            continue
+        if best is None or sol.nll < best.nll - (
+            config.nll_tie_tolerance * (1.0 + abs(best.nll))
+        ):
+            best = sol
+            best_cell = cell
     if best is None or best_cell is None:
         raise EstimationFailedError(history.patient_id)
 
@@ -370,4 +445,8 @@ def estimate_patient(
         latent_adverse=s,
         latent_perception=theta,
         innovations=best.innovations,
+        cells_solved=statuses["solved"],
+        cells_infeasible=statuses["primal_infeasible"],
+        cells_nonconverged=statuses["nonconverged"],
+        qp_iterations=iterations,
     )

@@ -389,6 +389,7 @@ class RunManifest:
     outputs: Tuple[str, ...]
     output_digests: Dict[str, str]
     duration_seconds: float
+    work: Dict[str, int]  # counts of the work the run did, by name
 
 
 def write_manifest(directory: str, manifest: RunManifest) -> str:
@@ -402,6 +403,7 @@ def write_manifest(directory: str, manifest: RunManifest) -> str:
         "outputs": list(manifest.outputs),
         "output_digests": manifest.output_digests,
         "duration_seconds": manifest.duration_seconds,
+        "work": manifest.work,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -419,7 +421,8 @@ def read_manifest(directory: str) -> dict:
 
 def make_manifest(command: str, config: dict, base_seed: int,
                   input_paths: Sequence[str], outputs: Sequence[str],
-                  duration_seconds: float, out_dir: str) -> RunManifest:
+                  duration_seconds: float, out_dir: str,
+                  work: Optional[Dict[str, int]] = None) -> RunManifest:
     """Manifest of a run, with the sha256 of each listed output in out_dir."""
     return RunManifest(
         tool_version=__version__,
@@ -431,4 +434,5 @@ def make_manifest(command: str, config: dict, base_seed: int,
         output_digests={name: sha256_file(os.path.join(out_dir, name))
                         for name in outputs},
         duration_seconds=round(duration_seconds, 3),
+        work=dict(work or {}),
     )

@@ -516,6 +516,31 @@ class TestCliPipelines:
             assert (charts_dir / name).read_bytes() == (again / name).read_bytes()
 
 
+class TestCliEstimate:
+    def test_manifest_counts_grid_work(self, tmp_path):
+        params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,
+                               gamma=0.2, rho=0.2, s_base=0.0, theta_base=1.0)
+        visits = tuple(t for k in range(3) for t in (8 * k, 8 * k + 1,
+                                                     8 * k + 2, 8 * k + 4))
+        hist, _ = generate_history(params, 2.0, visits, 20, sigma_eps=0.0)
+        obs = hist.observed_map
+        lines = [f"{pid},{t},{hist.visited[t]},{hist.enrolled[t]},"
+                 f"{math.exp(obs[t])!r}" for pid in ("a", "b") for t in range(20)]
+        path = write_history_csv(tmp_path / "hist.csv", lines)
+        out = tmp_path / "est"
+        assert main(["estimate", "--histories", path,
+                     "--grid-s-base", "0,1", "--grid-beta", "0,1",
+                     "--grid-gamma", "0.2", "--grid-rho", "0.2,0.5,0.8",
+                     "--out", str(out)]) == 0
+        work = storage.read_manifest(str(out))["work"]
+        cells = work["grid_cells_solved"] + work["grid_cells_primal_infeasible"] \
+            + work["grid_cells_nonconverged"]
+        assert cells == 12 * 2  # grid cells x patients
+        assert work["qp_iterations"] >= cells
+        header = (out / "estimates.csv").read_text().splitlines()[0]
+        assert header == ",".join(storage.ESTIMATE_COLUMNS)
+
+
 class TestCliErrors:
     @pytest.mark.parametrize("args", [
         ["simulate", "--scenario", "nope", "--policies", "asc_fbg"],

@@ -21,7 +21,7 @@ from chwplan.estimation import (
     solve_inner,
 )
 from chwplan.model import PatientParams
-from chwplan.qp import QPConvergenceError
+from chwplan.qp import QPConvergenceError, QPResult
 
 from _synthetic import generate_history
 
@@ -262,7 +262,7 @@ def test_inner_excludes_stalled_cell(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _fake_solution(nll):
-    return InnerSolution(feasible=True, nll=nll, p=0.5, mu=0.5, alpha=0.5,
+    return InnerSolution(status="solved", nll=nll, p=0.5, mu=0.5, alpha=0.5,
                          theta_base=1.0, lam=0.0, latent_log_fbg=(1.0, 1.0),
                          innovations=(0.0,), iterations=1)
 
@@ -270,12 +270,12 @@ def _fake_solution(nll):
 def test_grid_visits_every_cell_once(monkeypatch):
     calls = []
 
-    def counting(history, s_base, beta, gamma, rho, config):
-        calls.append((s_base, beta, gamma, rho))
-        return _fake_solution(1.0)
+    def counting(history, cells, config):
+        calls.extend(cells)
+        return [_fake_solution(1.0) for _ in cells]
 
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
-    monkeypatch.setattr(est, "solve_inner", counting)
+    monkeypatch.setattr(est, "solve_cells", counting)
     result = estimate_patient(h, EstimationConfig())
     assert len(calls) == 400
     assert len(set(calls)) == 400
@@ -287,43 +287,72 @@ def test_grid_visits_every_cell_once(monkeypatch):
 def test_grid_tie_slack_keeps_earlier_cell(monkeypatch):
     # an improvement smaller than the tie tolerance is solver noise, not
     # evidence; a real improvement still wins
-    def scripted(history, s_base, beta, gamma, rho, config):
-        cell = (s_base, beta, gamma, rho)
-        if cell == (0.0, 0.0, 0.2, 0.2):
-            return _fake_solution(10.0)
-        if cell == (0.0, 0.0, 0.2, 0.5):
-            return _fake_solution(10.0 - 5e-5)  # within 1e-5 * (1 + 10)
-        if cell == (1.0, 2.0, 0.5, 0.8):
-            return _fake_solution(1.0)
-        return _fake_solution(50.0)
+    def scripted(history, cells, config):
+        def one(cell):
+            if cell == (0.0, 0.0, 0.2, 0.2):
+                return _fake_solution(10.0)
+            if cell == (0.0, 0.0, 0.2, 0.5):
+                return _fake_solution(10.0 - 5e-5)  # within 1e-5 * (1 + 10)
+            if cell == (1.0, 2.0, 0.5, 0.8):
+                return _fake_solution(1.0)
+            return _fake_solution(50.0)
+        return [one(cell) for cell in cells]
 
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
-    monkeypatch.setattr(est, "solve_inner", scripted)
+    monkeypatch.setattr(est, "solve_cells", scripted)
     result = estimate_patient(h, EstimationConfig())
     assert result.grid_cell == (1.0, 2.0, 0.5, 0.8)
 
-    def scripted_ties_only(history, s_base, beta, gamma, rho, config):
-        cell = (s_base, beta, gamma, rho)
-        if cell == (0.0, 0.0, 0.2, 0.2):
-            return _fake_solution(10.0)
-        if cell == (0.0, 0.0, 0.2, 0.5):
-            return _fake_solution(10.0 - 5e-5)
-        return _fake_solution(50.0)
+    def scripted_ties_only(history, cells, config):
+        def one(cell):
+            if cell == (0.0, 0.0, 0.2, 0.2):
+                return _fake_solution(10.0)
+            if cell == (0.0, 0.0, 0.2, 0.5):
+                return _fake_solution(10.0 - 5e-5)
+            return _fake_solution(50.0)
+        return [one(cell) for cell in cells]
 
-    monkeypatch.setattr(est, "solve_inner", scripted_ties_only)
+    monkeypatch.setattr(est, "solve_cells", scripted_ties_only)
     result = estimate_patient(h, EstimationConfig())
     assert result.grid_cell == (0.0, 0.0, 0.2, 0.2)
 
 
 def test_estimation_failed_when_every_cell_infeasible(monkeypatch):
-    def never_feasible(history, s_base, beta, gamma, rho, config):
-        return InnerSolution(False, math.inf, 0, 0, 0, 0, 0, (), (), 3)
+    def never_feasible(history, cells, config):
+        return [InnerSolution("primal_infeasible", math.inf, 0, 0, 0, 0, 0, (), (), 3)
+                for _ in cells]
 
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0},
                      patient_id="pt-042")
-    monkeypatch.setattr(est, "solve_inner", never_feasible)
+    monkeypatch.setattr(est, "solve_cells", never_feasible)
     with pytest.raises(EstimationFailedError, match="pt-042"):
         estimate_patient(h, EstimationConfig())
+
+
+def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
+    # all four cells fit this record exactly, so the earliest would win;
+    # the batch reports the first infeasible and the second out of budget,
+    # and the best remaining cell (the third, by the tie rule) wins
+    h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
+    cfg = EstimationConfig(grid_s_base=(0.0, 1.0), grid_beta=(0.0,),
+                           grid_gamma=(0.2,), grid_rho=(0.2, 0.5))
+    cells = est.grid_cells(cfg)
+    assert estimate_patient(h, cfg).grid_cell == cells[0]
+    real_solve_qps = est.solve_qps
+
+    def first_two_fail(P, q, constraints, **kwargs):
+        results = list(real_solve_qps(P, q, constraints, **kwargs))
+        assert len(results) == 4 and all(r.status == "solved" for r in results)
+        results[0] = QPResult("primal_infeasible", None, None, None, 25, 1.0, 1.0)
+        results[1] = QPResult("nonconverged", None, None, None, 10000, 1e-3, 1e-3)
+        return results
+
+    monkeypatch.setattr(est, "solve_qps", first_two_fail)
+    result = estimate_patient(h, cfg)
+    assert result.grid_cell == cells[2]
+    assert (result.cells_solved, result.cells_infeasible,
+            result.cells_nonconverged) == (2, 1, 1)
+    assert result.nll == solve_inner(h, *cells[2], cfg).nll
 
 
 def test_config_validation():

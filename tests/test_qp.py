@@ -1,9 +1,12 @@
-"""Solver tests against closed-form optima and an independent oracle."""
+"""Solver tests against closed-form optima and an independent oracle, and
+of the batched solve against one-at-a-time solves."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from chwplan.qp import QPConvergenceError, solve_qp
+from chwplan.qp import POOL_WIDTH, QPConvergenceError, solve_qp, solve_qps
 
 
 def test_scalar_clipped_minimum():
@@ -145,3 +148,84 @@ def test_solver_is_deterministic():
     b = solve_qp(P, q, A, lo, hi)
     assert np.array_equal(a.x, b.x)
     assert a.iterations == b.iterations
+
+
+def _mixed_batch():
+    """Twelve problems sharing P and q, in a repeating pattern of four:
+    a feasible box, contradictory rows (x0 >= 1 and x0 <= 0), another
+    feasible box, and three equality rows, which converge slowest."""
+    rng = np.random.default_rng(5)
+    n, m = 3, 4
+    G = rng.normal(size=(n, n))
+    P = G @ G.T + np.eye(n)
+    q = rng.normal(size=n)
+    problems = []
+    for i in range(12):
+        A = rng.normal(size=(m, n))
+        if i % 4 == 1:
+            A[0] = A[1] = [1.0, 0.0, 0.0]
+            lo = np.array([1.0, -np.inf, -5.0, -5.0])
+            hi = np.array([np.inf, 0.0, 5.0, 5.0])
+        elif i % 4 == 3:
+            lo = A @ rng.normal(size=n)
+            hi = lo.copy()
+            lo[3], hi[3] = lo[3] - 1.0, hi[3] + 1.0
+        else:
+            x0 = rng.normal(size=n)
+            slack = rng.uniform(0.05, 1.0, size=m)
+            lo, hi = A @ x0 - slack, A @ x0 + slack
+        problems.append((A, lo, hi))
+    return P, q, problems
+
+
+def test_batch_matches_single_solves_in_input_order():
+    # a 75-iteration budget leaves some equality problems unconverged
+    P, q, problems = _mixed_batch()
+    assert len(problems) > POOL_WIDTH
+    results = list(solve_qps(P, q, iter(problems), max_iterations=75))
+    assert len(results) == len(problems)
+    for (A, lo, hi), res in zip(problems, results):
+        try:
+            single = solve_qp(P, q, A, lo, hi, max_iterations=75)
+        except QPConvergenceError as exc:
+            assert res.status == "nonconverged"
+            assert res.x is None and res.iterations == exc.iterations
+            continue
+        assert res.status == single.status
+        if single.status == "solved":
+            assert np.max(np.abs(res.x - single.x)) <= 1e-6
+        else:
+            assert res.x is None
+    assert [r.status for r in results[1::4]] == ["primal_infeasible"] * 3
+    assert {r.status for r in results} == {"solved", "primal_infeasible",
+                                           "nonconverged"}
+
+
+def test_batch_is_deterministic():
+    P, q, problems = _mixed_batch()
+    a = list(solve_qps(P, q, problems, max_iterations=75))
+    b = list(solve_qps(P, q, problems, max_iterations=75))
+    for ra, rb in zip(a, b):
+        assert (ra.status, ra.iterations, ra.objective) == (rb.status, rb.iterations,
+                                                            rb.objective)
+        for va, vb in ((ra.x, rb.x), (ra.y, rb.y)):
+            assert (va is None and vb is None) or np.array_equal(va, vb)
+
+
+def test_batch_reads_problems_lazily():
+    # an endless stream: only a lazy reader can yield the first result
+    problem = (np.eye(2), np.zeros(2), np.ones(2))
+    first = next(solve_qps(np.eye(2), np.array([-2.0, 1.0]), itertools.repeat(problem)))
+    assert first.status == "solved"
+    assert first.x == pytest.approx([1.0, 0.0], abs=1e-5)
+
+
+def test_batch_rejects_mixed_row_counts():
+    problems = [(np.eye(2), np.zeros(2), np.ones(2)),
+                (np.ones((1, 2)), np.zeros(1), np.ones(1))]
+    with pytest.raises(ValueError, match="same rows"):
+        list(solve_qps(np.eye(2), np.zeros(2), problems))
+
+
+def test_empty_batch():
+    assert list(solve_qps(np.eye(2), np.zeros(2), [])) == []
