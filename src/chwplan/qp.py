@@ -87,6 +87,7 @@ def _absmax(v):
 
 
 def _checked(n, A, l, u):
+    """One problem's constraints as float arrays, with shapes and bounds checked."""
     A = np.asarray(A, dtype=float)
     l = np.asarray(l, dtype=float)
     u = np.asarray(u, dtype=float)
