@@ -11,12 +11,15 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import charts, storage
 from .clustering import cluster_params, elbow_curve
-from .engine import SimulationConfig, capacity_sweep, summarize
+from .engine import SimulationConfig, capacity_sweep, period_shares, summarize
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
 from .model import NoiseModel
 from .policy import POLICY_KINDS, PolicySpec
@@ -263,23 +266,27 @@ def _representative_pct(pcts: Sequence[float], target: float = 20.0) -> float:
     return min(sorted(set(pcts)), key=lambda p: (abs(p - target), p))
 
 
-def _per_period_series(rows: List[dict], policy: str, pct: float,
-                       numer: str, denom_key: Optional[str],
-                       population: int) -> List[Tuple[float, float]]:
-    by_period: Dict[int, List[dict]] = {}
-    for r in rows:
-        if r["policy"] == policy and r["capacity_pct"] == pct:
-            by_period.setdefault(r["period"], []).append(r)
-    series = []
-    for period in sorted(by_period):
-        cell = by_period[period]
-        if denom_key is None:
-            val = sum(r[numer] / population for r in cell) / len(cell)
-        else:
-            shares = [r[numer] / r[denom_key] for r in cell if r[denom_key] > 0]
-            val = sum(shares) / len(shares) if shares else math.nan
-        series.append((float(period), val))
-    return series
+def _share_series(rows: List[dict], policy: str, pct: float, population: int):
+    """Per-period screening and enrollment shares, averaged over replications.
+
+    A period that was idle in every replication has no screening share.
+    """
+    cell = sorted((r for r in rows
+                   if r["policy"] == policy and r["capacity_pct"] == pct),
+                  key=lambda r: (r["replication"], r["period"]))
+    reps = len({r["replication"] for r in cell})
+
+    def table(key):
+        return np.array([r[key] for r in cell]).reshape(reps, -1)
+
+    screening, enrollment = period_shares(
+        table("screening_visits"), table("visits"), table("enrolled"), population)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-idle periods
+        screening = np.nanmean(screening, axis=0)
+    periods = [float(t) for t in table("period")[0]]
+    return (list(zip(periods, screening.tolist())),
+            list(zip(periods, enrollment.mean(axis=0).tolist())))
 
 
 def _cmd_report(args) -> int:
@@ -307,6 +314,7 @@ def _cmd_report(args) -> int:
 
     out_dir = args.out or os.path.join(res_dir, "charts")
     os.makedirs(out_dir, exist_ok=True)
+    shares = {p: _share_series(rows, p, detail_pct, population) for p in policies}
 
     ppc_series = {
         p: [(s["capacity_pct"], s["ppc_mean"]) for s in summary
@@ -328,15 +336,13 @@ def _cmd_report(args) -> int:
         os.path.join(out_dir, "screening_share.svg"),
         f"Screening share of visits per period at {_fmt_pct(detail_pct)}% capacity",
         "period", "screening visits / all visits",
-        {p: _per_period_series(rows, p, detail_pct, "screening_visits",
-                               "visits", population) for p in policies},
+        {p: screening for p, (screening, _) in shares.items()},
     )
     charts.line_chart(
         os.path.join(out_dir, "enrollment_share.svg"),
         f"Enrollment share per period at {_fmt_pct(detail_pct)}% capacity",
         "period", "enrolled fraction of cohort",
-        {p: _per_period_series(rows, p, detail_pct, "enrolled", None,
-                               population) for p in policies},
+        {p: enrollment for p, (_, enrollment) in shares.items()},
     )
     box_stats = {
         s["policy"]: (s["final_fbg_p25"], s["final_fbg_p50"],

@@ -15,6 +15,9 @@ import numpy as np
 from .model import PatientParams
 
 FEATURE_NAMES = ("p", "mu", "alpha", "theta_base", "lam", "s_base", "beta")
+# Lloyd's iteration cap and centroid-movement stopping tolerance
+MAX_ITERATIONS = 300
+TOLERANCE = 1e-6
 
 
 def parameter_matrix(params: Sequence[PatientParams]) -> np.ndarray:
@@ -70,15 +73,12 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _lloyd(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
+    points: np.ndarray, centroids: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, float, Tuple[float, ...]]:
     k = centroids.shape[0]
     trace = []
     assign = np.zeros(points.shape[0], dtype=int)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         d2 = _sq_dists(points, centroids)
         assign = np.argmin(d2, axis=1)
         # an emptied cluster grabs the point currently worst-served
@@ -94,7 +94,7 @@ def _lloyd(
         )
         movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if movement <= tolerance:
+        if movement <= TOLERANCE:
             break
     d2 = _sq_dists(points, centroids)
     assign = np.argmin(d2, axis=1)
@@ -108,8 +108,6 @@ def cluster_params(
     k: int,
     seed: int = 0,
     restarts: int = 10,
-    max_iterations: int = 300,
-    tolerance: float = 1e-6,
 ) -> ClusterResult:
     """Partition parameter rows into k groups.
 
@@ -121,16 +119,14 @@ def cluster_params(
     n = points.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k={k} must be between 1 and the number of rows ({n})")
-    if restarts < 1 or max_iterations < 1 or tolerance < 0:
-        raise ValueError("bad clustering settings")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
 
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         init = _kmeanspp_init(points, k, rng)
-        centroids, assign, inertia, trace = _lloyd(
-            points, init, max_iterations, tolerance
-        )
+        centroids, assign, inertia, trace = _lloyd(points, init)
         if best is None or inertia < best[2]:
             best = (centroids, assign, inertia, trace)
     centroids, assign, inertia, trace = best
@@ -146,13 +142,12 @@ def elbow_curve(
     param_table: Union[Sequence[PatientParams], Sequence[Sequence[float]]],
     k_range: Sequence[int],
     seed: int = 0,
-    restarts: int = 10,
 ) -> Tuple[float, ...]:
     """Best-of-restarts inertia for each candidate k, for elbow plots."""
     ks = list(k_range)
     if not ks:
         raise ValueError("k_range must be nonempty")
     return tuple(
-        cluster_params(param_table, k, seed=seed, restarts=restarts).inertia
+        cluster_params(param_table, k, seed=seed).inertia
         for k in ks
     )

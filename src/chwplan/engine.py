@@ -109,8 +109,6 @@ class SummaryRow:
     capacity_fraction: float
     ppc_mean: float
     ppc_ci_halfwidth: float
-    screening_share: Tuple[float, ...]  # per period; nan where no visits
-    enrollment_share: Tuple[float, ...]
     final_fbg_percentiles: Tuple[float, float, float, float]  # 25/50/75/90
 
 
@@ -242,10 +240,8 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
     """Collapse replications into one row per (policy, capacity).
 
     PPC gets a mean and a normal-approximation 95% half-width (0 by
-    convention for a single replication); screening and enrollment shares
-    are averaged per period (periods without visits carry no screening
-    share and are skipped); final log-FBG percentiles pool every patient
-    across replications.
+    convention for a single replication); final log-FBG percentiles pool
+    every patient across replications.
     """
     if not results:
         raise ValueError("nothing to summarize")
@@ -261,18 +257,6 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
         else:
             half = 0.0
 
-        n_periods = len(group[0].in_control)
-        scr_share, enr_share = [], []
-        for t in range(n_periods):
-            shares = [
-                r.screening_visits[t] / r.visits_total[t]
-                for r in group if r.visits_total[t] > 0
-            ]
-            scr_share.append(sum(shares) / len(shares) if shares else math.nan)
-            enr_share.append(
-                sum(r.enrolled[t] / r.population for r in group) / len(group)
-            )
-
         pooled = np.concatenate([np.asarray(r.final_log_fbg) for r in group])
         pcts = tuple(float(np.percentile(pooled, q)) for q in (25, 50, 75, 90))
 
@@ -281,43 +265,26 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
             capacity_fraction=fraction,
             ppc_mean=float(ppcs.mean()),
             ppc_ci_halfwidth=float(half),
-            screening_share=tuple(scr_share),
-            enrollment_share=tuple(enr_share),
             final_fbg_percentiles=pcts,
         ))
     return rows
 
 
-def screening_share_window(
-    results: Sequence[RunResult], first_period: int, last_period: int
-) -> float:
-    """Mean screening share over a 1-based inclusive period window.
+def period_shares(
+    screening_visits, visits, enrolled, population: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Screening and enrollment share of each (replication, period) cell.
 
-    Averages screening_visits/visits_total over every (replication, period)
-    cell in the window that had at least one visit; idle periods say
-    nothing about the screening mix.
+    Takes count arrays of any one shape and returns two float arrays of
+    that shape: screening visits / visits, nan in a cell with no visits
+    (an idle period says nothing about the screening mix), and enrolled /
+    population. Means over cells skip the nan ones.
     """
-    shares = [
-        r.screening_visits[t - 1] / r.visits_total[t - 1]
-        for r in results
-        for t in range(first_period, last_period + 1)
-        if r.visits_total[t - 1] > 0
-    ]
-    if not shares:
-        return math.nan
-    return sum(shares) / len(shares)
-
-
-def enrollment_share_window(
-    results: Sequence[RunResult], first_period: int, last_period: int
-) -> float:
-    """Mean fraction of the cohort enrolled over a 1-based inclusive window."""
-    vals = [
-        r.enrolled[t - 1] / r.population
-        for r in results
-        for t in range(first_period, last_period + 1)
-    ]
-    return sum(vals) / len(vals)
+    screening_visits = np.asarray(screening_visits, dtype=float)
+    visits = np.asarray(visits, dtype=float)
+    idle = visits == 0
+    screening = np.where(idle, math.nan, screening_visits / np.where(idle, 1.0, visits))
+    return screening, np.asarray(enrolled, dtype=float) / population
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import PatientParams
-from .qp import QPConvergenceError, QPResult, solve_qp, solve_qps
+from .qp import QP_TOLERANCE, QPConvergenceError, QPResult, solve_qp, solve_qps
 
 Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
 
@@ -99,6 +99,16 @@ class VisitHistory:
         return dict(self.observations)
 
 
+# Box on the five fitted parameters, and the margin by which a declined
+# offer's benefit must fall below zero.
+PARAM_UPPER_BOUND = 20.0
+STRICT_GAP = 1e-9
+# Relative slack under which two cells' objectives count as a numerical
+# tie, so the earlier cell in grid order is kept instead of whichever the
+# solver's last few bits happen to favor.
+NLL_TIE_TOLERANCE = 1e-5
+
+
 @dataclass(frozen=True)
 class EstimationConfig:
     grid_s_base: Tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
@@ -107,15 +117,6 @@ class EstimationConfig:
     grid_rho: Tuple[float, ...] = (0.2, 0.5, 0.8, 0.9, 0.99)
     sigma_eps: float = 0.1
     sigma_xi: float = 0.1
-    param_upper_bound: float = 20.0
-    big_m: Optional[float] = None  # None: derived per grid cell
-    strict_gap: float = 1e-9
-    qp_tolerance: float = 1e-6
-    qp_max_iterations: int = 10000
-    # Relative slack under which two cells' objectives count as a numerical
-    # tie, so the earlier cell in grid order is kept instead of whichever
-    # the solver's last few bits happen to favor.
-    nll_tie_tolerance: float = 1e-5
 
     def __post_init__(self):
         for name in ("grid_s_base", "grid_beta", "grid_gamma", "grid_rho"):
@@ -128,16 +129,6 @@ class EstimationConfig:
             raise ValueError("s_base/beta grid values must be >= 0")
         if self.sigma_eps <= 0 or self.sigma_xi <= 0:
             raise ValueError("noise scales must be positive")
-        if self.param_upper_bound <= 0:
-            raise ValueError("param_upper_bound must be positive")
-        if self.big_m is not None and self.big_m <= 0:
-            raise ValueError("big_m must be positive when given")
-        if self.strict_gap <= 0:
-            raise ValueError("strict_gap must be positive")
-        if self.qp_tolerance <= 0 or self.qp_max_iterations < 1:
-            raise ValueError("bad solver settings")
-        if self.nll_tie_tolerance < 0:
-            raise ValueError("nll_tie_tolerance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -249,13 +240,13 @@ def _objective(history: VisitHistory, config: EstimationConfig):
     return P, q
 
 
-def _constraints(history: VisitHistory, cell: Cell, config: EstimationConfig):
+def _constraints(history: VisitHistory, cell: Cell):
     """A, l, u of one grid cell's inner QP, row blocks in this order:
 
-    b_t >= 0; the five parameters in [0, param_upper_bound]; theta_t =
+    b_t >= 0; the five parameters in [0, PARAM_UPPER_BOUND]; theta_t =
     theta_base + c_t*lam >= 0; and the enrollment benefit's sign per
-    period (big-M bounded): >= 0 when enrolled, <= -strict_gap when an
-    offer was declined, <= 0 otherwise.
+    period, bounded by a big M derived from the cell: >= 0 when enrolled,
+    <= -STRICT_GAP when an offer was declined, <= 0 otherwise.
     """
     s_base, beta, gamma, rho = cell
     T = history.length
@@ -267,12 +258,9 @@ def _constraints(history: VisitHistory, cell: Cell, config: EstimationConfig):
     g = [gamma * (s[t] - s_base) + s_base for t in range(T)]
     h = np.array([g[t] + beta * history.visited[t] for t in range(T)])
 
-    if config.big_m is not None:
-        big_m = config.big_m
-    else:
-        ub = config.param_upper_bound
-        theta_max = ub * (1.0 + max(abs(ct) for ct in c))
-        big_m = 2.0 * (ub + ub + theta_max * (max(g) + beta))
+    ub = PARAM_UPPER_BOUND
+    theta_max = ub * (1.0 + max(abs(ct) for ct in c))
+    big_m = 2.0 * (ub + ub + theta_max * (max(g) + beta))
 
     A = np.zeros((3 * T + 5, n))
     A[:n] = np.eye(n)
@@ -293,9 +281,9 @@ def _constraints(history: VisitHistory, cell: Cell, config: EstimationConfig):
     ])
     u = np.concatenate([
         np.full(T, math.inf),
-        np.full(5, config.param_upper_bound),
+        np.full(5, PARAM_UPPER_BOUND),
         np.full(T, math.inf),
-        np.where(enrolled, big_m, np.where(offered, -config.strict_gap, 0.0)),
+        np.where(enrolled, big_m, np.where(offered, -STRICT_GAP, 0.0)),
     ])
     return A, l, u
 
@@ -315,16 +303,16 @@ def _inner_solution(
                              (), (), result.iterations)
 
     x = result.x
-    A, l, u = _constraints(history, cell, config)
+    A, l, u = _constraints(history, cell)
     audit = max(float(np.max(l - A @ x)), float(np.max(A @ x - u)))
-    if audit > 10.0 * config.qp_tolerance:
+    if audit > 10.0 * QP_TOLERANCE:
         raise RuntimeError(
             f"solver reported success but a constraint is violated by {audit:.3e}"
         )
 
     y, z = history.visited, history.enrolled
     T = history.length
-    ub = config.param_upper_bound
+    ub = PARAM_UPPER_BOUND
     b = tuple(max(float(v), 0.0) for v in x[:T])
     p, mu, alpha, theta_base, lam = (
         min(max(float(x[j]), 0.0), ub) for j in range(T, T + 5)
@@ -357,15 +345,14 @@ def solve_inner(
     nonnegativity. Infeasible cells (contradictory enrollment record under
     this cell's shape parameters) come back with nll = +inf. Declining
     while an offer stood is a strict preference, encoded as benefit <=
-    -strict_gap; without an offer only the weak bound benefit <= 0
+    -STRICT_GAP; without an offer only the weak bound benefit <= 0
     applies. solve_cells fits many cells of one history at once.
     """
     cell = (s_base, beta, gamma, rho)
     P, q = _objective(history, config)
-    A, l, u = _constraints(history, cell, config)
+    A, l, u = _constraints(history, cell)
     try:
-        result = solve_qp(P, q, A, l, u, tolerance=config.qp_tolerance,
-                          max_iterations=config.qp_max_iterations)
+        result = solve_qp(P, q, A, l, u)
     except QPConvergenceError as exc:
         result = QPResult("nonconverged", None, None, None, exc.iterations,
                           exc.primal_residual, exc.dual_residual)
@@ -388,10 +375,7 @@ def solve_cells(
     solution is yielded as soon as the cells before it are done.
     """
     P, q = _objective(history, config)
-    results = solve_qps(
-        P, q, (_constraints(history, cell, config) for cell in cells),
-        tolerance=config.qp_tolerance, max_iterations=config.qp_max_iterations,
-    )
+    results = solve_qps(P, q, (_constraints(history, cell) for cell in cells))
     return (_inner_solution(history, cell, config, result)
             for cell, result in zip(cells, results))
 
@@ -404,7 +388,7 @@ def estimate_patient(
     Solves the full Cartesian grid (grid_cells order), keeps the strictly
     best feasible cell, and therefore resolves ties toward the earliest
     cell in that order. "Strictly best" is judged with a small relative
-    slack (nll_tie_tolerance): cells whose objectives differ by less than
+    slack (NLL_TIE_TOLERANCE): cells whose objectives differ by less than
     solver precision are genuine ties, and letting the last few
     floating-point bits pick the winner would make the selected cell
     non-reproducible. Infeasible and nonconverged cells are dropped and
@@ -422,7 +406,7 @@ def estimate_patient(
         if not sol.feasible:
             continue
         if best is None or sol.nll < best.nll - (
-            config.nll_tie_tolerance * (1.0 + abs(best.nll))
+            NLL_TIE_TOLERANCE * (1.0 + abs(best.nll))
         ):
             best = sol
             best_cell = cell

@@ -54,6 +54,16 @@ import numpy as np
 
 POOL_WIDTH = 8
 CHECK_INTERVAL = 25
+# Residual tolerance (absolute, infinity norm), default iteration budget
+# and the infeasibility certificate's threshold; the x-update
+# regularization, over-relaxation and initial step size are OSQP's
+# defaults.
+QP_TOLERANCE = 1e-6
+MAX_ITERATIONS = 10000
+INFEASIBILITY_EPS = 1e-7
+SIGMA = 1e-6
+RELAXATION = 1.6
+RHO_INITIAL = 0.1
 
 
 class QPConvergenceError(Exception):
@@ -101,7 +111,7 @@ def _checked(n, A, l, u):
     return A, l, u
 
 
-def _certifies_infeasibility(slots, dy, At, l, u, eps):
+def _certifies_infeasibility(slots, dy, At, l, u):
     """For each of the given slots: is its dy a Farkas direction separating
     l <= Ax <= u from reality?
 
@@ -109,6 +119,7 @@ def _certifies_infeasibility(slots, dy, At, l, u, eps):
     u'(dy)+ + l'(dy)- is strictly negative. Rows with an infinite bound on
     the active side can never certify.
     """
+    eps = INFEASIBILITY_EPS
     dy, l, u = dy[slots], l[slots], u[slots]
     norm = _absmax(dy)
     e = dy / np.where(norm > eps, norm, 1.0)[:, None, None]
@@ -128,20 +139,14 @@ def solve_qps(
     P,
     q,
     constraints: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    tolerance: float = 1e-6,
-    max_iterations: int = 10000,
-    sigma: float = 1e-6,
-    relaxation: float = 1.6,
-    rho_initial: float = 0.1,
-    adaptive_rho: bool = True,
-    infeasibility_eps: float = 1e-7,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> Iterator[QPResult]:
     """Minimize (1/2)x'Px + q'x subject to l <= Ax <= u, for each (A, l, u).
 
     constraints is read lazily, one problem whenever a slot frees; every
     A needs the same shape. Yields one QPResult per problem, in input
     order, as soon as it and every earlier problem have finished, with
-    status "solved" (both infinity-norm residuals at or below tolerance),
+    status "solved" (both infinity-norm residuals at or below QP_TOLERANCE),
     "primal_infeasible" (certificate found) or "nonconverged"
     (max_iterations passed without either). Fully deterministic: cold
     start at the origin, no randomization.
@@ -151,8 +156,8 @@ def solve_qps(
     n = q.shape[0]
     if P.shape != (n, n):
         raise ValueError("inconsistent QP dimensions")
-    if tolerance <= 0 or max_iterations < 1:
-        raise ValueError("tolerance must be > 0 and max_iterations >= 1")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
 
     # normalize the objective so the dual tolerance is relative to its scale
     scale = max(1.0, float(np.max(np.abs(P))) if P.size else 0.0,
@@ -160,7 +165,7 @@ def solve_qps(
     Ps = P / scale
     qs = (q / scale)[:, None]
     qs_norm = float(np.max(np.abs(qs))) if qs.size else 0.0
-    base = Ps + sigma * np.eye(n)
+    base = Ps + SIGMA * np.eye(n)
 
     pending = (_checked(n, *problem) for problem in constraints)
     problem = next(pending, None)
@@ -176,7 +181,7 @@ def solve_qps(
     x = np.zeros((POOL_WIDTH, n, 1))
     z = np.zeros((POOL_WIDTH, m, 1))
     y = np.zeros((POOL_WIDTH, m, 1))
-    rho = np.full(POOL_WIDTH, rho_initial)
+    rho = np.full(POOL_WIDTH, RHO_INITIAL)
     k = np.zeros(POOL_WIDTH, dtype=np.int64)
     index = np.zeros(POOL_WIDTH, dtype=np.int64)
     loaded = 0
@@ -189,11 +194,11 @@ def solve_qps(
         if A_s.shape[0] != m:
             raise ValueError("every problem of a batch needs the same rows")
         A[s], l[s, :, 0], u[s, :, 0] = A_s, l_s, u_s
-        inv[s] = np.linalg.inv(base + rho_initial * (A_s.T @ A_s))
+        inv[s] = np.linalg.inv(base + RHO_INITIAL * (A_s.T @ A_s))
         x[s] = 0.0
         z[s, :, 0] = np.clip(A_s @ np.zeros(n), l_s, u_s)
         y[s] = 0.0
-        rho[s] = rho_initial
+        rho[s] = RHO_INITIAL
         k[s] = 0
         index[s] = loaded
         loaded += 1
@@ -209,12 +214,12 @@ def solve_qps(
     while w:
         k += 1
         rho_col = rho[:, None, None]
-        rhs = sigma * x - qs + At @ (rho_col * z - y)
+        rhs = SIGMA * x - qs + At @ (rho_col * z - y)
         x_tilde = inv @ rhs
         z_tilde = A @ x_tilde
 
-        x = relaxation * x_tilde + (1.0 - relaxation) * x
-        z_relaxed = relaxation * z_tilde + (1.0 - relaxation) * z
+        x = RELAXATION * x_tilde + (1.0 - RELAXATION) * x
+        z_relaxed = RELAXATION * z_tilde + (1.0 - RELAXATION) * z
         z_new = np.clip(z_relaxed + y / rho_col, l, u)
         dy = rho_col * (z_relaxed - z_new)
         y = y + dy
@@ -225,7 +230,7 @@ def solve_qps(
         Psx = Ps @ x
         r_prim = _absmax(Ax - z)
         r_dual = _absmax(Psx + qs + Aty)
-        solved = np.maximum(r_prim, r_dual) <= tolerance
+        solved = np.maximum(r_prim, r_dual) <= QP_TOLERANCE
         done = solved | (k >= max_iterations)
 
         # the certificate and rho adaptation, on the slots due this iteration
@@ -233,10 +238,10 @@ def solve_qps(
         due = (k % CHECK_INTERVAL == 0) & ~solved
         if m and due.any():
             D = np.flatnonzero(due)
-            infeasible[D] = _certifies_infeasibility(D, dy, At, l, u, infeasibility_eps)
+            infeasible[D] = _certifies_infeasibility(D, dy, At, l, u)
             done |= infeasible
             R = D[~infeasible[D]]
-            if adaptive_rho and R.size:
+            if R.size:
                 prim_ref = np.maximum(np.maximum(_absmax(Ax[R]), _absmax(z[R])), 1e-12)
                 dual_ref = np.maximum(np.maximum(np.maximum(
                     _absmax(Psx[R]), _absmax(Aty[R])), qs_norm), 1e-12)
@@ -284,24 +289,14 @@ def solve_qp(
     A,
     l,
     u,
-    tolerance: float = 1e-6,
-    max_iterations: int = 10000,
-    sigma: float = 1e-6,
-    relaxation: float = 1.6,
-    rho_initial: float = 0.1,
-    adaptive_rho: bool = True,
-    infeasibility_eps: float = 1e-7,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> QPResult:
     """Minimize (1/2)x'Px + q'x subject to l <= Ax <= u: solve_qps on one problem.
 
     Returns a QPResult with status "solved" or "primal_infeasible".
     Raises QPConvergenceError when max_iterations passes without either.
     """
-    (result,) = solve_qps(
-        P, q, [(A, l, u)], tolerance=tolerance, max_iterations=max_iterations,
-        sigma=sigma, relaxation=relaxation, rho_initial=rho_initial,
-        adaptive_rho=adaptive_rho, infeasibility_eps=infeasibility_eps,
-    )
+    (result,) = solve_qps(P, q, [(A, l, u)], max_iterations=max_iterations)
     if result.status == "nonconverged":
         raise QPConvergenceError(result.iterations, result.primal_residual,
                                  result.dual_residual)

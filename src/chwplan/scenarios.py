@@ -27,8 +27,6 @@ from .model import PatientParams, PatientState
 # degenerate FBG distribution entirely below the truncation bound)
 MAX_REJECTION_DRAWS = 10**6
 
-_PARAM_FIELDS = ("p", "mu", "alpha", "theta_base", "lam", "s_base", "beta")
-
 
 class SamplingError(Exception):
     """Rejection sampling exhausted its draw budget."""

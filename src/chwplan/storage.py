@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
+from .clustering import FEATURE_NAMES
 from .engine import RunResult, SummaryRow
 from .estimation import EstimationResult, VisitHistory
 from .scenarios import (
@@ -29,7 +30,7 @@ from .scenarios import (
 HISTORY_COLUMNS = ("patient_id", "period", "visited", "enrolled", "fbg_mgdl")
 COHORT_COLUMNS = ("patient_id", "group", "p", "mu", "alpha", "theta_base",
                   "lam", "s_base", "beta", "gamma", "rho", "initial_log_fbg")
-FEATURE_COLUMNS = ("p", "mu", "alpha", "theta_base", "lam", "s_base", "beta")
+FEATURE_COLUMNS = FEATURE_NAMES
 RESULTS_COLUMNS = ("policy", "capacity_pct", "replication", "period",
                    "in_control", "enrolled", "visits", "screening_visits")
 SUMMARY_COLUMNS = ("policy", "capacity_pct", "ppc_mean", "ppc_ci_halfwidth",

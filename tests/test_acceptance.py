@@ -29,8 +29,7 @@ from chwplan.engine import (
     SimulationConfig,
     brute_force_plan,
     capacity_sweep,
-    enrollment_share_window,
-    screening_share_window,
+    period_shares,
 )
 from chwplan.estimation import EstimationConfig, estimate_patient
 from chwplan.model import (
@@ -359,6 +358,20 @@ def mean_ppc(cell):
     return sum(r.ppc_fraction for r in cell) / len(cell)
 
 
+def window_shares(cell, first_period, last_period):
+    """Mean screening share (over cells with visits) and mean enrollment
+    share over every (replication, period) cell of a 1-based inclusive
+    period window."""
+    screening, enrollment = period_shares(
+        *(np.array([getattr(r, name) for r in cell])
+          for name in ("screening_visits", "visits_total", "enrolled")),
+        cell[0].population,
+    )
+    window = slice(first_period - 1, last_period)
+    return (float(np.nanmean(screening[:, window])),
+            float(enrollment[:, window].mean()))
+
+
 def test_criterion_08_planner_beats_fbg_ranking_at_tight_capacity():
     started = time.perf_counter()
     results = desk_runs("scenario3")
@@ -386,10 +399,10 @@ def test_criterion_09_planner_stops_screening_after_rampup():
     baseline_shares = {}
     for name in ("scenario1", "scenario2", "scenario3"):
         results = desk_runs(name)
-        planner_shares[name] = screening_share_window(
+        planner_shares[name], _ = window_shares(
             runs_cell(results, PLANNER, 0.2), 10, 60
         )
-        baseline_shares[name] = screening_share_window(
+        baseline_shares[name], _ = window_shares(
             runs_cell(results, BASELINE, 0.2), 10, 60
         )
         assert planner_shares[name] < 0.10, (
@@ -410,7 +423,7 @@ def test_criterion_09_planner_stops_screening_after_rampup():
 @pytest.mark.filterwarnings("ignore:group D")
 def test_criterion_10_planner_holds_enrollment_in_band():
     for name in ("scenario1", "scenario2", "scenario3"):
-        share = enrollment_share_window(
+        _, share = window_shares(
             runs_cell(desk_runs(name), PLANNER, 0.2), 20, 60
         )
         assert 0.15 <= share <= 0.50, f"{name}: enrollment share {share:.4f}"

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from chwplan import charts, storage
-from chwplan.cli import _parse_capacities, _representative_pct, main
+from chwplan.cli import _parse_capacities, _representative_pct, _share_series, main
 from chwplan.engine import RunResult
 from chwplan.model import PatientParams
 from chwplan.scenarios import builtin_scenarios, default_sds
@@ -178,7 +178,6 @@ class TestTables:
         from chwplan.engine import SummaryRow
         row = SummaryRow(policy_kind="ea_desc_vtg", capacity_fraction=0.15,
                          ppc_mean=1.0 / 3.0, ppc_ci_halfwidth=0.01,
-                         screening_share=(0.5,), enrollment_share=(0.25,),
                          final_fbg_percentiles=(4.1, 4.5, 4.9, 5.2))
         path = tmp_path / "summary.csv"
         storage.write_summary_csv(str(path), [row])
@@ -514,6 +513,20 @@ class TestCliPipelines:
                      "--out", str(again)]) == 0
         for name in names:
             assert (charts_dir / name).read_bytes() == (again / name).read_bytes()
+
+    def test_report_share_series_skips_idle_replications(self):
+        # period 1: replication 1 is idle, so the mean is replication 0's
+        # share alone; period 2: idle in both, so no screening share
+        def row(rep, period, visits, screening, enrolled):
+            return {"policy": "asc_fbg", "capacity_pct": 20.0, "replication": rep,
+                    "period": period, "in_control": 0, "enrolled": enrolled,
+                    "visits": visits, "screening_visits": screening}
+        rows = [row(1, 2, 0, 0, 4), row(0, 1, 2, 1, 1), row(1, 1, 0, 0, 2),
+                row(0, 2, 0, 0, 3)]
+        screening, enrollment = _share_series(rows, "asc_fbg", 20.0, 4)
+        assert screening[0] == (1.0, 0.5)
+        assert screening[1][0] == 2.0 and math.isnan(screening[1][1])
+        assert enrollment == [(1.0, 0.375), (2.0, 0.875)]
 
 
 class TestCliEstimate:

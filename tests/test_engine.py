@@ -16,9 +16,8 @@ from chwplan.engine import (
     capacity_from_fraction,
     capacity_sweep,
     cohort_stream_seed,
-    enrollment_share_window,
     noise_stream_seed,
-    screening_share_window,
+    period_shares,
     simulate,
     stable_hash64,
     summarize,
@@ -285,7 +284,7 @@ def test_brute_force_depth_first_split_matches_one_batch(monkeypatch, interest_o
 
 
 # ---------------------------------------------------------------------------
-# summarize and share windows
+# summarize and period shares
 # ---------------------------------------------------------------------------
 
 def fake_result(kind, fraction, replication, ppc, in_control=None, visits=None,
@@ -327,15 +326,24 @@ def test_summarize_pooled_percentiles():
     assert summary.final_fbg_percentiles == pytest.approx((1.75, 2.5, 3.25, 3.7))
 
 
+def shares_of(results):
+    """period_shares of RunResults: (replication, period) arrays."""
+    return period_shares(
+        *(np.array([getattr(r, name) for r in results])
+          for name in ("screening_visits", "visits_total", "enrolled")),
+        results[0].population,
+    )
+
+
 def test_summarize_share_series_skips_idle_periods():
     row = fake_result("asc_fbg", 0.2, 0, ppc=0.5,
                       visits=[2, 0, 4, 0], screening=[1, 0, 1, 0],
                       enrolled=[0, 1, 2, 2])
-    [summary] = summarize([row])
-    assert summary.screening_share[0] == pytest.approx(0.5)
-    assert math.isnan(summary.screening_share[1])
-    assert summary.screening_share[2] == pytest.approx(0.25)
-    assert summary.enrollment_share == pytest.approx((0.0, 0.5, 1.0, 1.0))
+    [screening], [enrollment] = shares_of([row])
+    assert screening[0] == pytest.approx(0.5)
+    assert math.isnan(screening[1])
+    assert screening[2] == pytest.approx(0.25)
+    assert enrollment == pytest.approx((0.0, 0.5, 1.0, 1.0))
 
 
 def test_summarize_rejects_empty_input():
@@ -350,15 +358,19 @@ def test_share_window_helpers():
         fake_result("x", 0.2, 1, 0.5, visits=[2, 2, 0, 0], screening=[2, 1, 0, 0],
                     enrolled=[2, 2, 2, 2]),
     ]
+    screening, enrollment = shares_of(rows)
     # periods 1..2: defined shares are 0.5, 1.0, 0.5 -> mean 2/3
-    assert screening_share_window(rows, 1, 2) == pytest.approx(2 / 3)
+    assert np.nanmean(screening[:, 0:2]) == pytest.approx(2 / 3)
     # periods 3..4: defined shares are 0.25, 1.0 -> mean 0.625
-    assert screening_share_window(rows, 3, 4) == pytest.approx(0.625)
+    assert np.nanmean(screening[:, 2:4]) == pytest.approx(0.625)
     # enrollment over periods 1..4, population 2
     expected = np.mean([0, 0.5, 1, 1, 1, 1, 1, 1])
-    assert enrollment_share_window(rows, 1, 4) == pytest.approx(expected)
+    assert enrollment.mean() == pytest.approx(expected)
 
 
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 def test_share_window_all_idle_is_nan():
     rows = [fake_result("x", 0.2, 0, 0.5, visits=[0, 0, 0, 0], screening=[0, 0, 0, 0])]
-    assert math.isnan(screening_share_window(rows, 1, 4))
+    screening, _ = shares_of(rows)
+    assert np.isnan(screening).all()
+    assert math.isnan(np.nanmean(screening))

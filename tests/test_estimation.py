@@ -364,12 +364,6 @@ def test_config_validation():
         EstimationConfig(grid_beta=(-1.0,))
     with pytest.raises(ValueError, match="noise scales"):
         EstimationConfig(sigma_eps=0.0)
-    with pytest.raises(ValueError, match="strict_gap"):
-        EstimationConfig(strict_gap=0.0)
-    with pytest.raises(ValueError, match="big_m"):
-        EstimationConfig(big_m=-5.0)
-    with pytest.raises(ValueError, match="nll_tie_tolerance"):
-        EstimationConfig(nll_tie_tolerance=-1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,23 @@ def test_value_per_visit_key_ordering():
     tie_b = _value_per_visit_key(RolloutSummary(4, 2), 5)
     order = sorted([free_good, free_poor, finite_hi, finite_lo, tie_a, tie_b])
     assert order == [free_good, free_poor, finite_hi, tie_a, tie_b, finite_lo]
+
+
+def test_value_per_visit_ranking_differs_from_value_ranking():
+    # two enrolled patients compete for one visit with five periods left:
+    # patient 0 is forecast 3 in-control periods for 1 visit, patient 1 is
+    # forecast 5 for 5 visits; more value and more value per visit disagree
+    states = [PatientState(b=8.5, s=0.8, theta=0.3, z_prev=1),
+              PatientState(b=3.8, s=0.2, theta=0.5, z_prev=1)]
+    params = [PatientParams(p=1.3, mu=2.3, alpha=0.8, beta=1.5, lam=0.3,
+                            gamma=0.2, rho=0.2, s_base=1.0, theta_base=1.5),
+              PatientParams(p=0.3, mu=0.1, alpha=2.2, beta=0.5, lam=0.9,
+                            gamma=0.2, rho=0.2, s_base=1.6, theta_base=1.1)]
+    assert interest_set(states, params) == {0, 1}
+    assert [rollout_single(s, p, 5, DELTA) for s, p in zip(states, params)] == [
+        RolloutSummary(v_tilde=3, visits=1), RolloutSummary(v_tilde=5, visits=5)]
+    by_value = select_visits(states, params, 1, PolicySpec("ea_desc_vtg", DELTA), 5)
+    per_visit = select_visits(states, params, 1,
+                              PolicySpec("ea_desc_vtg_per_visit", DELTA), 5)
+    assert by_value == {1}
+    assert per_visit == {0}
