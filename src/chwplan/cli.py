@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import charts, storage
+from . import charts, clustering, estimation, qp, storage
 from .clustering import cluster_params, elbow_curve
 from .engine import SimulationConfig, capacity_sweep, period_shares, summarize
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
@@ -100,6 +100,13 @@ def _parse_policies(text: str) -> List[str]:
     return kinds
 
 
+def _constants(module, *names: str) -> dict:
+    """Module constants a command's outputs depend on, keyed
+    "module.NAME", for its manifest."""
+    prefix = module.__name__.rsplit(".", 1)[-1]
+    return {f"{prefix}.{name}": getattr(module, name) for name in names}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -141,11 +148,14 @@ def _cmd_simulate(args) -> int:
         "delta_mgdl": args.delta_mgdl,
         "population": spec.population,
     }
+    work = {key: sum(getattr(r, key) for r in results)
+            for key in ("interest_set_members", "members_ranked_by_rollout",
+                        "rollout_member_steps")}
     storage.write_manifest(out_dir, storage.make_manifest(
         "simulate", manifest_config, args.seed,
         [spec_path] if spec_path else [],
         ["results.csv", "summary.csv"],
-        time.perf_counter() - start, out_dir,
+        time.perf_counter() - start, out_dir, work=work,
     ))
     print(f"simulate: {len(results)} result cells"
           f" ({len(kinds)} policies x {len(fractions)} capacities x"
@@ -182,6 +192,11 @@ def _cmd_estimate(args) -> int:
         "grid_rho": list(config.grid_rho),
         "sigma_eps": config.sigma_eps,
         "sigma_xi": config.sigma_xi,
+        **_constants(qp, "QP_TOLERANCE", "MAX_ITERATIONS", "CHECK_INTERVAL",
+                     "POOL_WIDTH", "INFEASIBILITY_EPS", "SIGMA", "RELAXATION",
+                     "RHO_INITIAL"),
+        **_constants(estimation, "PARAM_UPPER_BOUND", "STRICT_GAP",
+                     "NLL_TIE_TOLERANCE"),
     }
     work = {
         "grid_cells_solved": sum(e.cells_solved for _, e in estimates),
@@ -233,7 +248,8 @@ def _cmd_cluster(args) -> int:
         elbow_config = [k_min, k_max]
     storage.write_manifest(out_dir, storage.make_manifest(
         "cluster",
-        {"params": args.params, "k": args.k, "elbow": elbow_config},
+        {"params": args.params, "k": args.k, "elbow": elbow_config,
+         **_constants(clustering, "MAX_ITERATIONS", "TOLERANCE")},
         args.seed, [args.params], outputs, time.perf_counter() - start,
         out_dir,
     ))

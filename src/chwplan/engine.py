@@ -22,7 +22,7 @@ from .model import (
     StateArrays,
     step_cohort,
 )
-from .policy import PolicySpec, select_visits, single_patient_action
+from .policy import PolicySpec, single_patient_action, visit_mask
 
 DEFAULT_DELTA = math.log(125.0)
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -95,6 +95,12 @@ class RunResult:
     screening_visits: Tuple[int, ...]
     final_log_fbg: Tuple[float, ...]
     ppc_fraction: float
+    # work done, summed over periods (never written to the result tables):
+    # interest-set members, members ranked by a value-to-go rollout, and
+    # rollout steps taken by those members
+    interest_set_members: int = 0
+    members_ranked_by_rollout: int = 0
+    rollout_member_steps: int = 0
 
     @property
     def population(self) -> int:
@@ -157,6 +163,71 @@ def _draw_noise_matrix(config: SimulationConfig, replication: int, population: i
     return rng.normal(0.0, config.noise.sigma_xi, size=(config.horizon, population))
 
 
+def _simulate_rows(
+    cohort: Cohort,
+    spec: PolicySpec,
+    config: SimulationConfig,
+    fractions: Sequence[float],
+    replication: int,
+) -> List[RunResult]:
+    """Run one policy over one cohort at several capacity levels at once.
+
+    The cohort is held as struct-of-arrays with one row per capacity level
+    ((K, n) state arrays over the shared (n,) parameters). Per period: the
+    policy selects at most C patients in each row (classified as screening
+    visits when the patient was unenrolled), every patient of every row
+    advances one step with its own noise draw, which all rows share, and
+    metrics are recorded on the post-transition states. Each row evolves
+    exactly as it would alone.
+    """
+    n_periods = config.horizon
+    population = len(cohort)
+    C = np.array([capacity_from_fraction(f, population) for f in fractions])
+    xi = _draw_noise_matrix(config, replication, population)
+
+    states = StateArrays(*(np.tile(a, (len(fractions), 1))
+                           for a in StateArrays.of(cohort.initial_states)))
+    params = ParamArrays.of(cohort.params)
+
+    # per-period counts, one column per row, and per-row work counts
+    in_control, enrolled, visits_total, screening = (
+        np.zeros((n_periods, len(fractions)), dtype=int) for _ in range(4))
+    members, rolled_out, rollout_steps = (
+        np.zeros(len(fractions), dtype=int) for _ in range(3))
+
+    for t in range(1, n_periods + 1):
+        remaining = n_periods - t + 1
+        visits = visit_mask(states, params, C, spec, remaining)
+        y = visits.mask
+        screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)
+        visits_total[t - 1] = np.count_nonzero(y, axis=1)
+        members += visits.members
+        rolled_out += visits.rolled_out
+        rollout_steps += visits.rolled_out * remaining
+
+        states, z = step_cohort(states, params, y, xi[t - 1])
+        in_control[t - 1] = np.count_nonzero(states.b <= config.delta, axis=1)
+        enrolled[t - 1] = np.count_nonzero(z, axis=1)
+
+    return [
+        RunResult(
+            policy_kind=spec.kind,
+            capacity_fraction=fraction,
+            replication=replication,
+            in_control=tuple(in_control[:, k].tolist()),
+            enrolled=tuple(enrolled[:, k].tolist()),
+            visits_total=tuple(visits_total[:, k].tolist()),
+            screening_visits=tuple(screening[:, k].tolist()),
+            final_log_fbg=tuple(states.b[k].tolist()),
+            ppc_fraction=int(in_control[:, k].sum()) / (population * n_periods),
+            interest_set_members=int(members[k]),
+            members_ranked_by_rollout=int(rolled_out[k]),
+            rollout_member_steps=int(rollout_steps[k]),
+        )
+        for k, fraction in enumerate(fractions)
+    ]
+
+
 def simulate(
     cohort: Cohort,
     spec: PolicySpec,
@@ -164,51 +235,12 @@ def simulate(
     fraction: float,
     replication: int = 0,
 ) -> RunResult:
-    """Run one policy over one cohort for one replication.
+    """Run one policy over one cohort for one replication at one capacity.
 
-    Per period: the policy selects at most C patients (classified as
-    screening visits when the patient was unenrolled), every patient
-    advances one step with its own noise draw, and metrics are recorded on
-    the post-transition states. The cohort is held as struct-of-arrays and
-    advanced with one array step per period. Fully deterministic given
-    (cohort, spec, config, fraction, replication).
+    Fully deterministic given (cohort, spec, config, fraction,
+    replication); the same as that capacity's row of a capacity sweep.
     """
-    n_periods = config.horizon
-    population = len(cohort)
-    C = capacity_from_fraction(fraction, population)
-    xi = _draw_noise_matrix(config, replication, population)
-
-    states = StateArrays.of(cohort.initial_states)
-    params = ParamArrays.of(cohort.params)
-
-    in_control: List[int] = []
-    enrolled: List[int] = []
-    visits_total: List[int] = []
-    screening: List[int] = []
-
-    for t in range(1, n_periods + 1):
-        remaining = n_periods - t + 1
-        chosen = select_visits(states, params, C, spec, remaining)
-        y = np.zeros(population, dtype=bool)
-        y[list(chosen)] = True
-        screening.append(int(np.count_nonzero(y & (states.z_prev == 0))))
-        visits_total.append(len(chosen))
-
-        states, z = step_cohort(states, params, y, xi[t - 1])
-        in_control.append(int(np.count_nonzero(states.b <= config.delta)))
-        enrolled.append(int(np.count_nonzero(z)))
-
-    return RunResult(
-        policy_kind=spec.kind,
-        capacity_fraction=fraction,
-        replication=replication,
-        in_control=tuple(in_control),
-        enrolled=tuple(enrolled),
-        visits_total=tuple(visits_total),
-        screening_visits=tuple(screening),
-        final_log_fbg=tuple(states.b.tolist()),
-        ppc_fraction=sum(in_control) / (population * n_periods),
-    )
+    return _simulate_rows(cohort, spec, config, (fraction,), replication)[0]
 
 
 def capacity_sweep(
@@ -220,14 +252,16 @@ def capacity_sweep(
 
     The cohort and process-noise draws are keyed by replication alone, so
     every policy and capacity level sees identical patients and identical
-    disturbances within a replication (common random numbers).
+    disturbances within a replication (common random numbers); all
+    capacity levels of a (replication, policy) pair run as one array
+    simulation.
     """
     results: List[RunResult] = []
     for replication in range(config.replications):
         cohort = cohort_generator(cohort_stream_seed(config.base_seed, replication))
         for spec in specs:
-            for fraction in config.capacity_fractions:
-                results.append(simulate(cohort, spec, config, fraction, replication))
+            results.extend(_simulate_rows(cohort, spec, config,
+                                          config.capacity_fractions, replication))
     results.sort(key=lambda r: (r.policy_kind, r.capacity_fraction, r.replication))
     return results
 
@@ -258,7 +292,7 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
             half = 0.0
 
         pooled = np.concatenate([np.asarray(r.final_log_fbg) for r in group])
-        pcts = tuple(float(np.percentile(pooled, q)) for q in (25, 50, 75, 90))
+        pcts = tuple(np.percentile(pooled, (25, 50, 75, 90)).tolist())
 
         rows.append(SummaryRow(
             policy_kind=kind,

@@ -7,11 +7,12 @@ visit), then breaks capacity ties with one of four rankings. Naive
 baselines rank everyone with no filtering.
 
 The cohort functions take the cohort as struct-of-arrays (StateArrays,
-ParamArrays) or as aligned sequences of PatientState/PatientParams.
+ParamArrays) or as aligned sequences of PatientState/PatientParams;
+visit_mask decides K rows of one cohort (one per capacity level) at once.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Set, Tuple, Union
+from typing import NamedTuple, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -157,27 +158,81 @@ def _value_per_visit_key(rs: RolloutSummary, index):
     return (rs.visits > 0, -rs.v_tilde / np.maximum(rs.visits, 1), index)
 
 
-def _rank_interest_set(
-    members: np.ndarray,
+class Visits(NamedTuple):
+    """One period's visit decision for K rows of a cohort, with the work
+    it took per row."""
+
+    mask: np.ndarray        # (K, n) bool: who is visited
+    members: np.ndarray     # (K,) interest-set size; 0 for baseline kinds
+    rolled_out: np.ndarray  # (K,) members ranked by a value-to-go rollout
+
+
+def visit_mask(
     states: StateArrays,
     params: ParamArrays,
+    C,
     spec: PolicySpec,
     periods_remaining: int,
-) -> np.ndarray:
-    """Order interest-set members (ascending indices) by the policy kind's
-    tie-breaking rule; a stable sort leaves ties in index order."""
-    if spec.kind == "ea_asc_fbg":
-        keys = (states.b[members],)
-    elif spec.kind == "ea_desc_fbg":
-        keys = (-states.b[members],)
-    else:
-        rs = rollout_cohort(states.take(members), params.take(members),
-                            periods_remaining, spec.delta)
-        if spec.kind == "ea_desc_vtg":
-            keys = (-rs.v_tilde,)
+) -> Visits:
+    """Pick this period's visits for K rows of one cohort at once.
+
+    states holds one row per capacity level ((K, n) arrays), params the
+    cohort's shared (n,) constants and C the capacity of each row (shape
+    (K,), or one int for all). Every row is decided on its own: row k of
+    the mask is what a one-row call on row k alone returns.
+
+    Heuristic kinds filter to the interest set first and only rank the
+    rows whose interest set exceeds capacity; the value-to-go kinds roll
+    out the members of all such rows in one batched rollout. Baseline
+    kinds rank the whole cohort by log-FBG with no filtering;
+    visit_everyone ignores the capacity (it is the unconstrained
+    benchmark) and visit_no_one visits nobody. All rankings break ties by
+    ascending patient index.
+    """
+    K, n = states.b.shape
+    C = np.broadcast_to(C, (K,))
+    if (C < 0).any():
+        raise ValueError("capacity must be >= 0")
+    none = np.zeros(K, dtype=int)
+    if spec.kind == "visit_no_one":
+        return Visits(np.zeros((K, n), dtype=bool), none, none)
+    if spec.kind == "visit_everyone":
+        return Visits(np.ones((K, n), dtype=bool), none, none)
+    if spec.kind in ("asc_fbg", "desc_fbg"):
+        key = states.b if spec.kind == "asc_fbg" else -states.b
+        mask = np.zeros((K, n), dtype=bool)
+        np.put_along_axis(mask, np.argsort(key, axis=1, kind="stable"),
+                          np.arange(n) < C[:, None], axis=1)
+        return Visits(mask, none, none)
+
+    mask = single_patient_action(states, params)
+    members = np.count_nonzero(mask, axis=1)
+    over = np.flatnonzero(members > C)
+    rolled_out = none
+    if len(over):
+        # members of the over-capacity rows, row-major: ascending index per row
+        row, col = np.nonzero(mask[over])
+        cells = (over[row], col)
+        if spec.kind == "ea_asc_fbg":
+            keys = (states.b[cells],)
+        elif spec.kind == "ea_desc_fbg":
+            keys = (-states.b[cells],)
         else:
-            keys = _value_per_visit_key(rs, members)[:2]
-    return members[np.lexsort(keys[::-1])]
+            rs = rollout_cohort(states.take(cells), params.take(col),
+                                periods_remaining, spec.delta)
+            if spec.kind == "ea_desc_vtg":
+                keys = (-rs.v_tilde,)
+            else:
+                keys = _value_per_visit_key(rs, col)[:2]
+            rolled_out = np.where(members > C, members, 0)
+        # with the row as primary key the sort keeps each row's members in
+        # the row's span, so the i-th sorted member ranks i - (span start)
+        order = np.lexsort(keys[::-1] + (row,))
+        sizes = members[over]
+        rank = np.arange(len(row)) - (np.cumsum(sizes) - sizes)[row]
+        drop = order[rank >= C[over][row]]
+        mask[over[row[drop]], col[drop]] = False
+    return Visits(mask, members, rolled_out)
 
 
 def select_visits(
@@ -187,30 +242,8 @@ def select_visits(
     spec: PolicySpec,
     periods_remaining: int,
 ) -> Set[int]:
-    """Pick this period's visit set.
-
-    Heuristic kinds filter to the interest set first and only rank when it
-    exceeds capacity. Baseline kinds rank the whole cohort by log-FBG with
-    no filtering; visit_everyone ignores the capacity (it is the
-    unconstrained benchmark) and visit_no_one always returns the empty set.
-    All rankings break ties by ascending patient index.
-    """
-    if C < 0:
-        raise ValueError("capacity must be >= 0")
+    """Pick this period's visit set for one cohort: visit_mask on one row."""
     states, params = _as_arrays(states, params)
-    n = len(states.b)
-    if spec.kind == "visit_no_one":
-        return set()
-    if spec.kind == "visit_everyone":
-        return set(range(n))
-    if spec.kind == "asc_fbg":
-        return set(np.lexsort((states.b,))[:C].tolist())
-    if spec.kind == "desc_fbg":
-        return set(np.lexsort((-states.b,))[:C].tolist())
-
-    members = interest_set(states, params)
-    if len(members) <= C:
-        return members
-    ranked = _rank_interest_set(np.array(sorted(members)), states, params,
-                                spec, periods_remaining)
-    return set(ranked[:C].tolist())
+    one = StateArrays(*(a[None, :] for a in states))
+    mask = visit_mask(one, params, C, spec, periods_remaining).mask[0]
+    return set(np.flatnonzero(mask).tolist())

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from chwplan import charts, storage
+from chwplan import charts, clustering, estimation, qp, storage
 from chwplan.cli import _parse_capacities, _representative_pct, _share_series, main
 from chwplan.engine import RunResult
 from chwplan.model import PatientParams
@@ -407,6 +407,19 @@ class TestCliSimulate:
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("results.csv", "summary.csv")}
 
+    def test_manifest_counts_selection_work(self, tmp_path):
+        # C is 1 and 2 of 12 patients, so ea_desc_vtg ranks by rollout
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(SIM_ARGS + ["--out", str(out1)]) == 0
+        assert main(SIM_ARGS + ["--out", str(out2)]) == 0
+        work = storage.read_manifest(str(out1))["work"]
+        assert work == storage.read_manifest(str(out2))["work"]
+        assert set(work) == {"interest_set_members", "members_ranked_by_rollout",
+                             "rollout_member_steps"}
+        assert work["members_ranked_by_rollout"] > 0
+        assert work["rollout_member_steps"] > work["members_ranked_by_rollout"]
+        assert work["interest_set_members"] >= work["members_ranked_by_rollout"]
+
     def test_rerun_is_byte_identical_except_duration(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(SIM_ARGS + ["--out", str(out1)]) == 0
@@ -468,6 +481,9 @@ class TestCliPipelines:
         assert [r.split(",")[0] for r in elbow] == ["k", "1", "2", "3"]
         inertias = [float(r.split(",")[1]) for r in elbow[1:]]
         assert inertias == sorted(inertias, reverse=True)
+        config = storage.read_manifest(str(clu))["config"]
+        assert config["clustering.MAX_ITERATIONS"] == clustering.MAX_ITERATIONS
+        assert config["clustering.TOLERANCE"] == clustering.TOLERANCE
 
     def test_estimate_recovers_noise_free_history(self, tmp_path):
         params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,
@@ -552,6 +568,29 @@ class TestCliEstimate:
         assert work["qp_iterations"] >= cells
         header = (out / "estimates.csv").read_text().splitlines()[0]
         assert header == ",".join(storage.ESTIMATE_COLUMNS)
+
+    def test_manifest_records_solver_constants(self, tmp_path):
+        params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,
+                               gamma=0.2, rho=0.2, s_base=0.0, theta_base=1.0)
+        hist, _ = generate_history(params, 2.0, (0, 1, 2, 4), 8, sigma_eps=0.0)
+        obs = hist.observed_map
+        lines = [f"a,{t},{hist.visited[t]},{hist.enrolled[t]},{math.exp(obs[t])!r}"
+                 for t in range(8)]
+        path = write_history_csv(tmp_path / "hist.csv", lines)
+        out = tmp_path / "est"
+        assert main(["estimate", "--histories", path, "--grid-s-base", "0",
+                     "--grid-beta", "1", "--grid-gamma", "0.2",
+                     "--grid-rho", "0.2", "--out", str(out)]) == 0
+        config = storage.read_manifest(str(out))["config"]
+        for module, names in (
+                (qp, ("QP_TOLERANCE", "MAX_ITERATIONS", "CHECK_INTERVAL",
+                      "POOL_WIDTH", "INFEASIBILITY_EPS", "SIGMA", "RELAXATION",
+                      "RHO_INITIAL")),
+                (estimation, ("PARAM_UPPER_BOUND", "STRICT_GAP",
+                              "NLL_TIE_TOLERANCE"))):
+            prefix = module.__name__.rsplit(".", 1)[-1]
+            for name in names:
+                assert config[f"{prefix}.{name}"] == getattr(module, name), name
 
 
 class TestCliErrors:

@@ -23,7 +23,7 @@ from chwplan.engine import (
     summarize,
 )
 from chwplan.model import NoiseModel, PatientParams, PatientState
-from chwplan.policy import PolicySpec
+from chwplan.policy import POLICY_KINDS, PolicySpec
 
 DELTA = math.log(125.0)
 
@@ -189,13 +189,16 @@ def test_sweep_cardinality_and_order():
 
 
 def test_sweep_single_replication_composes_from_simulate():
+    # the sweep runs all capacities of a policy as one array simulation;
+    # each row must be that capacity's simulation on its own
     cohort = fresh_cohort([5.0, 6.0], GROUP_B)
     cfg = quiet_config(capacity_fractions=(0.5, 1.0), replications=1,
                        noise=NoiseModel(sigma_xi=0.05), horizon=6)
-    spec = PolicySpec("ea_desc_fbg", DELTA)
-    rows = capacity_sweep(lambda seed: cohort, [spec], cfg)
-    direct = [simulate(cohort, spec, cfg, f, 0) for f in cfg.capacity_fractions]
-    assert rows == direct
+    for kind in POLICY_KINDS:
+        spec = PolicySpec(kind, DELTA)
+        rows = capacity_sweep(lambda seed: cohort, [spec], cfg)
+        direct = [simulate(cohort, spec, cfg, f, 0) for f in cfg.capacity_fractions]
+        assert rows == direct, kind
 
 
 def test_sweep_generator_receives_replication_keyed_seed():

@@ -3,7 +3,9 @@
 One array step, the visit mask and the batched rollout must reproduce,
 element by element and exactly (compared with ==), what step_patient,
 single_patient_action and a per-patient rollout loop give for each patient
-on its own. Byte-identical simulation outputs rest on this.
+on its own; and each row of a batched visit_mask (one row per capacity
+level) must be what a one-row call on that row alone decides.
+Byte-identical simulation outputs rest on this.
 """
 
 import math
@@ -23,10 +25,13 @@ from chwplan.model import (
     step_patient,
 )
 from chwplan.policy import (
+    POLICY_KINDS,
+    PolicySpec,
     interest_set,
     rollout_cohort,
     rollout_single,
     single_patient_action,
+    visit_mask,
 )
 
 DELTA = math.log(125.0)
@@ -52,6 +57,32 @@ state_st = st.builds(
 patient_st = st.tuples(params_st, state_st, st.booleans(),
                        st.floats(-3.0, 3.0, **unit))
 cohort_st = st.lists(patient_st, min_size=1, max_size=12)
+
+
+# K rows of one cohort: shared params, per-row states and capacity C
+rows_st = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(params_st, min_size=n, max_size=n),
+    st.lists(st.tuples(st.lists(state_st, min_size=n, max_size=n),
+                       st.integers(0, n + 1)), min_size=1, max_size=5),
+    st.integers(1, 10),
+))
+
+
+def _stacked(rows):
+    """(K, n) StateArrays from K lists of PatientStates."""
+    return StateArrays(*(np.stack(a) for a in zip(*map(StateArrays.of, rows))))
+
+
+def _assert_rows_independent(params, rows, C, periods):
+    states = _stacked(rows)
+    for kind in POLICY_KINDS:
+        spec = PolicySpec(kind, DELTA)
+        batched = visit_mask(states, params, C, spec, periods)
+        for k, row in enumerate(rows):
+            alone = visit_mask(_stacked([row]), params, C[k:k + 1], spec, periods)
+            assert batched.mask[k].tolist() == alone.mask[0].tolist(), (kind, k)
+            assert batched.members[k] == alone.members[0], (kind, k)
+            assert batched.rolled_out[k] == alone.rolled_out[0], (kind, k)
 
 
 def _arrays(cohort):
@@ -135,3 +166,35 @@ def test_clamps_fire_and_match_in_the_array_step():
     assert nxt.b[0] == 0.0
     assert nxt.theta[1] == 0.0
     _assert_step_matches(cohort)
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(case=rows_st)
+@settings(max_examples=150, deadline=None)
+def test_visit_mask_rows_equal_one_row_calls(case):
+    params, rows, periods = case
+    _assert_rows_independent(ParamArrays.of(params), [s for s, _ in rows],
+                             np.array([c for _, c in rows]), periods)
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+def test_visit_mask_mixes_over_and_under_capacity_rows():
+    # one call where some rows' interest sets exceed their capacity and
+    # others' do not, so ranked and unranked rows share the flattened
+    # rollout and the row-keyed lexsort
+    rng = np.random.default_rng(5)
+    n = 10
+    params = ParamArrays.of([PatientParams(
+        p=float(rng.uniform(0.5, 5.0)), mu=float(rng.uniform(0.5, 4.0)),
+        alpha=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.0, 1.5)),
+        lam=0.5, gamma=0.2, rho=0.2, s_base=float(rng.uniform(0.0, 0.5)),
+        theta_base=float(rng.uniform(0.1, 0.7))) for _ in range(n)])
+    rows = [[PatientState(b=float(rng.uniform(3.0, 9.0)), s=float(rng.uniform(0.0, 1.0)),
+                          theta=float(rng.uniform(0.0, 0.7)), z_prev=int(rng.integers(0, 2)))
+             for _ in range(n)] for _ in range(6)]
+    C = np.array([0, 1, 2, 3, n, n + 1])
+    members = single_patient_action(_stacked(rows), params).sum(axis=1)
+    assert (members > C).any() and (members <= C).any()
+    assert (members[members > C] > 1).any()  # a row that truly ranks
+    for periods in (1, 4):
+        _assert_rows_independent(params, rows, C, periods)
