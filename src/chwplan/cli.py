@@ -202,6 +202,7 @@ def _cmd_estimate(args) -> int:
         "grid_cells_solved": sum(e.cells_solved for _, e in estimates),
         "grid_cells_primal_infeasible": sum(e.cells_infeasible for _, e in estimates),
         "grid_cells_nonconverged": sum(e.cells_nonconverged for _, e in estimates),
+        "grid_cells_pruned": sum(e.cells_pruned for _, e in estimates),
         "qp_iterations": sum(e.qp_iterations for _, e in estimates),
     }
     storage.write_manifest(out_dir, storage.make_manifest(

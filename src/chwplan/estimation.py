@@ -164,10 +164,12 @@ class EstimationResult:
     latent_adverse: Tuple[float, ...]
     latent_perception: Tuple[float, ...]
     innovations: Tuple[float, ...]
-    # the grid search's work: cells by QP status, and ADMM iterations summed
+    # the grid search's work: cells by QP status, the cells the search
+    # stopped before, and ADMM iterations summed
     cells_solved: int
     cells_infeasible: int
     cells_nonconverged: int
+    cells_pruned: int
     qp_iterations: int
 
 
@@ -240,6 +242,14 @@ def _objective(history: VisitHistory, config: EstimationConfig):
     return P, q
 
 
+def _box(history: VisitHistory):
+    """l and u of _constraints' leading rows, the ones no cell changes:
+    b_t >= 0 and the five parameters in [0, PARAM_UPPER_BOUND]."""
+    T = history.length
+    return np.zeros(T + 5), np.concatenate([np.full(T, math.inf),
+                                            np.full(5, PARAM_UPPER_BOUND)])
+
+
 def _constraints(history: VisitHistory, cell: Cell):
     """A, l, u of one grid cell's inner QP, row blocks in this order:
 
@@ -262,6 +272,7 @@ def _constraints(history: VisitHistory, cell: Cell):
     theta_max = ub * (1.0 + max(abs(ct) for ct in c))
     big_m = 2.0 * (ub + ub + theta_max * (max(g) + beta))
 
+    lo, hi = _box(history)
     A = np.zeros((3 * T + 5, n))
     A[:n] = np.eye(n)
     theta_rows = A[T + 5:2 * T + 5]
@@ -276,16 +287,132 @@ def _constraints(history: VisitHistory, cell: Cell):
     enrolled = np.array(history.enrolled) == 1
     offered = np.array([_was_offered(history, t) for t in range(T)])
     l = np.concatenate([
-        np.zeros(2 * T + 5),
+        lo,
+        np.zeros(T),
         np.where(enrolled, 0.0, -big_m),
     ])
     u = np.concatenate([
-        np.full(T, math.inf),
-        np.full(5, PARAM_UPPER_BOUND),
+        hi,
         np.full(T, math.inf),
         np.where(enrolled, big_m, np.where(offered, -STRICT_GAP, 0.0)),
     ])
     return A, l, u
+
+
+def _box_qp(P, q, lo, hi):
+    """A minimizer of (1/2)x'Px + q'x over lo <= x <= hi, P positive
+    semidefinite, by Lawson and Hanson's active-set steps with two-sided
+    bounds (Solving Least Squares Problems, 1974, ch. 23).
+
+    Minimize over the free variables with the others held at their bounds;
+    if that point leaves the box, step toward it only up to the first bound
+    and fix the variables that reach one; otherwise free the fixed variable
+    whose multiplier has the wrong sign by the most, until none has. It
+    stops after 4n such steps at the latest, at a point of the box either
+    way. P is often singular on the free variables (theta_base and lam do
+    not enter it, and b is pinned only where it is observed), so each free
+    minimization takes three iterated-Tikhonov steps d <- (P_FF + r*I)^-1
+    (r*d - g_F): they reach the exact minimizer along P_FF's range to
+    rounding, leave the null directions where they are, and need only an
+    LU solve.
+    """
+    n = q.shape[0]
+    ridge = 1e-8 * max(float(np.max(np.abs(P))), 1.0)
+    x = lo.copy()
+    free = np.ones(n, dtype=bool)
+    for _ in range(4 * n):
+        z = x.copy()
+        F = np.flatnonzero(free)
+        if F.size:
+            g = P[F] @ x + q[F]
+            M = P[np.ix_(F, F)] + ridge * np.eye(F.size)
+            d = np.zeros(F.size)
+            for _ in range(3):
+                d = np.linalg.solve(M, ridge * d - g)
+            z[F] += d
+        out = (z < lo) | (z > hi)
+        if out.any():
+            bound = np.where(z < lo, lo, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (bound - x) / (z - x)
+            step = np.min(t[out])
+            x = x + step * (z - x)
+            hit = out & (t <= step)
+            x[hit] = bound[hit]
+            free &= ~hit
+            continue
+        x = z
+        g = P @ x + q
+        noise = (n + 2) * np.finfo(float).eps * (np.abs(P) @ np.abs(x) + np.abs(q))
+        wrong = np.where(free, 0.0, np.where(x <= lo, -g, g) - noise)
+        j = int(np.argmax(wrong))
+        if wrong[j] <= 0.0:
+            break
+        free[j] = True
+    return x
+
+
+def relaxed_lower_bound(history: VisitHistory, config: EstimationConfig) -> float:
+    """A certified lower bound on the nll of every grid cell of a history.
+
+    Each cell's nll is F(x) = (1/2)x'Px + q'x + (1/2)w_eps*sum(val^2), with
+    _objective's P and q, at a point x of _box (_inner_solution clamps x
+    into it), so the minimum of F over the box bounds every cell. That
+    minimum comes from _box_qp, and is certified by weak duality: F is a
+    sum of squares, hence convex, so at the box point w with gradient
+    g = Pw + q, F(x) >= F(w) + g'(x - w) for every x, and the minimum of
+    the right side over the box is F(w) + sum_i min(g_i(lo_i - w_i),
+    g_i(hi_i - w_i)), whatever the accuracy of w.
+
+    The b_t have no upper bound, so the minimum is taken over the level set
+    F(x) <= U = F(w) + 1 as well (outside it F > U exceeds the bound
+    anyway): there an observed b_s lies within sqrt(2U/w_eps) of its
+    value, and consecutive b_t differ by the innovation, at most
+    sqrt(2U/w_xi), plus p - mu*z_t - alpha*y_t*z_t, at most
+    2*PARAM_UPPER_BOUND in size. With no observation the b_t keep the
+    interval [0, inf).
+
+    The result is lowered by a rounding slack: 4(n+2)*eps times the
+    magnitudes summed in F(w), in g'(x - w), and in a cell's nll on the
+    level set, whose innovations cancel terms of size up to 2*b_max +
+    3*PARAM_UPPER_BOUND. (n+2)*eps is gamma_{n+2}, the relative error
+    bound of a float sum of n+2 terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, 3.1); F(w) nests two dot products of
+    length n, and P's entries, whose rounding against F's exact Hessian
+    enters F(w) and g, are sums of at most T+1 terms. A float sum of
+    squares is never negative, so 0 is a bound as well; it is returned
+    whenever the certificate is weaker, or not finite.
+    """
+    P, q = _objective(history, config)
+    lo, hi = _box(history)
+    T, n = history.length, q.shape[0]
+    w_eps = 1.0 / config.sigma_eps**2
+    w_xi = 1.0 / config.sigma_xi**2
+    values = np.array([val for _, val in history.observations])
+    const = 0.5 * w_eps * float(values @ values)
+
+    w = np.clip(_box_qp(P, q, lo, hi), lo, hi)
+    g = P @ w + q
+    f = 0.5 * float(w @ P @ w) + float(q @ w) + const
+    level = max(f, 0.0) + 1.0
+    if values.size:
+        periods = np.array([t for t, _ in history.observations])
+        reach = (np.abs(np.arange(T)[:, None] - periods) * (
+            math.sqrt(2.0 * level / w_xi) + 2.0 * PARAM_UPPER_BOUND)
+            + math.sqrt(2.0 * level / w_eps))
+        lo[:T] = np.maximum(lo[:T], np.max(values - reach, axis=1))
+        hi[:T] = np.min(values + reach, axis=1)
+    b_max = float(np.max(hi[:T]))
+    with np.errstate(invalid="ignore"):
+        bound = f + float(np.sum(np.where(g >= 0.0, g * (lo - w), g * (hi - w))))
+        width = np.maximum(np.abs(w - lo), np.abs(hi - w))
+        magnitude = (const + 0.5 * float(np.abs(w) @ np.abs(P) @ np.abs(w))
+                     + float(np.abs(q) @ np.abs(w))
+                     + float((np.abs(P) @ np.abs(w) + np.abs(q)) @ width)
+                     + level + (2.0 * b_max + 3.0 * PARAM_UPPER_BOUND)
+                     * math.sqrt(2.0 * (T - 1) * level * w_xi))
+    bound -= 4 * (n + 2) * np.finfo(float).eps * magnitude
+    return float(bound) if bound > 0.0 else 0.0
 
 
 def _inner_solution(
@@ -385,31 +512,43 @@ def estimate_patient(
 ) -> EstimationResult:
     """Grid-search MLE over (s_base, beta, gamma, rho) cells.
 
-    Solves the full Cartesian grid (grid_cells order), keeps the strictly
-    best feasible cell, and therefore resolves ties toward the earliest
-    cell in that order. "Strictly best" is judged with a small relative
-    slack (NLL_TIE_TOLERANCE): cells whose objectives differ by less than
-    solver precision are genuine ties, and letting the last few
-    floating-point bits pick the winner would make the selected cell
-    non-reproducible. Infeasible and nonconverged cells are dropped and
-    counted in the result.
+    Walks the grid in grid_cells order, keeps the strictly best feasible
+    cell, and therefore resolves ties toward the earliest cell in that
+    order. "Strictly best" is judged with a small relative slack
+    (NLL_TIE_TOLERANCE): cells whose objectives differ by less than solver
+    precision are genuine ties, and letting the last few floating-point
+    bits pick the winner would make the selected cell non-reproducible.
+    Infeasible and nonconverged cells are dropped and counted in the
+    result.
+
+    The walk stops once the best nll, less its tie slack, is at or below
+    relaxed_lower_bound: no later cell can then replace it, so the result
+    is the full grid's (branch and bound with one shared relaxation; Land
+    and Doig, Econometrica 1960). The cells it never reached are counted
+    as pruned.
     """
     cells = grid_cells(config)
+    bound = relaxed_lower_bound(history, config)
     statuses: Dict[str, int] = dict.fromkeys(
         ("solved", "primal_infeasible", "nonconverged"), 0)
     iterations = 0
     best: Optional[InnerSolution] = None
     best_cell = None
-    for cell, sol in zip(cells, solve_cells(history, cells, config)):
+    # a later cell replaces the best only with an nll below this
+    threshold = math.inf
+    solutions = solve_cells(history, cells, config)
+    for cell, sol in zip(cells, solutions):
         statuses[sol.status] += 1
         iterations += sol.iterations
-        if not sol.feasible:
+        if not sol.feasible or sol.nll >= threshold:
             continue
-        if best is None or sol.nll < best.nll - (
-            NLL_TIE_TOLERANCE * (1.0 + abs(best.nll))
-        ):
-            best = sol
-            best_cell = cell
+        best = sol
+        best_cell = cell
+        threshold = sol.nll - NLL_TIE_TOLERANCE * (1.0 + abs(sol.nll))
+        if threshold <= bound:
+            # drops the solver's pool: nothing more is stepped or loaded
+            solutions.close()
+            break
     if best is None or best_cell is None:
         raise EstimationFailedError(history.patient_id)
 
@@ -432,5 +571,6 @@ def estimate_patient(
         cells_solved=statuses["solved"],
         cells_infeasible=statuses["primal_infeasible"],
         cells_nonconverged=statuses["nonconverged"],
+        cells_pruned=len(cells) - sum(statuses.values()),
         qp_iterations=iterations,
     )

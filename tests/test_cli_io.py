@@ -563,7 +563,7 @@ class TestCliEstimate:
                      "--out", str(out)]) == 0
         work = storage.read_manifest(str(out))["work"]
         cells = work["grid_cells_solved"] + work["grid_cells_primal_infeasible"] \
-            + work["grid_cells_nonconverged"]
+            + work["grid_cells_nonconverged"] + work["grid_cells_pruned"]
         assert cells == 12 * 2  # grid cells x patients
         assert work["qp_iterations"] >= cells
         header = (out / "estimates.csv").read_text().splitlines()[0]

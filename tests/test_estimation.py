@@ -4,12 +4,18 @@ failure path, stall exclusion), and generate-then-fit recovery on a
 synthetic patient with known parameters."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chwplan.estimation as est
 from chwplan.estimation import (
+    NLL_TIE_TOLERANCE,
     EstimationConfig,
     EstimationFailedError,
     EstimationResult,
@@ -21,7 +27,7 @@ from chwplan.estimation import (
     solve_inner,
 )
 from chwplan.model import PatientParams
-from chwplan.qp import QPConvergenceError, QPResult
+from chwplan.qp import MAX_ITERATIONS, QPConvergenceError, QPResult, solve_qp
 
 from _synthetic import generate_history
 
@@ -257,6 +263,33 @@ def test_inner_excludes_stalled_cell(monkeypatch):
     assert sol.iterations == 17
 
 
+def test_intermittent_infeasibility_certified_over_the_interval(monkeypatch):
+    # With a 0.1 strict gap the record contradicts this cell. The last
+    # step's dual increment certifies that at no check (every
+    # CHECK_INTERVAL-th iteration) within the MAX_ITERATIONS budget, so on
+    # that test alone the cell ends nonconverged; the increment over the
+    # whole interval certifies it.
+    monkeypatch.setattr(est, "STRICT_GAP", 0.1)
+    h = VisitHistory(
+        visited=(0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0),
+        enrolled=(0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+        observations={0: 1.144833, 1: 3.707108, 2: 1.888736, 3: 1.191087,
+                      4: 3.905185, 5: 2.623981, 6: 2.229287, 7: 0.66933,
+                      8: 0.83149, 10: 0.880101, 13: 0.558384, 14: 0.362858})
+    P, q = est._objective(h, EstimationConfig())
+    A, l, u = est._constraints(h, (0.0, 2.0, 0.2, 0.8))
+    result = solve_qp(P, q, A, l, u)
+    assert result.status == "primal_infeasible"
+    assert result.iterations < MAX_ITERATIONS
+    # the reported direction is a Farkas certificate: A'y ~ 0 while the
+    # support function of [l, u] at y is negative
+    y = result.y
+    assert np.max(np.abs(A.T @ y)) <= 1e-6
+    active = np.where(y > 0, u, np.where(y < 0, l, 0.0))
+    assert np.all(np.isfinite(active))
+    assert float(active @ y) < 0.0
+
+
 # ---------------------------------------------------------------------------
 # grid-search mechanics
 # ---------------------------------------------------------------------------
@@ -350,8 +383,9 @@ def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
     monkeypatch.setattr(est, "solve_qps", first_two_fail)
     result = estimate_patient(h, cfg)
     assert result.grid_cell == cells[2]
+    # the third cell fits exactly, so the search stops there
     assert (result.cells_solved, result.cells_infeasible,
-            result.cells_nonconverged) == (2, 1, 1)
+            result.cells_nonconverged, result.cells_pruned) == (1, 1, 1, 1)
     assert result.nll == solve_inner(h, *cells[2], cfg).nll
 
 
@@ -364,6 +398,136 @@ def test_config_validation():
         EstimationConfig(grid_beta=(-1.0,))
     with pytest.raises(ValueError, match="noise scales"):
         EstimationConfig(sigma_eps=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the relaxed bound and the pruned search
+# ---------------------------------------------------------------------------
+
+DEGENERATE_RECORDS = {
+    "no observations": VisitHistory(visited=(1, 0, 1, 0), enrolled=(1, 1, 1, 0)),
+    "never enrolled": VisitHistory(visited=(1, 0, 1, 0, 0), enrolled=(0,) * 5,
+                                   observations={0: 1.0, 2: 2.5, 4: 0.3}),
+    "never visited": VisitHistory(visited=(0,) * 6, enrolled=(0,) * 6,
+                                  observations={0: 2.0, 1: 2.4, 3: 2.8, 5: 3.7}),
+    "single period": VisitHistory(visited=(1,), enrolled=(1,), observations={0: 3.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_RECORDS))
+def test_relaxed_bound_below_every_solved_cell(name):
+    h = DEGENERATE_RECORDS[name]
+    cfg = EstimationConfig()
+    bound = est.relaxed_lower_bound(h, cfg)
+    assert math.isfinite(bound)
+    cells = est.grid_cells(cfg)
+    nlls = [sol.nll for sol in est.solve_cells(h, cells, cfg) if sol.feasible]
+    assert len(nlls) > 0
+    assert all(bound <= nll for nll in nlls)
+
+
+def test_relaxed_bound_below_every_solved_cell_of_noisy_record():
+    h, _ = reference_history()
+    cfg = small_config(grid_s_base=(0.0, 1.0), grid_beta=(0.0, 1.0, 3.0),
+                       grid_gamma=(0.2, 0.99), grid_rho=(0.2, 0.9))
+    bound = est.relaxed_lower_bound(h, cfg)
+    nlls = [sol.nll for sol in est.solve_cells(h, est.grid_cells(cfg), cfg)
+            if sol.feasible]
+    assert len(nlls) == 24
+    assert all(bound <= nll for nll in nlls)
+    # the record fits the planted cell to within the tie slack of the bound
+    assert min(nlls) - NLL_TIE_TOLERANCE * (1.0 + min(nlls)) <= bound
+
+
+def test_criterion_06_fixture_stops_early():
+    h, _ = reference_history()
+    result = estimate_patient(h, small_config())
+    assert result.grid_cell == TRUE_CELL
+    assert result.cells_pruned > 0
+    assert (result.cells_solved + result.cells_infeasible
+            + result.cells_nonconverged + result.cells_pruned) == 400
+
+
+def test_search_stops_at_first_cell_within_tie_slack_of_bound(monkeypatch):
+    # this record fits exactly, so the bound is 0: a first cell 5e-4 above
+    # it is no stopping point, the second cell at 0 is
+    h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
+    assert est.relaxed_lower_bound(h, EstimationConfig()) == 0.0
+    walked, closed = [], []
+
+    def scripted(history, cells, config):
+        try:
+            for cell in cells:
+                walked.append(cell)
+                yield _fake_solution(5e-4 if len(walked) == 1 else 0.0)
+        finally:
+            closed.append(True)
+
+    monkeypatch.setattr(est, "solve_cells", scripted)
+    result = estimate_patient(h, EstimationConfig())
+    cells = est.grid_cells(EstimationConfig())
+    assert result.grid_cell == cells[1]
+    assert walked == cells[:2] and closed == [True]
+    assert (result.cells_solved, result.cells_pruned) == (2, 398)
+
+
+@st.composite
+def records(draw):
+    T = draw(st.integers(1, 10))
+    visited = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+    enrolled = []
+    for t in range(T):
+        offered = visited[t] == 1 or (t > 0 and enrolled[-1] == 1)
+        enrolled.append(draw(st.integers(0, 1)) if offered else 0)
+    values = draw(st.lists(st.none() | st.floats(0.0, 4.0), min_size=T, max_size=T))
+    return VisitHistory(tuple(visited), tuple(enrolled),
+                        {t: v for t, v in enumerate(values) if v is not None})
+
+
+SMALL_GRID = EstimationConfig(grid_s_base=(0.0, 1.0), grid_beta=(0.0, 2.0),
+                              grid_gamma=(0.2, 0.9), grid_rho=(0.5, 0.99))
+
+
+def _fit_or_none(h):
+    try:
+        return estimate_patient(h, SMALL_GRID)
+    except EstimationFailedError:
+        return None
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@settings(max_examples=30, deadline=None)
+@given(records())
+def test_pruned_search_equals_full_search(h):
+    pruned = _fit_or_none(h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(est, "relaxed_lower_bound", lambda history, config: -math.inf)
+        full = _fit_or_none(h)
+    assert (pruned is None) == (full is None)
+    if full is None:
+        return
+    assert full.cells_pruned == 0
+    assert pruned.grid_cell == full.grid_cell
+    assert pruned.nll == full.nll
+    assert pruned.params == full.params
+    assert pruned.latent_log_fbg == full.latent_log_fbg
+
+
+def test_estimation_does_not_import_scipy():
+    # scipy is a test dependency only; importing it would double the
+    # estimate command's resident memory
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "import chwplan.cli\n"
+        "from chwplan.estimation import VisitHistory, estimate_patient\n"
+        "estimate_patient(VisitHistory(visited=(1, 0, 1), enrolled=(1, 1, 1),"
+        " observations={0: 1.0, 2: 1.5}))\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------
