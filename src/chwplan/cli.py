@@ -150,7 +150,7 @@ def _cmd_simulate(args) -> int:
     }
     work = {key: sum(getattr(r, key) for r in results)
             for key in ("interest_set_members", "members_ranked_by_rollout",
-                        "rollout_member_steps")}
+                        "rollout_member_steps", "rollouts_run", "rollout_steps_run")}
     storage.write_manifest(out_dir, storage.make_manifest(
         "simulate", manifest_config, args.seed,
         [spec_path] if spec_path else [],

@@ -22,7 +22,7 @@ from .model import (
     StateArrays,
     step_cohort,
 )
-from .policy import PolicySpec, single_patient_action, visit_mask
+from .policy import PolicySpec, RolloutTable, single_patient_action, visit_mask
 
 DEFAULT_DELTA = math.log(125.0)
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -97,10 +97,13 @@ class RunResult:
     ppc_fraction: float
     # work done, summed over periods (never written to the result tables):
     # interest-set members, members ranked by a value-to-go rollout, and
-    # rollout steps taken by those members
+    # rollout steps taken by those members; and the distinct rollouts the
+    # replication's RolloutTable ran for this row and their steps
     interest_set_members: int = 0
     members_ranked_by_rollout: int = 0
     rollout_member_steps: int = 0
+    rollouts_run: int = 0
+    rollout_steps_run: int = 0
 
     @property
     def population(self) -> int:
@@ -169,6 +172,7 @@ def _simulate_rows(
     config: SimulationConfig,
     fractions: Sequence[float],
     replication: int,
+    table: RolloutTable,
 ) -> List[RunResult]:
     """Run one policy over one cohort at several capacity levels at once.
 
@@ -178,7 +182,7 @@ def _simulate_rows(
     visits when the patient was unenrolled), every patient of every row
     advances one step with its own noise draw, which all rows share, and
     metrics are recorded on the post-transition states. Each row evolves
-    exactly as it would alone.
+    exactly as it would alone. table holds this cohort's rollouts.
     """
     n_periods = config.horizon
     population = len(cohort)
@@ -192,18 +196,20 @@ def _simulate_rows(
     # per-period counts, one column per row, and per-row work counts
     in_control, enrolled, visits_total, screening = (
         np.zeros((n_periods, len(fractions)), dtype=int) for _ in range(4))
-    members, rolled_out, rollout_steps = (
-        np.zeros(len(fractions), dtype=int) for _ in range(3))
+    members, rolled_out, rollout_steps, ran, ran_steps = (
+        np.zeros(len(fractions), dtype=int) for _ in range(5))
 
     for t in range(1, n_periods + 1):
         remaining = n_periods - t + 1
-        visits = visit_mask(states, params, C, spec, remaining)
+        visits = visit_mask(states, params, C, spec, remaining, table)
         y = visits.mask
         screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)
         visits_total[t - 1] = np.count_nonzero(y, axis=1)
         members += visits.members
         rolled_out += visits.rolled_out
         rollout_steps += visits.rolled_out * remaining
+        ran += visits.rollouts_run
+        ran_steps += visits.rollouts_run * remaining
 
         states, z = step_cohort(states, params, y, xi[t - 1])
         in_control[t - 1] = np.count_nonzero(states.b <= config.delta, axis=1)
@@ -223,6 +229,8 @@ def _simulate_rows(
             interest_set_members=int(members[k]),
             members_ranked_by_rollout=int(rolled_out[k]),
             rollout_member_steps=int(rollout_steps[k]),
+            rollouts_run=int(ran[k]),
+            rollout_steps_run=int(ran_steps[k]),
         )
         for k, fraction in enumerate(fractions)
     ]
@@ -240,7 +248,8 @@ def simulate(
     Fully deterministic given (cohort, spec, config, fraction,
     replication); the same as that capacity's row of a capacity sweep.
     """
-    return _simulate_rows(cohort, spec, config, (fraction,), replication)[0]
+    return _simulate_rows(cohort, spec, config, (fraction,), replication,
+                          RolloutTable())[0]
 
 
 def capacity_sweep(
@@ -254,14 +263,17 @@ def capacity_sweep(
     every policy and capacity level sees identical patients and identical
     disturbances within a replication (common random numbers); all
     capacity levels of a (replication, policy) pair run as one array
-    simulation.
+    simulation. A patient that no row has treated differently so far
+    starts the same rollout in every row and value-to-go policy, so each
+    replication's rows and policies share one RolloutTable.
     """
     results: List[RunResult] = []
     for replication in range(config.replications):
         cohort = cohort_generator(cohort_stream_seed(config.base_seed, replication))
+        table = RolloutTable()
         for spec in specs:
-            results.extend(_simulate_rows(cohort, spec, config,
-                                          config.capacity_fractions, replication))
+            results.extend(_simulate_rows(cohort, spec, config, config.capacity_fractions,
+                                          replication, table))
     results.sort(key=lambda r: (r.policy_kind, r.capacity_fraction, r.replication))
     return results
 

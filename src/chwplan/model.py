@@ -16,15 +16,24 @@ PatientParams, Python numbers) or a whole cohort held as struct-of-arrays
 results per patient.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(record, names) -> None:
+    """Reject nan and +-inf: no comparison-based range check catches nan."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(record).__name__}.{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,7 @@ class PatientParams:
     theta_base: float
 
     def __post_init__(self):
+        _require_finite(self, self.__dataclass_fields__)
         for name in ("p", "mu", "alpha", "beta", "lam", "s_base", "theta_base"):
             if getattr(self, name) < 0:
                 raise ValueError(f"PatientParams.{name} must be >= 0, got {getattr(self, name)}")
@@ -85,6 +95,7 @@ class PatientState:
     z_prev: int
 
     def __post_init__(self):
+        _require_finite(self, ("b", "s", "theta"))
         if self.b < 0.0:
             object.__setattr__(self, "b", 0.0)
         if self.s < 0:
@@ -187,14 +198,22 @@ def step_perception(theta: Num, params: Params, y: Num, z: Num) -> Num:
     return np.where(raw > 0.0, raw, 0.0)
 
 
-def benefit(state: State, params: Params, y: Num) -> Num:
-    """Net benefit of enrolling this period, given the visit decision y.
+def benefits(state: State, params: Params) -> Tuple[Num, Num]:
+    """Net benefit of enrolling this period without and with a visit: (b0, b1).
 
-    Closed form: mu - theta*(gamma*(s - s_base) + s_base) + (alpha - theta*beta)*y.
-    Deterministic — the FBG disturbance cancels out of the comparison.
+    Closed form: b0 = mu - theta*(gamma*(s - s_base) + s_base) and
+    b1 = b0 + (alpha - theta*beta). Deterministic: the FBG disturbance
+    cancels out of the comparison.
     """
     decayed = params.gamma * (state.s - params.s_base) + params.s_base
-    return params.mu - state.theta * decayed + (params.alpha - state.theta * params.beta) * y
+    base = params.mu - state.theta * decayed
+    return base, base + (params.alpha - state.theta * params.beta)
+
+
+def benefit(state: State, params: Params, y: Num) -> Num:
+    """Net benefit of enrolling this period, given the visit decision y."""
+    b0, b1 = benefits(state, params)
+    return np.where(y, b1, b0)[()]
 
 
 def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
@@ -207,14 +226,16 @@ def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
     return (z_prev | y) & (B >= 0.0)
 
 
-def _advance(state: State, params: Params, y: Num, xi: Num):
+def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = None):
     """One period on a patient or a cohort: (b, s, theta, z) after it.
 
     The provider's y precedes the patient's z within the period; the benefit
-    is evaluated at the current (s, theta). Log-FBG is clamped at 0, exactly
-    as PatientState does on construction.
+    is evaluated at the current (s, theta). B is benefit(state, params, y)
+    when the caller already has it. Log-FBG is clamped at 0, exactly as
+    PatientState does on construction.
     """
-    B = benefit(state, params, y)
+    if B is None:
+        B = benefit(state, params, y)
     z = enroll_decision(state.z_prev, y, B)
     b = step_fbg(state, params, y, z, xi)
     return (np.where(b < 0.0, 0.0, b), step_adverse(state.s, params, y, z),
@@ -235,12 +256,14 @@ def step_patient(
 
 
 def step_cohort(
-    state: StateArrays, params: ParamArrays, y: np.ndarray, xi: Num
+    state: StateArrays, params: ParamArrays, y: np.ndarray, xi: Num,
+    B: Optional[np.ndarray] = None,
 ) -> Tuple[StateArrays, np.ndarray]:
     """step_patient for every patient of a cohort at once.
 
     y is the visit mask (bool or 0/1 per patient) and xi the noise draw per
-    patient (or one scalar for all). Returns the next states and z.
+    patient (or one scalar for all); B, if given, is the benefit at y
+    (np.where(y, b1, b0) of benefits). Returns the next states and z.
     """
-    nxt = StateArrays(*_advance(state, params, y, xi))
+    nxt = StateArrays(*_advance(state, params, y, xi, B))
     return nxt, nxt.z_prev

@@ -12,7 +12,7 @@ visit_mask decides K rows of one cohort (one per capacity level) at once.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Set, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .model import (
     PatientState,
     State,
     StateArrays,
-    benefit,
+    benefits,
     step_cohort,
 )
 
@@ -71,9 +71,12 @@ def single_patient_action(state: State, params: Params):
     patient's benefit; in every remaining case (including indifference)
     don't spend the visit.
     """
-    b1 = benefit(state, params, 1)
-    b0 = benefit(state, params, 0)
-    return (b1 >= 0.0) & ((b0 < 0.0) | (state.z_prev == 0) | ((b1 - b0) > 0.0))
+    return _visit_pays(state.z_prev, *benefits(state, params))
+
+
+def _visit_pays(z_prev, b0, b1):
+    """single_patient_action from the benefits without (b0) and with (b1) a visit."""
+    return (b1 >= 0.0) & ((b0 < 0.0) | (z_prev == 0) | ((b1 - b0) > 0.0))
 
 
 CohortStates = Union[StateArrays, Sequence[PatientState]]
@@ -108,7 +111,11 @@ def rollout_cohort(
     """Noise-free forward simulation under the single-patient rule.
 
     Every patient of the cohort is rolled out independently and all at
-    once, one array step per remaining period.
+    once, one array step per remaining period; each step evaluates the
+    benefits once and the action and the transition share them. A
+    patient's result depends only on its own state, constants,
+    periods_remaining and delta, which is what lets RolloutTable run each
+    distinct start once.
 
     Args:
         states: current (pre-decision) patient states.
@@ -127,8 +134,9 @@ def rollout_cohort(
     v_tilde = np.zeros(len(states.b), dtype=int)
     visits = np.zeros(len(states.b), dtype=int)
     for _ in range(periods_remaining):
-        y = single_patient_action(states, params)
-        states, _ = step_cohort(states, params, y, 0.0)
+        b0, b1 = benefits(states, params)
+        y = _visit_pays(states.z_prev, b0, b1)
+        states, _ = step_cohort(states, params, y, 0.0, np.where(y, b1, b0))
         visits += y
         v_tilde += states.b <= delta
     return RolloutSummary(v_tilde=v_tilde, visits=visits)
@@ -144,6 +152,58 @@ def rollout_single(
     rs = rollout_cohort(StateArrays.of([state]), ParamArrays.of([params]),
                         periods_remaining, delta)
     return RolloutSummary(v_tilde=int(rs.v_tilde[0]), visits=int(rs.visits[0]))
+
+
+class RolloutTable:
+    """rollout_cohort results for one cohort, each distinct start run once.
+
+    A start is the patient's index into the cohort's params, periods
+    remaining, delta and the exact state: the bit patterns of b, s and
+    theta, and z_prev. Equal starts roll out to equal summaries, and
+    comparing bits keeps -0.0 and 0.0 apart. Indices only mean the same
+    patient within one cohort, so a table lives for one cohort:
+    capacity_sweep keeps one per replication, shared by that
+    replication's capacity rows and policies, and every other caller
+    gets a fresh one.
+    """
+
+    def __init__(self):
+        # (periods_remaining, delta) -> (sorted start keys, v_tilde, visits)
+        self._done = {}
+
+    def lookup(
+        self,
+        states: StateArrays,
+        params: ParamArrays,
+        col: np.ndarray,
+        periods_remaining: int,
+        delta: float,
+    ) -> Tuple[RolloutSummary, np.ndarray]:
+        """Rollout summaries for members i (state states[i], patient col[i]).
+
+        Only starts the table has not seen are rolled out, each once, in
+        one rollout_cohort call. Also returns the positions of the members
+        that call rolled out: the first member of each new start.
+        """
+        keys = np.column_stack((col, states.b.view(np.int64), states.s.view(np.int64),
+                                states.theta.view(np.int64), states.z_prev))
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        none = np.zeros(0, dtype=int)
+        known, v_known, visits_known = self._done.get(
+            (periods_remaining, delta), (keys[:0], none, none))
+        starts, first, inverse = np.unique(np.concatenate((known, keys)),
+                                           return_index=True, return_inverse=True)
+        new = first >= len(known)
+        v_tilde, visits = (np.empty(len(starts), dtype=int) for _ in range(2))
+        v_tilde[~new], visits[~new] = v_known[first[~new]], visits_known[first[~new]]
+        ran = first[new] - len(known)
+        if len(ran):
+            rs = rollout_cohort(states.take(ran), params.take(col[ran]),
+                                periods_remaining, delta)
+            v_tilde[new], visits[new] = rs.v_tilde, rs.visits
+        self._done[periods_remaining, delta] = (starts, v_tilde, visits)
+        mine = inverse[len(known):]
+        return RolloutSummary(v_tilde=v_tilde[mine], visits=visits[mine]), ran
 
 
 def _value_per_visit_key(rs: RolloutSummary, index):
@@ -162,9 +222,11 @@ class Visits(NamedTuple):
     """One period's visit decision for K rows of a cohort, with the work
     it took per row."""
 
-    mask: np.ndarray        # (K, n) bool: who is visited
-    members: np.ndarray     # (K,) interest-set size; 0 for baseline kinds
-    rolled_out: np.ndarray  # (K,) members ranked by a value-to-go rollout
+    mask: np.ndarray          # (K, n) bool: who is visited
+    members: np.ndarray       # (K,) interest-set size; 0 for baseline kinds
+    rolled_out: np.ndarray    # (K,) members ranked by a value-to-go rollout
+    rollouts_run: np.ndarray  # (K,) rollouts this call ran, each counted in
+                              # the first row holding its start
 
 
 def visit_mask(
@@ -173,6 +235,7 @@ def visit_mask(
     C,
     spec: PolicySpec,
     periods_remaining: int,
+    table: Optional[RolloutTable] = None,
 ) -> Visits:
     """Pick this period's visits for K rows of one cohort at once.
 
@@ -182,8 +245,11 @@ def visit_mask(
     the mask is what a one-row call on row k alone returns.
 
     Heuristic kinds filter to the interest set first and only rank the
-    rows whose interest set exceeds capacity; the value-to-go kinds roll
-    out the members of all such rows in one batched rollout. Baseline
+    rows whose interest set exceeds capacity. The value-to-go kinds look
+    the members of all such rows up in table (a fresh RolloutTable if
+    None), which rolls out each start it has not seen once, in one
+    batched rollout: rows that share a patient's exact state share its
+    rollout, and so do calls that share the table. Baseline
     kinds rank the whole cohort by log-FBG with no filtering;
     visit_everyone ignores the capacity (it is the unconstrained
     benchmark) and visit_no_one visits nobody. All rankings break ties by
@@ -195,20 +261,20 @@ def visit_mask(
         raise ValueError("capacity must be >= 0")
     none = np.zeros(K, dtype=int)
     if spec.kind == "visit_no_one":
-        return Visits(np.zeros((K, n), dtype=bool), none, none)
+        return Visits(np.zeros((K, n), dtype=bool), none, none, none)
     if spec.kind == "visit_everyone":
-        return Visits(np.ones((K, n), dtype=bool), none, none)
+        return Visits(np.ones((K, n), dtype=bool), none, none, none)
     if spec.kind in ("asc_fbg", "desc_fbg"):
         key = states.b if spec.kind == "asc_fbg" else -states.b
         mask = np.zeros((K, n), dtype=bool)
         np.put_along_axis(mask, np.argsort(key, axis=1, kind="stable"),
                           np.arange(n) < C[:, None], axis=1)
-        return Visits(mask, none, none)
+        return Visits(mask, none, none, none)
 
     mask = single_patient_action(states, params)
     members = np.count_nonzero(mask, axis=1)
     over = np.flatnonzero(members > C)
-    rolled_out = none
+    rolled_out = ran = none
     if len(over):
         # members of the over-capacity rows, row-major: ascending index per row
         row, col = np.nonzero(mask[over])
@@ -218,8 +284,11 @@ def visit_mask(
         elif spec.kind == "ea_desc_fbg":
             keys = (-states.b[cells],)
         else:
-            rs = rollout_cohort(states.take(cells), params.take(col),
-                                periods_remaining, spec.delta)
+            if table is None:
+                table = RolloutTable()
+            rs, first = table.lookup(states.take(cells), params, col,
+                                     periods_remaining, spec.delta)
+            ran = np.bincount(over[row[first]], minlength=K)
             if spec.kind == "ea_desc_vtg":
                 keys = (-rs.v_tilde,)
             else:
@@ -232,7 +301,7 @@ def visit_mask(
         rank = np.arange(len(row)) - (np.cumsum(sizes) - sizes)[row]
         drop = order[rank >= C[over][row]]
         mask[over[row[drop]], col[drop]] = False
-    return Visits(mask, members, rolled_out)
+    return Visits(mask, members, rolled_out, ran)
 
 
 def select_visits(

@@ -42,19 +42,13 @@ ESTIMATE_COLUMNS = ("patient_id", "nll", "p", "mu", "alpha", "theta_base",
 MANIFEST_NAME = "manifest.json"
 
 
-def _fmt(value) -> str:
-    """Lossless scalar-to-text: repr for floats, str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_table(path: str, header: Sequence[str], rows) -> None:
+    """Write a CSV table losslessly: the csv module writes floats (numpy
+    floats too) with repr and every other value with str."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _read_csv(path: str, expected_header: Sequence[str]) -> List[List[str]]:

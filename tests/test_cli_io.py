@@ -415,10 +415,25 @@ class TestCliSimulate:
         work = storage.read_manifest(str(out1))["work"]
         assert work == storage.read_manifest(str(out2))["work"]
         assert set(work) == {"interest_set_members", "members_ranked_by_rollout",
-                             "rollout_member_steps"}
+                             "rollout_member_steps", "rollouts_run",
+                             "rollout_steps_run"}
         assert work["members_ranked_by_rollout"] > 0
         assert work["rollout_member_steps"] > work["members_ranked_by_rollout"]
         assert work["interest_set_members"] >= work["members_ranked_by_rollout"]
+
+    def test_rollout_table_does_not_outlive_a_call(self, tmp_path):
+        # both value-to-go policies at two capacities share each
+        # replication's rollouts; a table kept past the call would let the
+        # second identical run skip rollouts and report fewer
+        args = SIM_ARGS[:3] + ["--policies", "ea_desc_vtg,ea_desc_vtg_per_visit"] + SIM_ARGS[5:]
+        works = []
+        for name in ("a", "b"):
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+            works.append(storage.read_manifest(str(tmp_path / name))["work"])
+        assert works[0] == works[1]
+        work = works[0]
+        assert 0 < work["rollouts_run"] < work["members_ranked_by_rollout"]
+        assert 0 < work["rollout_steps_run"] < work["rollout_member_steps"]
 
     def test_rerun_is_byte_identical_except_duration(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

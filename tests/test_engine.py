@@ -1,6 +1,7 @@
 """Engine tests: capacity arithmetic, simulation loop, common random
 numbers, the exhaustive schedule oracle, and result aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -199,6 +200,38 @@ def test_sweep_single_replication_composes_from_simulate():
         rows = capacity_sweep(lambda seed: cohort, [spec], cfg)
         direct = [simulate(cohort, spec, cfg, f, 0) for f in cfg.capacity_fractions]
         assert rows == direct, kind
+
+
+def test_sweep_shares_rollouts_across_policies_without_changing_rows():
+    # the two enrolled patients of
+    # test_policy.py::test_value_per_visit_ranking_differs_from_value_ranking,
+    # where the two value-to-go rankings visit different patients; one sweep
+    # runs both policies over one rollout table per replication
+    cohort = Cohort(
+        params=(PatientParams(p=1.3, mu=2.3, alpha=0.8, beta=1.5, lam=0.3,
+                              gamma=0.2, rho=0.2, s_base=1.0, theta_base=1.5),
+                PatientParams(p=0.3, mu=0.1, alpha=2.2, beta=0.5, lam=0.9,
+                              gamma=0.2, rho=0.2, s_base=1.6, theta_base=1.1)),
+        initial_states=(PatientState(b=8.5, s=0.8, theta=0.3, z_prev=1),
+                        PatientState(b=3.8, s=0.2, theta=0.5, z_prev=1)))
+    cfg = quiet_config(capacity_fractions=(0.5, 1.0), replications=2,
+                       noise=NoiseModel(sigma_xi=0.05), horizon=5)
+    specs = [PolicySpec(kind, DELTA) for kind in ("ea_desc_vtg", "ea_desc_vtg_per_visit")]
+    both = capacity_sweep(lambda seed: cohort, specs, cfg)
+    alone = [r for spec in specs for r in capacity_sweep(lambda seed: cohort, [spec], cfg)]
+
+    def outputs(r):
+        return dataclasses.replace(r, rollouts_run=0, rollout_steps_run=0)
+
+    assert [outputs(r) for r in both] == [outputs(r) for r in alone]
+    by_value, per_visit = ([r.final_log_fbg for r in both
+                            if r.policy_kind == spec.kind and r.capacity_fraction == 0.5]
+                           for spec in specs)
+    assert by_value != per_visit
+    # the second policy reuses the first one's rollouts where states agree
+    assert (sum(r.rollouts_run for r in both)
+            < sum(r.rollouts_run for r in alone)
+            <= sum(r.members_ranked_by_rollout for r in alone))
 
 
 def test_sweep_generator_receives_replication_keyed_seed():

@@ -3,8 +3,10 @@
 One array step, the visit mask and the batched rollout must reproduce,
 element by element and exactly (compared with ==), what step_patient,
 single_patient_action and a per-patient rollout loop give for each patient
-on its own; and each row of a batched visit_mask (one row per capacity
-level) must be what a one-row call on that row alone decides.
+on its own; each row of a batched visit_mask (one row per capacity
+level) must be what a one-row call on that row alone decides; and a
+RolloutTable shared by rows, policies and calls must rank exactly as a
+rollout of each member on its own.
 Byte-identical simulation outputs rest on this.
 """
 
@@ -20,6 +22,8 @@ from chwplan.model import (
     PatientParams,
     PatientState,
     StateArrays,
+    benefit,
+    benefits,
     step_cohort,
     step_fbg,
     step_patient,
@@ -27,6 +31,9 @@ from chwplan.model import (
 from chwplan.policy import (
     POLICY_KINDS,
     PolicySpec,
+    RolloutSummary,
+    RolloutTable,
+    _value_per_visit_key,
     interest_set,
     rollout_cohort,
     rollout_single,
@@ -198,3 +205,107 @@ def test_visit_mask_mixes_over_and_under_capacity_rows():
     assert (members[members > C] > 1).any()  # a row that truly ranks
     for periods in (1, 4):
         _assert_rows_independent(params, rows, C, periods)
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(patient=patient_st)
+@settings(max_examples=150, deadline=None)
+def test_benefits_equal_the_closed_form_up_to_the_sign_of_a_zero(patient):
+    # == treats -0.0 and 0.0 as equal, and a zero's sign only feeds >= 0
+    prm, state, visit, _ = patient
+    decayed = prm.gamma * (state.s - prm.s_base) + prm.s_base
+    slope = prm.alpha - state.theta * prm.beta
+    b0, b1 = benefits(state, prm)
+    assert b0 == prm.mu - state.theta * decayed + slope * 0
+    assert b1 == prm.mu - state.theta * decayed + slope * 1
+    assert benefit(state, prm, int(visit)) == (b1 if visit else b0)
+
+
+def _visits_alone(states, params, C, kind, periods):
+    """One row's visit set, each ranked member rolled out on its own."""
+    members = np.flatnonzero(single_patient_action(states, params)).tolist()
+    if len(members) <= C:
+        return set(members)
+    alone = {}
+    for i in members:
+        rs = rollout_cohort(states.take([i]), params.take([i]), periods, DELTA)
+        alone[i] = RolloutSummary(int(rs.v_tilde[0]), int(rs.visits[0]))
+    if kind == "ea_desc_vtg":
+        ranked = sorted(members, key=lambda i: (-alone[i].v_tilde, i))
+    else:
+        ranked = sorted(members, key=lambda i: _value_per_visit_key(alone[i], i))
+    return set(ranked[:C])
+
+
+def _start(states, i, periods):
+    """The exact start of member i: index, periods and state bits."""
+    bits = np.array([states.b[i], states.s[i], states.theta[i]]).view(np.int64)
+    return (i, periods, *bits.tolist(), int(states.z_prev[i]))
+
+
+# rows mixed patient by patient from a small pool of cohort states, so
+# rows share some patients' exact states and not others'
+table_st = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(params_st, min_size=n, max_size=n),
+    st.lists(st.lists(state_st, min_size=n, max_size=n), min_size=1, max_size=3),
+    st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                       st.integers(0, n)), min_size=1, max_size=6),
+    st.lists(st.integers(0, 10), min_size=1, max_size=3),
+))
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(case=table_st)
+@settings(max_examples=100, deadline=None)
+def test_shared_rollout_table_ranks_as_members_rolled_out_alone(case):
+    params, pool, rows, periods_seq = case
+    params = ParamArrays.of(params)
+    states = _stacked([[pool[pick % len(pool)][j] for j, pick in enumerate(picks)]
+                       for picks, _ in rows])
+    C = np.array([c for _, c in rows])
+    table, seen = RolloutTable(), set()
+    for periods in periods_seq:
+        for kind in ("ea_desc_vtg", "ea_desc_vtg_per_visit"):
+            got = visit_mask(states, params, C, PolicySpec(kind, DELTA), periods, table)
+            starts = set()
+            for k in range(len(rows)):
+                row = StateArrays(*(a[k] for a in states))
+                assert set(np.flatnonzero(got.mask[k]).tolist()) == _visits_alone(
+                    row, params, int(C[k]), kind, periods), (kind, k)
+                if got.members[k] > C[k]:
+                    starts |= {_start(row, int(i), periods)
+                               for i in np.flatnonzero(single_patient_action(row, params))}
+            # the table ran each start it had not seen exactly once
+            assert got.rollouts_run.sum() == len(starts - seen)
+            seen |= starts
+
+
+def test_rollout_table_keeps_signed_zeros_apart():
+    # three pairs of starts that differ only in the sign of one zero
+    prm = PatientParams(p=0.5, mu=1.0, alpha=1.0, beta=0.5, lam=0.5,
+                        gamma=0.5, rho=0.5, s_base=0.5, theta_base=0.5)
+    pairs = [dict(b=z, s=0.1, theta=0.1) for z in (0.0, -0.0)]
+    pairs += [dict(b=1.0, s=z, theta=0.1) for z in (0.0, -0.0)]
+    pairs += [dict(b=2.0, s=0.1, theta=z) for z in (0.0, -0.0)]
+    states = StateArrays.of([PatientState(z_prev=0, **f) for f in pairs])
+    params = ParamArrays.of([prm])
+    col = np.zeros(len(pairs), dtype=int)
+    table = RolloutTable()
+    rs, ran = table.lookup(states, params, col, 4, DELTA)
+    assert sorted(ran.tolist()) == list(range(len(pairs)))
+    for i in range(len(pairs)):
+        alone = rollout_cohort(states.take([i]), params, 4, DELTA)
+        assert (rs.v_tilde[i], rs.visits[i]) == (alone.v_tilde[0], alone.visits[0])
+    again, ran = table.lookup(states, params, col, 4, DELTA)
+    assert len(ran) == 0
+    assert again.v_tilde.tolist() == rs.v_tilde.tolist()
+    assert again.visits.tolist() == rs.visits.tolist()
+
+    # two capacity rows differing only in the sign of patient 0's theta:
+    # the second row reruns patient 0 and shares patient 1
+    rows = [[PatientState(b=1.0, s=0.0, theta=z, z_prev=0),
+             PatientState(b=2.0, s=0.0, theta=0.5, z_prev=0)] for z in (0.0, -0.0)]
+    got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]), 0,
+                     PolicySpec("ea_desc_vtg", DELTA), 4)
+    assert got.rolled_out.tolist() == [2, 2]
+    assert got.rollouts_run.tolist() == [2, 1]

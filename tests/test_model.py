@@ -53,6 +53,15 @@ def test_params_reject_bad_discounts():
             make_params(rho=bad)
 
 
+@pytest.mark.parametrize("name", ["p", "mu", "alpha", "beta", "lam", "gamma", "rho",
+                                  "s_base", "theta_base"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(name, bad):
+    # nan slips past every comparison-based range check (nan < 0 is False)
+    with pytest.raises(ValueError, match=f"PatientParams.{name} must be finite"):
+        make_params(**{name: bad})
+
+
 def test_params_warn_when_intervention_cannot_offset_progression():
     with pytest.warns(UserWarning, match="cannot offset progression"):
         make_params(p=7.5, mu=4.0, alpha=2.0)  # group-D-like regime
@@ -72,6 +81,16 @@ def test_state_clamps_b_at_zero_but_rejects_negative_s_theta():
         PatientState(b=1.0, s=0.0, theta=-0.1, z_prev=0)
     with pytest.raises(ValueError):
         PatientState(b=1.0, s=0.0, theta=0.0, z_prev=2)
+
+
+@pytest.mark.parametrize("name", ["b", "s", "theta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_rejects_non_finite_fields(name, bad):
+    # -inf log-FBG is rejected rather than clamped to 0
+    fields = dict(b=1.0, s=0.0, theta=0.0, z_prev=0)
+    fields[name] = bad
+    with pytest.raises(ValueError, match=f"PatientState.{name} must be finite"):
+        PatientState(**fields)
 
 
 def test_noise_model_validation():
