@@ -20,7 +20,6 @@ from .estimation import (
     estimate_patient,
 )
 from .model import (
-    NoiseModel,
     PatientParams,
     PatientState,
     benefit,
@@ -56,7 +55,6 @@ __all__ = [
     "EstimationResult",
     "VisitHistory",
     "estimate_patient",
-    "NoiseModel",
     "PatientParams",
     "PatientState",
     "benefit",

@@ -134,13 +134,13 @@ def line_chart(
     y_label: str,
     series: Dict[str, List[Tuple[float, float]]],
     bands: Optional[Dict[str, List[Tuple[float, float, float]]]] = None,
-    y_floor: Optional[float] = 0.0,
 ) -> None:
     """Write one multi-series line chart.
 
     series maps a name to (x, y) points; bands optionally maps the same
     names to (x, low, high) triples drawn as a translucent ribbon.
-    NaN y-values break the line rather than plotting.
+    NaN y-values break the line rather than plotting. The y axis starts at
+    0, or lower if a value is negative.
     """
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts if not math.isnan(y)]
@@ -150,9 +150,9 @@ def line_chart(
                 ys.extend([lo, hi])
     if not xs or not ys:
         raise ValueError("nothing to plot")
-    y_lo = min(ys) if y_floor is None else min(y_floor, min(ys))
     canvas = _Canvas(title)
-    axes = _Axes(canvas, (min(xs), max(xs)), (y_lo, max(ys)), x_label, y_label)
+    axes = _Axes(canvas, (min(xs), max(xs)), (min(0.0, min(ys)), max(ys)),
+                 x_label, y_label)
     names = list(series)
     for i, name in enumerate(names):
         color = PALETTE[i % len(PALETTE)]

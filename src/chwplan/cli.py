@@ -21,7 +21,6 @@ from . import charts, clustering, estimation, qp, storage
 from .clustering import cluster_params, elbow_curve
 from .engine import SimulationConfig, capacity_sweep, period_shares, summarize
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
-from .model import NoiseModel
 from .policy import POLICY_KINDS, PolicySpec
 from .scenarios import SamplingError, sample_cohort
 
@@ -117,16 +116,14 @@ def _cmd_simulate(args) -> int:
     if args.population is not None:
         spec = replace(spec, population=args.population)
     kinds = _parse_policies(args.policies)
-    delta = math.log(args.delta_mgdl)
-    policies = [PolicySpec(kind=k, delta=delta) for k in kinds]
+    policies = [PolicySpec(kind=k, delta=math.log(args.delta_mgdl)) for k in kinds]
     fractions = _parse_capacities(args.capacities)
     config = SimulationConfig(
         horizon=args.horizon,
         capacity_fractions=fractions,
         replications=args.reps,
         base_seed=args.seed,
-        noise=NoiseModel(sigma_xi=args.sigma_xi),
-        delta=delta,
+        sigma_xi=args.sigma_xi,
     )
 
     def generator(seed: int):
@@ -151,12 +148,11 @@ def _cmd_simulate(args) -> int:
     work = {key: sum(getattr(r, key) for r in results)
             for key in ("interest_set_members", "members_ranked_by_rollout",
                         "rollout_member_steps", "rollouts_run", "rollout_steps_run")}
-    storage.write_manifest(out_dir, storage.make_manifest(
-        "simulate", manifest_config, args.seed,
-        [spec_path] if spec_path else [],
-        ["results.csv", "summary.csv"],
-        time.perf_counter() - start, out_dir, work=work,
-    ))
+    storage.write_manifest(
+        out_dir, "simulate", manifest_config, args.seed,
+        [spec_path] if spec_path else [], ["results.csv", "summary.csv"],
+        time.perf_counter() - start, work=work,
+    )
     print(f"simulate: {len(results)} result cells"
           f" ({len(kinds)} policies x {len(fractions)} capacities x"
           f" {args.reps} replications) -> {out_dir}")
@@ -205,10 +201,10 @@ def _cmd_estimate(args) -> int:
         "grid_cells_pruned": sum(e.cells_pruned for _, e in estimates),
         "qp_iterations": sum(e.qp_iterations for _, e in estimates),
     }
-    storage.write_manifest(out_dir, storage.make_manifest(
-        "estimate", manifest_config, 0, [args.histories],
-        ["estimates.csv"], time.perf_counter() - start, out_dir, work=work,
-    ))
+    storage.write_manifest(
+        out_dir, "estimate", manifest_config, 0, [args.histories],
+        ["estimates.csv"], time.perf_counter() - start, work=work,
+    )
     print(f"estimate: {len(estimates)} patients -> {out_dir}")
     return 0
 
@@ -222,7 +218,7 @@ def _cmd_cluster(args) -> int:
     outputs = ["centroids.csv", "assignments.csv"]
     storage.write_table(
         os.path.join(out_dir, "centroids.csv"),
-        ("cluster",) + storage.FEATURE_COLUMNS,
+        ("cluster",) + clustering.FEATURE_NAMES,
         [(i,) + c for i, c in enumerate(result.centroids)],
     )
     storage.write_table(
@@ -247,13 +243,12 @@ def _cmd_cluster(args) -> int:
                            ("k", "inertia"), list(zip(ks, inertias)))
         outputs.append("elbow.csv")
         elbow_config = [k_min, k_max]
-    storage.write_manifest(out_dir, storage.make_manifest(
-        "cluster",
+    storage.write_manifest(
+        out_dir, "cluster",
         {"params": args.params, "k": args.k, "elbow": elbow_config,
-         **_constants(clustering, "MAX_ITERATIONS", "TOLERANCE")},
+         **_constants(clustering, "MAX_ITERATIONS", "TOLERANCE", "RESTARTS")},
         args.seed, [args.params], outputs, time.perf_counter() - start,
-        out_dir,
-    ))
+    )
     print(f"cluster: k={args.k} inertia={result.inertia!r} -> {out_dir}")
     return 0
 
@@ -268,13 +263,13 @@ def _cmd_scenario_gen(args) -> int:
     out_dir = os.path.dirname(out_file) or "."
     os.makedirs(out_dir, exist_ok=True)
     storage.write_cohort_csv(out_file, sampled)
-    storage.write_manifest(out_dir, storage.make_manifest(
-        "scenario-gen",
+    storage.write_manifest(
+        out_dir, "scenario-gen",
         {"scenario": storage.scenario_to_dict(spec),
          "population": spec.population},
         args.seed, [spec_path] if spec_path else [],
-        [os.path.basename(out_file)], time.perf_counter() - start, out_dir,
-    ))
+        [os.path.basename(out_file)], time.perf_counter() - start,
+    )
     print(f"scenario-gen: {len(sampled)} patients -> {out_file}")
     return 0
 
@@ -375,12 +370,11 @@ def _cmd_report(args) -> int:
     )
     outputs = ["ppc_vs_capacity.svg", "screening_share.svg",
                "enrollment_share.svg", "final_fbg.svg"]
-    storage.write_manifest(out_dir, storage.make_manifest(
-        "report",
+    storage.write_manifest(
+        out_dir, "report",
         {"results_dir": res_dir, "detail_capacity_pct": detail_pct},
-        0, [results_path, summary_path], outputs,
-        time.perf_counter() - start, out_dir,
-    ))
+        0, [results_path, summary_path], outputs, time.perf_counter() - start,
+    )
     print(f"report: {len(outputs)} charts -> {out_dir}")
     return 0
 
@@ -412,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=int, default=60)
     sim.add_argument("--population", type=int, default=None,
                      help="override the scenario's population")
-    sim.add_argument("--sigma-xi", type=float, default=NoiseModel().sigma_xi)
+    sim.add_argument("--sigma-xi", type=float, default=SimulationConfig.sigma_xi)
     sim.add_argument("--delta-mgdl", type=float, default=125.0,
                      help="in-control FBG threshold in mg/dL")
     sim.add_argument("--out", default=None,
@@ -435,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     clu = sub.add_parser("cluster", help="k-means over fitted parameters")
     clu.add_argument("--params", required=True,
-                     help="CSV with columns " + ",".join(storage.FEATURE_COLUMNS))
+                     help="CSV with columns " + ",".join(clustering.FEATURE_NAMES))
     clu.add_argument("--k", type=int, required=True)
     clu.add_argument("--elbow", default=None, help="kmin:kmax inertia sweep")
     clu.add_argument("--seed", type=int, default=0)

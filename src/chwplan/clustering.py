@@ -15,9 +15,11 @@ import numpy as np
 from .model import PatientParams
 
 FEATURE_NAMES = ("p", "mu", "alpha", "theta_base", "lam", "s_base", "beta")
-# Lloyd's iteration cap and centroid-movement stopping tolerance
+# Lloyd's iteration cap, centroid-movement stopping tolerance, and the
+# number of k-means++ restarts each fit keeps the best of
 MAX_ITERATIONS = 300
 TOLERANCE = 1e-6
+RESTARTS = 10
 
 
 def parameter_matrix(params: Sequence[PatientParams]) -> np.ndarray:
@@ -107,11 +109,10 @@ def cluster_params(
     param_table: Union[Sequence[PatientParams], Sequence[Sequence[float]]],
     k: int,
     seed: int = 0,
-    restarts: int = 10,
 ) -> ClusterResult:
     """Partition parameter rows into k groups.
 
-    Runs Lloyd's algorithm from `restarts` independent k-means++
+    Runs Lloyd's algorithm from RESTARTS independent k-means++
     initializations and keeps the lowest-inertia run (earliest restart on
     ties, for reproducibility).
     """
@@ -119,12 +120,10 @@ def cluster_params(
     n = points.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k={k} must be between 1 and the number of rows ({n})")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
 
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         init = _kmeanspp_init(points, k, rng)
         centroids, assign, inertia, trace = _lloyd(points, init)
         if best is None or inertia < best[2]:

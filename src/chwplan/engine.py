@@ -9,22 +9,14 @@ search over visit schedules used as a test oracle for the policy rules.
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    NoiseModel,
-    ParamArrays,
-    PatientParams,
-    PatientState,
-    StateArrays,
-    step_cohort,
-)
+from .model import ParamArrays, PatientParams, PatientState, StateArrays, step_cohort
 from .policy import PolicySpec, RolloutTable, single_patient_action, visit_mask
 
-DEFAULT_DELTA = math.log(125.0)
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
 
@@ -59,12 +51,15 @@ class Cohort:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """The sweep's shape and its noise; the in-control threshold is each
+    PolicySpec's delta. sigma_xi is the sd of the Gaussian process noise
+    on log-FBG."""
+
     horizon: int = 60
     capacity_fractions: Tuple[float, ...] = DEFAULT_CAPACITY_FRACTIONS
     replications: int = 10
     base_seed: int = 0
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    delta: float = DEFAULT_DELTA
+    sigma_xi: float = 0.05
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -78,8 +73,8 @@ class SimulationConfig:
                 raise ValueError(f"capacity fraction {f} outside (0, 1]")
         if list(self.capacity_fractions) != sorted(self.capacity_fractions):
             raise ValueError("capacity fractions must be sorted ascending")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+        if self.sigma_xi < 0:
+            raise ValueError("noise standard deviation must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -161,9 +156,9 @@ def capacity_from_fraction(fraction: float, population: int) -> int:
 
 def _draw_noise_matrix(config: SimulationConfig, replication: int, population: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(noise_stream_seed(config.base_seed, replication)))
-    if config.noise.sigma_xi == 0.0:
+    if config.sigma_xi == 0.0:
         return np.zeros((config.horizon, population))
-    return rng.normal(0.0, config.noise.sigma_xi, size=(config.horizon, population))
+    return rng.normal(0.0, config.sigma_xi, size=(config.horizon, population))
 
 
 def _simulate_rows(
@@ -181,7 +176,8 @@ def _simulate_rows(
     policy selects at most C patients in each row (classified as screening
     visits when the patient was unenrolled), every patient of every row
     advances one step with its own noise draw, which all rows share, and
-    metrics are recorded on the post-transition states. Each row evolves
+    metrics are recorded on the post-transition states (in control: b <=
+    spec.delta, the threshold the policy plans with). Each row evolves
     exactly as it would alone. table holds this cohort's rollouts.
     """
     n_periods = config.horizon
@@ -212,7 +208,7 @@ def _simulate_rows(
         ran_steps += visits.rollouts_run * remaining
 
         states, z = step_cohort(states, params, y, xi[t - 1])
-        in_control[t - 1] = np.count_nonzero(states.b <= config.delta, axis=1)
+        in_control[t - 1] = np.count_nonzero(states.b <= spec.delta, axis=1)
         enrolled[t - 1] = np.count_nonzero(z, axis=1)
 
     return [

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import PatientParams
-from .qp import QP_TOLERANCE, QPConvergenceError, QPResult, solve_qp, solve_qps
+from .qp import QP_TOLERANCE, QPResult, solve_qp, solve_qps
 
 Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
 
@@ -470,20 +470,16 @@ def solve_inner(
     values and the implied process innovations, subject to the dynamics,
     sign constraints on the per-period enrollment benefit, and
     nonnegativity. Infeasible cells (contradictory enrollment record under
-    this cell's shape parameters) come back with nll = +inf. Declining
+    this cell's shape parameters) and cells the QP leaves nonconverged
+    come back with the QP's status and nll = +inf. Declining
     while an offer stood is a strict preference, encoded as benefit <=
     -STRICT_GAP; without an offer only the weak bound benefit <= 0
     applies. solve_cells fits many cells of one history at once.
     """
     cell = (s_base, beta, gamma, rho)
     P, q = _objective(history, config)
-    A, l, u = _constraints(history, cell)
-    try:
-        result = solve_qp(P, q, A, l, u)
-    except QPConvergenceError as exc:
-        result = QPResult("nonconverged", None, None, None, exc.iterations,
-                          exc.primal_residual, exc.dual_residual)
-    return _inner_solution(history, cell, config, result)
+    return _inner_solution(history, cell, config,
+                           solve_qp(P, q, *_constraints(history, cell)))
 
 
 def grid_cells(config: EstimationConfig) -> List[Cell]:

@@ -106,17 +106,6 @@ class PatientState:
             raise ValueError(f"PatientState.z_prev must be 0 or 1, got {self.z_prev}")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Mean-zero Gaussian process noise xi on log-FBG."""
-
-    sigma_xi: float = 0.05
-
-    def __post_init__(self):
-        if self.sigma_xi < 0:
-            raise ValueError("noise standard deviation must be >= 0")
-
-
 class ParamArrays(NamedTuple):
     """A cohort's PatientParams as aligned float arrays, one entry per patient."""
 

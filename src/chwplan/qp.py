@@ -51,7 +51,10 @@ arithmetic, so a problem's iterates do not depend on its neighbours in
 the pool: the residuals are tested every iteration, while the
 infeasibility certificate and the rho adaptation run every
 CHECK_INTERVAL-th iteration, OSQP's check interval (Stellato et al.,
-Math. Prog. Comp. 2020). solve_qp is this loop on one problem.
+Math. Prog. Comp. 2020). solve_qp is this loop on one problem. Every
+problem ends in a QPResult whose status says how: "solved",
+"primal_infeasible" or "nonconverged" (MAX_ITERATIONS ran out); none
+raises.
 """
 
 from dataclasses import dataclass
@@ -61,8 +64,8 @@ import numpy as np
 
 POOL_WIDTH = 8
 CHECK_INTERVAL = 25
-# Residual tolerance (absolute, infinity norm), default iteration budget
-# and the infeasibility certificate's threshold; the x-update
+# Residual tolerance (absolute, infinity norm), iteration budget and the
+# infeasibility certificate's threshold; the x-update
 # regularization, over-relaxation and initial step size are OSQP's
 # defaults.
 QP_TOLERANCE = 1e-6
@@ -71,20 +74,6 @@ INFEASIBILITY_EPS = 1e-7
 SIGMA = 1e-6
 RELAXATION = 1.6
 RHO_INITIAL = 0.1
-
-
-class QPConvergenceError(Exception):
-    """Residuals still above tolerance when the iteration budget ran out."""
-
-    def __init__(self, iterations: int, primal_residual: float, dual_residual: float):
-        self.iterations = iterations
-        self.primal_residual = primal_residual
-        self.dual_residual = dual_residual
-        super().__init__(
-            f"no convergence after {iterations} iterations"
-            f" (primal residual {primal_residual:.3e},"
-            f" dual residual {dual_residual:.3e})"
-        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +136,6 @@ def solve_qps(
     P,
     q,
     constraints: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    max_iterations: int = MAX_ITERATIONS,
 ) -> Iterator[QPResult]:
     """Minimize (1/2)x'Px + q'x subject to l <= Ax <= u, for each (A, l, u).
 
@@ -156,7 +144,7 @@ def solve_qps(
     order, as soon as it and every earlier problem have finished, with
     status "solved" (both infinity-norm residuals at or below QP_TOLERANCE),
     "primal_infeasible" (certificate found) or "nonconverged"
-    (max_iterations passed without either). Fully deterministic: cold
+    (MAX_ITERATIONS passed without either). Fully deterministic: cold
     start at the origin, no randomization.
     """
     P = np.asarray(P, dtype=float)
@@ -164,8 +152,6 @@ def solve_qps(
     n = q.shape[0]
     if P.shape != (n, n):
         raise ValueError("inconsistent QP dimensions")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
 
     # normalize the objective so the dual tolerance is relative to its scale
     scale = max(1.0, float(np.max(np.abs(P))) if P.size else 0.0,
@@ -242,7 +228,7 @@ def solve_qps(
         r_prim = _absmax(Ax - z)
         r_dual = _absmax(Psx + qs + Aty)
         solved = np.maximum(r_prim, r_dual) <= QP_TOLERANCE
-        done = solved | (k >= max_iterations)
+        done = solved | (k >= MAX_ITERATIONS)
 
         # the certificate and rho adaptation, on the slots due this iteration;
         # the certificate tests both the last step's and the whole interval's
@@ -306,21 +292,8 @@ def solve_qps(
             next_out += 1
 
 
-def solve_qp(
-    P,
-    q,
-    A,
-    l,
-    u,
-    max_iterations: int = MAX_ITERATIONS,
-) -> QPResult:
-    """Minimize (1/2)x'Px + q'x subject to l <= Ax <= u: solve_qps on one problem.
-
-    Returns a QPResult with status "solved" or "primal_infeasible".
-    Raises QPConvergenceError when max_iterations passes without either.
-    """
-    (result,) = solve_qps(P, q, [(A, l, u)], max_iterations=max_iterations)
-    if result.status == "nonconverged":
-        raise QPConvergenceError(result.iterations, result.primal_residual,
-                                 result.dual_residual)
+def solve_qp(P, q, A, l, u) -> QPResult:
+    """Minimize (1/2)x'Px + q'x subject to l <= Ax <= u: solve_qps on one
+    problem, with the same statuses ("nonconverged" included)."""
+    (result,) = solve_qps(P, q, [(A, l, u)])
     return result

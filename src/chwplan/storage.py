@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -30,7 +29,6 @@ from .scenarios import (
 HISTORY_COLUMNS = ("patient_id", "period", "visited", "enrolled", "fbg_mgdl")
 COHORT_COLUMNS = ("patient_id", "group", "p", "mu", "alpha", "theta_base",
                   "lam", "s_base", "beta", "gamma", "rho", "initial_log_fbg")
-FEATURE_COLUMNS = FEATURE_NAMES
 RESULTS_COLUMNS = ("policy", "capacity_pct", "replication", "period",
                    "in_control", "enrolled", "visits", "screening_visits")
 SUMMARY_COLUMNS = ("policy", "capacity_pct", "ppc_mean", "ppc_ci_halfwidth",
@@ -184,10 +182,10 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file (missing header row)")
-        missing = [c for c in FEATURE_COLUMNS if c not in header]
+        missing = [c for c in FEATURE_NAMES if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {', '.join(missing)}")
-        idx = {c: header.index(c) for c in FEATURE_COLUMNS}
+        idx = {c: header.index(c) for c in FEATURE_NAMES}
         id_idx = header.index("patient_id") if "patient_id" in header else None
         ids, rows = [], []
         for i, row in enumerate(reader):
@@ -195,7 +193,7 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
                 continue
             rownum = i + 2
             try:
-                rows.append(tuple(float(row[idx[c]]) for c in FEATURE_COLUMNS))
+                rows.append(tuple(float(row[idx[c]]) for c in FEATURE_NAMES))
             except (ValueError, IndexError):
                 raise ValueError(f"{path} row {rownum}: malformed feature row")
             ids.append(row[id_idx] if id_idx is not None else f"row{rownum}")
@@ -278,8 +276,8 @@ def _group_to_dict(group: GroupSpec, weight: float) -> dict:
     return {
         "name": group.name,
         "weight": weight,
-        "centroid": dict(zip(FEATURE_COLUMNS, group.centroid)),
-        "sd": dict(zip(FEATURE_COLUMNS, group.sd)),
+        "centroid": dict(zip(FEATURE_NAMES, group.centroid)),
+        "sd": dict(zip(FEATURE_NAMES, group.sd)),
     }
 
 
@@ -299,10 +297,10 @@ def _parse_feature_map(entry: dict, key: str, where: str) -> Tuple[float, ...]:
     mapping = entry.get(key)
     if not isinstance(mapping, dict):
         raise ValueError(f"{where}: {key} must be a mapping of the 7 parameters")
-    missing = [c for c in FEATURE_COLUMNS if c not in mapping]
+    missing = [c for c in FEATURE_NAMES if c not in mapping]
     if missing:
         raise ValueError(f"{where}: {key} missing {', '.join(missing)}")
-    return tuple(float(mapping[c]) for c in FEATURE_COLUMNS)
+    return tuple(float(mapping[c]) for c in FEATURE_NAMES)
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioSpec:
@@ -372,34 +370,27 @@ def load_scenario(name_or_path: str) -> Tuple[ScenarioSpec, Optional[str]]:
 # run manifests
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced an output directory, in enough detail to redo it."""
-
-    tool_version: str
-    command: str
-    config: dict
-    base_seed: int
-    input_digests: Dict[str, str]
-    outputs: Tuple[str, ...]
-    output_digests: Dict[str, str]
-    duration_seconds: float
-    work: Dict[str, int]  # counts of the work the run did, by name
-
-
-def write_manifest(directory: str, manifest: RunManifest) -> str:
-    path = os.path.join(directory, MANIFEST_NAME)
+def write_manifest(directory: str, command: str, config: dict, base_seed: int,
+                   input_paths: Sequence[str], outputs: Sequence[str],
+                   duration_seconds: float,
+                   work: Optional[Dict[str, int]] = None) -> str:
+    """Write what produced directory, in enough detail to redo it: the
+    command, its config and seed, the sha256 of each input and of each
+    listed output in directory, the duration, and counts of the work the
+    run did, by name. Returns the manifest's path."""
     payload = {
-        "tool_version": manifest.tool_version,
-        "command": manifest.command,
-        "config": manifest.config,
-        "base_seed": manifest.base_seed,
-        "input_digests": manifest.input_digests,
-        "outputs": list(manifest.outputs),
-        "output_digests": manifest.output_digests,
-        "duration_seconds": manifest.duration_seconds,
-        "work": manifest.work,
+        "tool_version": __version__,
+        "command": command,
+        "config": config,
+        "base_seed": base_seed,
+        "input_digests": {p: sha256_file(p) for p in input_paths},
+        "outputs": list(outputs),
+        "output_digests": {name: sha256_file(os.path.join(directory, name))
+                           for name in outputs},
+        "duration_seconds": round(duration_seconds, 3),
+        "work": dict(work or {}),
     }
+    path = os.path.join(directory, MANIFEST_NAME)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -412,22 +403,3 @@ def read_manifest(directory: str) -> dict:
         raise ValueError(f"{directory}: no {MANIFEST_NAME} found")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def make_manifest(command: str, config: dict, base_seed: int,
-                  input_paths: Sequence[str], outputs: Sequence[str],
-                  duration_seconds: float, out_dir: str,
-                  work: Optional[Dict[str, int]] = None) -> RunManifest:
-    """Manifest of a run, with the sha256 of each listed output in out_dir."""
-    return RunManifest(
-        tool_version=__version__,
-        command=command,
-        config=config,
-        base_seed=base_seed,
-        input_digests={p: sha256_file(p) for p in input_paths},
-        outputs=tuple(outputs),
-        output_digests={name: sha256_file(os.path.join(out_dir, name))
-                        for name in outputs},
-        duration_seconds=round(duration_seconds, 3),
-        work=dict(work or {}),
-    )

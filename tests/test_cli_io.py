@@ -15,6 +15,7 @@ import pytest
 
 from chwplan import charts, clustering, estimation, qp, storage
 from chwplan.cli import _parse_capacities, _representative_pct, _share_series, main
+from chwplan.clustering import FEATURE_NAMES
 from chwplan.engine import RunResult
 from chwplan.model import PatientParams
 from chwplan.scenarios import builtin_scenarios, default_sds
@@ -208,7 +209,7 @@ class TestScenarioFiles:
         assert loaded == original
 
     def test_omitted_sd_falls_back_to_shared_rule(self, tmp_path):
-        keys = storage.FEATURE_COLUMNS
+        keys = FEATURE_NAMES
         c1 = dict(zip(keys, (1.0, 0.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
         c2 = dict(zip(keys, (3.0, 1.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
         data = {"name": "two", "population": 10, "groups": [
@@ -236,7 +237,7 @@ class TestScenarioFiles:
             storage.load_scenario(str(path))
 
     def test_bad_weights_rejected_on_load(self, tmp_path):
-        keys = storage.FEATURE_COLUMNS
+        keys = FEATURE_NAMES
         cen = dict(zip(keys, (1.0, 0.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
         data = {"name": "broken", "groups": [
             {"name": "a", "weight": 0.4, "centroid": cen},
@@ -248,7 +249,7 @@ class TestScenarioFiles:
             storage.load_scenario(str(path))
 
     def test_missing_centroid_key_names_the_group(self, tmp_path):
-        keys = storage.FEATURE_COLUMNS
+        keys = FEATURE_NAMES
         cen = dict(zip(keys, (1.0, 0.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
         del cen["beta"]
         path = tmp_path / "m.json"
@@ -267,11 +268,13 @@ class TestManifest:
         blob = tmp_path / "input.csv"
         blob.write_bytes(b"alpha,beta\n1,2\n")
         (tmp_path / "results.csv").write_bytes(b"x\n")
-        manifest = storage.make_manifest(
-            "simulate", {"k": 1}, 42, [str(blob)], ["results.csv"], 1.23456,
-            str(tmp_path))
-        storage.write_manifest(str(tmp_path), manifest)
+        storage.write_manifest(str(tmp_path), "simulate", {"k": 1}, 42,
+                               [str(blob)], ["results.csv"], 1.23456)
         back = storage.read_manifest(str(tmp_path))
+        assert set(back) == {"tool_version", "command", "config", "base_seed",
+                             "input_digests", "outputs", "output_digests",
+                             "duration_seconds", "work"}
+        assert back["work"] == {}
         assert back["command"] == "simulate"
         assert back["base_seed"] == 42
         assert back["outputs"] == ["results.csv"]
@@ -488,7 +491,7 @@ class TestCliPipelines:
                      "--elbow", "1:3", "--seed", "0",
                      "--out", str(clu)]) == 0
         centroid_rows = (clu / "centroids.csv").read_text().splitlines()
-        assert centroid_rows[0] == "cluster," + ",".join(storage.FEATURE_COLUMNS)
+        assert centroid_rows[0] == "cluster," + ",".join(FEATURE_NAMES)
         assert len(centroid_rows) == 3  # header + 2 clusters
         assignments = (clu / "assignments.csv").read_text().splitlines()
         assert len(assignments) == 11 and assignments[0] == "patient_id,cluster"
@@ -499,6 +502,7 @@ class TestCliPipelines:
         config = storage.read_manifest(str(clu))["config"]
         assert config["clustering.MAX_ITERATIONS"] == clustering.MAX_ITERATIONS
         assert config["clustering.TOLERANCE"] == clustering.TOLERANCE
+        assert config["clustering.RESTARTS"] == clustering.RESTARTS
 
     def test_estimate_recovers_noise_free_history(self, tmp_path):
         params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,
@@ -634,8 +638,7 @@ class TestCliErrors:
         out.mkdir()
         storage.write_results_csv(str(out / "results.csv"), [])
         storage.write_summary_csv(str(out / "summary.csv"), [])
-        storage.write_manifest(str(out), storage.make_manifest(
-            "simulate", {"population": 5}, 0, [], [], 0.0, str(out)))
+        storage.write_manifest(str(out), "simulate", {"population": 5}, 0, [], [], 0.0)
         assert main(["report", "--results", str(out)]) == 1
         assert "results are empty" in capsys.readouterr().err
 

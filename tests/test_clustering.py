@@ -5,6 +5,7 @@ monotonicity guarantee."""
 import numpy as np
 import pytest
 
+from chwplan import clustering
 from chwplan.clustering import (
     FEATURE_NAMES,
     cluster_params,
@@ -161,13 +162,14 @@ def test_elbow_rejects_empty_range():
 # within-run objective monotonicity
 # ---------------------------------------------------------------------------
 
-def test_inertia_never_increases_within_run():
+def test_inertia_never_increases_within_run(monkeypatch):
     # a single restart from a k-means++ draw must improve monotonically;
     # run several seeds so multiple-iteration runs actually occur
     table = blob_table(per_blob=8, jitter=1.0, seed=12)  # overlapping blobs
     saw_multi_iteration = False
+    monkeypatch.setattr(clustering, "RESTARTS", 1)
     for seed in range(6):
-        result = cluster_params(table, k=4, seed=seed, restarts=1)
+        result = cluster_params(table, k=4, seed=seed)
         trace = result.inertia_trace
         saw_multi_iteration = saw_multi_iteration or len(trace) > 2
         for earlier, later in zip(trace, trace[1:]):

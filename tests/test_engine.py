@@ -3,6 +3,7 @@ numbers, the exhaustive schedule oracle, and result aggregation."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from chwplan.engine import (
     stable_hash64,
     summarize,
 )
-from chwplan.model import NoiseModel, PatientParams, PatientState
+from chwplan.model import PatientParams, PatientState
 from chwplan.policy import POLICY_KINDS, PolicySpec
 
 DELTA = math.log(125.0)
@@ -42,7 +43,7 @@ def fresh_cohort(bs, prm):
 
 def quiet_config(**kw):
     base = dict(horizon=10, capacity_fractions=(0.5,), replications=1,
-                base_seed=11, noise=NoiseModel(sigma_xi=0.0), delta=DELTA)
+                base_seed=11, sigma_xi=0.0)
     base.update(kw)
     return SimulationConfig(**base)
 
@@ -83,6 +84,8 @@ def test_config_validation():
         quiet_config(capacity_fractions=(0.5, 0.1))  # not ascending
     with pytest.raises(ValueError):
         quiet_config(capacity_fractions=(0.0,))
+    with pytest.raises(ValueError):
+        quiet_config(sigma_xi=-0.1)
 
 
 def test_cohort_validation():
@@ -116,9 +119,34 @@ def test_crossing_time_matches_closed_form():
     assert res.ppc_fraction == pytest.approx(expected_periods / 20)
 
 
+def test_in_control_counts_at_the_policy_threshold():
+    # b stays at 4.9, between log 125 and log 150: in control exactly when
+    # the policy's own delta is log 150
+    prm = PatientParams(p=0.0, mu=0.025, alpha=0.1, beta=0.3, lam=0.5,
+                        gamma=0.2, rho=0.2, s_base=1.0, theta_base=0.7)
+    cohort = fresh_cohort([4.9], prm)
+    assert math.log(125.0) < 4.9 < math.log(150.0)
+    for mgdl, ppc in ((150.0, 1.0), (125.0, 0.0)):
+        spec = PolicySpec("visit_no_one", math.log(mgdl))
+        (row,) = capacity_sweep(lambda seed: cohort, [spec], quiet_config())
+        assert row.final_log_fbg == (4.9,)
+        assert row.ppc_fraction == ppc, mgdl
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library" code block, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Library"):]
+    code = section[section.index("```python\n") + 10:section.index("\n```\n")]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["ea_desc_vtg_per_visit", "0.05"], ["ea_desc_vtg_per_visit", "0.2"]]
+
+
 def test_simulate_is_deterministic():
     cohort = fresh_cohort([5.0, 6.0, 4.5], GROUP_B)
-    cfg = quiet_config(noise=NoiseModel(sigma_xi=0.2), horizon=15)
+    cfg = quiet_config(sigma_xi=0.2, horizon=15)
     spec = PolicySpec("ea_desc_vtg_per_visit", DELTA)
     a = simulate(cohort, spec, cfg, 0.5, replication=2)
     b = simulate(cohort, spec, cfg, 0.5, replication=2)
@@ -127,7 +155,7 @@ def test_simulate_is_deterministic():
 
 def test_changing_replication_changes_noise():
     cohort = fresh_cohort([5.0, 6.0], GROUP_A)
-    cfg = quiet_config(noise=NoiseModel(sigma_xi=0.3), horizon=5)
+    cfg = quiet_config(sigma_xi=0.3, horizon=5)
     spec = PolicySpec("visit_no_one", DELTA)
     a = simulate(cohort, spec, cfg, 0.5, replication=0)
     b = simulate(cohort, spec, cfg, 0.5, replication=1)
@@ -138,7 +166,7 @@ def test_common_random_numbers_across_policies():
     # asc_fbg at a fraction yielding zero capacity behaves like no visits;
     # identical noise then forces identical trajectories
     cohort = fresh_cohort([5.0, 6.0, 4.5], GROUP_B)
-    cfg = quiet_config(noise=NoiseModel(sigma_xi=0.25), horizon=12)
+    cfg = quiet_config(sigma_xi=0.25, horizon=12)
     no_one = simulate(cohort, PolicySpec("visit_no_one", DELTA), cfg, 0.5, replication=4)
     asc_c0 = simulate(cohort, PolicySpec("asc_fbg", DELTA), cfg, 0.1, replication=4)
     assert no_one.final_log_fbg == asc_c0.final_log_fbg
@@ -148,7 +176,7 @@ def test_common_random_numbers_across_policies():
 def test_ppc_additivity_and_visit_bounds():
     rng = np.random.default_rng(5)
     cohort = fresh_cohort(list(rng.uniform(3.5, 7.5, size=6)), GROUP_B)
-    cfg = quiet_config(noise=NoiseModel(sigma_xi=0.1), horizon=9)
+    cfg = quiet_config(sigma_xi=0.1, horizon=9)
     for kind in ("asc_fbg", "ea_desc_fbg", "ea_desc_vtg"):
         res = simulate(cohort, PolicySpec(kind, DELTA), cfg, 0.4, replication=1)
         C = capacity_from_fraction(0.4, len(cohort))
@@ -181,7 +209,7 @@ def test_stream_seeds_do_not_depend_on_policy_or_fraction():
 def test_sweep_cardinality_and_order():
     cohort = fresh_cohort([5.0, 6.0], GROUP_B)
     cfg = quiet_config(capacity_fractions=(0.25, 0.5, 1.0), replications=2,
-                       noise=NoiseModel(sigma_xi=0.05), horizon=6)
+                       sigma_xi=0.05, horizon=6)
     specs = [PolicySpec("asc_fbg", DELTA), PolicySpec("ea_asc_fbg", DELTA)]
     rows = capacity_sweep(lambda seed: cohort, specs, cfg)
     assert len(rows) == 2 * 3 * 2
@@ -194,7 +222,7 @@ def test_sweep_single_replication_composes_from_simulate():
     # each row must be that capacity's simulation on its own
     cohort = fresh_cohort([5.0, 6.0], GROUP_B)
     cfg = quiet_config(capacity_fractions=(0.5, 1.0), replications=1,
-                       noise=NoiseModel(sigma_xi=0.05), horizon=6)
+                       sigma_xi=0.05, horizon=6)
     for kind in POLICY_KINDS:
         spec = PolicySpec(kind, DELTA)
         rows = capacity_sweep(lambda seed: cohort, [spec], cfg)
@@ -215,7 +243,7 @@ def test_sweep_shares_rollouts_across_policies_without_changing_rows():
         initial_states=(PatientState(b=8.5, s=0.8, theta=0.3, z_prev=1),
                         PatientState(b=3.8, s=0.2, theta=0.5, z_prev=1)))
     cfg = quiet_config(capacity_fractions=(0.5, 1.0), replications=2,
-                       noise=NoiseModel(sigma_xi=0.05), horizon=5)
+                       sigma_xi=0.05, horizon=5)
     specs = [PolicySpec(kind, DELTA) for kind in ("ea_desc_vtg", "ea_desc_vtg_per_visit")]
     both = capacity_sweep(lambda seed: cohort, specs, cfg)
     alone = [r for spec in specs for r in capacity_sweep(lambda seed: cohort, [spec], cfg)]
@@ -251,7 +279,7 @@ def test_visit_everyone_dominates_visit_no_one_on_always_enroll_cohort():
     rng = np.random.default_rng(3)
     cohort = fresh_cohort(list(rng.uniform(5.0, 7.0, size=5)), GROUP_B)
     cfg = quiet_config(capacity_fractions=(1.0,), replications=3,
-                       noise=NoiseModel(sigma_xi=0.05), horizon=12)
+                       sigma_xi=0.05, horizon=12)
     specs = [PolicySpec("visit_everyone", DELTA), PolicySpec("visit_no_one", DELTA)]
     rows = capacity_sweep(lambda seed: cohort, specs, cfg)
     mean = lambda kind: np.mean([r.ppc_fraction for r in rows if r.policy_kind == kind])

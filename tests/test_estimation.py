@@ -27,7 +27,7 @@ from chwplan.estimation import (
     solve_inner,
 )
 from chwplan.model import PatientParams
-from chwplan.qp import MAX_ITERATIONS, QPConvergenceError, QPResult, solve_qp
+from chwplan.qp import MAX_ITERATIONS, QPResult, solve_qp
 
 from _synthetic import generate_history
 
@@ -253,7 +253,7 @@ def test_inner_solution_respects_benefit_signs():
 
 def test_inner_excludes_stalled_cell(monkeypatch):
     def always_stalls(*args, **kwargs):
-        raise QPConvergenceError(17, 1e-3, 1e-5)
+        return QPResult("nonconverged", None, None, None, 17, 1e-3, 1e-5)
 
     monkeypatch.setattr(est, "solve_qp", always_stalls)
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})

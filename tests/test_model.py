@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chwplan.engine import SimulationConfig
 from chwplan.model import (
-    NoiseModel,
     PatientParams,
     PatientState,
     benefit,
@@ -94,9 +94,10 @@ def test_state_rejects_non_finite_fields(name, bad):
 
 
 def test_noise_model_validation():
-    NoiseModel()  # defaults are fine
+    # the process noise's sd is a SimulationConfig field
+    assert SimulationConfig().sigma_xi == 0.05
     with pytest.raises(ValueError):
-        NoiseModel(sigma_xi=-0.1)
+        SimulationConfig(sigma_xi=-0.1)
 
 
 # ---------------------------------------------------------------------------

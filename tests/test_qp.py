@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from chwplan.qp import POOL_WIDTH, QPConvergenceError, solve_qp, solve_qps
+from chwplan import qp
+from chwplan.qp import POOL_WIDTH, solve_qp, solve_qps
 
 
 def test_scalar_clipped_minimum():
@@ -127,13 +128,14 @@ def test_dimension_mismatch_rejected():
         solve_qp(np.eye(2), np.zeros(3), np.eye(2), np.zeros(2), np.ones(2))
 
 
-def test_iteration_budget_error_carries_count():
-    with pytest.raises(QPConvergenceError) as exc:
-        solve_qp(np.eye(2), np.array([-1.0, 2.0]),
-                 np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0]),
-                 max_iterations=1)
-    assert exc.value.iterations == 1
-    assert exc.value.primal_residual >= 0.0
+def test_iteration_budget_error_carries_count(monkeypatch):
+    # an exhausted budget is a status, not an exception
+    monkeypatch.setattr(qp, "MAX_ITERATIONS", 1)
+    res = solve_qp(np.eye(2), np.array([-1.0, 2.0]),
+                   np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0]))
+    assert res.status == "nonconverged"
+    assert res.x is None and res.iterations == 1
+    assert res.primal_residual >= 0.0
 
 
 def test_solver_is_deterministic():
@@ -178,33 +180,32 @@ def _mixed_batch():
     return P, q, problems
 
 
-def test_batch_matches_single_solves_in_input_order():
+def test_batch_matches_single_solves_in_input_order(monkeypatch):
     # a 75-iteration budget leaves some equality problems unconverged
+    monkeypatch.setattr(qp, "MAX_ITERATIONS", 75)
     P, q, problems = _mixed_batch()
     assert len(problems) > POOL_WIDTH
-    results = list(solve_qps(P, q, iter(problems), max_iterations=75))
+    results = list(solve_qps(P, q, iter(problems)))
     assert len(results) == len(problems)
     for (A, lo, hi), res in zip(problems, results):
-        try:
-            single = solve_qp(P, q, A, lo, hi, max_iterations=75)
-        except QPConvergenceError as exc:
-            assert res.status == "nonconverged"
-            assert res.x is None and res.iterations == exc.iterations
-            continue
+        single = solve_qp(P, q, A, lo, hi)
         assert res.status == single.status
         if single.status == "solved":
             assert np.max(np.abs(res.x - single.x)) <= 1e-6
         else:
             assert res.x is None
+        if single.status == "nonconverged":
+            assert res.iterations == single.iterations
     assert [r.status for r in results[1::4]] == ["primal_infeasible"] * 3
     assert {r.status for r in results} == {"solved", "primal_infeasible",
                                            "nonconverged"}
 
 
-def test_batch_is_deterministic():
+def test_batch_is_deterministic(monkeypatch):
+    monkeypatch.setattr(qp, "MAX_ITERATIONS", 75)
     P, q, problems = _mixed_batch()
-    a = list(solve_qps(P, q, problems, max_iterations=75))
-    b = list(solve_qps(P, q, problems, max_iterations=75))
+    a = list(solve_qps(P, q, problems))
+    b = list(solve_qps(P, q, problems))
     for ra, rb in zip(a, b):
         assert (ra.status, ra.iterations, ra.objective) == (rb.status, rb.iterations,
                                                             rb.objective)
