@@ -12,13 +12,13 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import charts, clustering, estimation, qp, storage
-from .clustering import cluster_params, elbow_curve
+from .clustering import cluster_params
 from .engine import SimulationConfig, capacity_sweep, period_shares, summarize
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
 from .policy import POLICY_KINDS, PolicySpec
@@ -182,12 +182,7 @@ def _cmd_estimate(args) -> int:
                                 estimates)
     manifest_config = {
         "histories": args.histories,
-        "grid_s_base": list(config.grid_s_base),
-        "grid_beta": list(config.grid_beta),
-        "grid_gamma": list(config.grid_gamma),
-        "grid_rho": list(config.grid_rho),
-        "sigma_eps": config.sigma_eps,
-        "sigma_xi": config.sigma_xi,
+        **asdict(config),
         **_constants(qp, "QP_TOLERANCE", "MAX_ITERATIONS", "CHECK_INTERVAL",
                      "POOL_WIDTH", "INFEASIBILITY_EPS", "SIGMA", "RELAXATION",
                      "RHO_INITIAL"),
@@ -212,7 +207,21 @@ def _cmd_estimate(args) -> int:
 def _cmd_cluster(args) -> int:
     start = time.perf_counter()
     ids, rows = storage.read_feature_table(args.params)
-    result = cluster_params(rows, args.k, seed=args.seed)
+    ks: List[int] = []
+    if args.elbow:
+        parts = args.elbow.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"bad --elbow {args.elbow!r}; expected kmin:kmax")
+        try:
+            k_min, k_max = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"bad --elbow {args.elbow!r}; expected integers")
+        if not (1 <= k_min <= k_max):
+            raise ValueError(f"bad --elbow {args.elbow!r}; need 1 <= kmin <= kmax")
+        ks = list(range(k_min, k_max + 1))
+    # one fit per k: --k's is the elbow's when the sweep covers it
+    fits = {k: cluster_params(rows, k, seed=args.seed) for k in sorted({args.k, *ks})}
+    result = fits[args.k]
     out_dir = _resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     outputs = ["centroids.csv", "assignments.csv"]
@@ -226,26 +235,14 @@ def _cmd_cluster(args) -> int:
         ("patient_id", "cluster"),
         list(zip(ids, result.assignments)),
     )
-    elbow_config = None
-    if args.elbow:
-        parts = args.elbow.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"bad --elbow {args.elbow!r}; expected kmin:kmax")
-        try:
-            k_min, k_max = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad --elbow {args.elbow!r}; expected integers")
-        if not (1 <= k_min <= k_max):
-            raise ValueError(f"bad --elbow {args.elbow!r}; need 1 <= kmin <= kmax")
-        ks = list(range(k_min, k_max + 1))
-        inertias = elbow_curve(rows, ks, seed=args.seed)
-        storage.write_table(os.path.join(out_dir, "elbow.csv"),
-                           ("k", "inertia"), list(zip(ks, inertias)))
+    if ks:
+        storage.write_table(os.path.join(out_dir, "elbow.csv"), ("k", "inertia"),
+                            [(k, fits[k].inertia) for k in ks])
         outputs.append("elbow.csv")
-        elbow_config = [k_min, k_max]
     storage.write_manifest(
         out_dir, "cluster",
-        {"params": args.params, "k": args.k, "elbow": elbow_config,
+        {"params": args.params, "k": args.k,
+         "elbow": [ks[0], ks[-1]] if ks else None,
          **_constants(clustering, "MAX_ITERATIONS", "TOLERANCE", "RESTARTS")},
         args.seed, [args.params], outputs, time.perf_counter() - start,
     )
@@ -314,8 +311,8 @@ def _cmd_report(args) -> int:
     summary = storage.read_summary_csv(summary_path)
     if not rows or not summary:
         raise ValueError(f"{res_dir}: results are empty")
-    config = manifest.get("config", {})
-    population = config.get("population")
+    config = manifest.get("config")
+    population = config.get("population") if isinstance(config, dict) else None
     if not isinstance(population, int) or population < 1:
         raise ValueError(f"{res_dir}: manifest lacks a usable population")
     delta_mgdl = config.get("delta_mgdl", 125.0)

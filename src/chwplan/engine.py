@@ -156,8 +156,6 @@ def capacity_from_fraction(fraction: float, population: int) -> int:
 
 def _draw_noise_matrix(config: SimulationConfig, replication: int, population: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(noise_stream_seed(config.base_seed, replication)))
-    if config.sigma_xi == 0.0:
-        return np.zeros((config.horizon, population))
     return rng.normal(0.0, config.sigma_xi, size=(config.horizon, population))
 
 

@@ -203,16 +203,6 @@ def perception_coefficients(history: VisitHistory, rho: float) -> Tuple[float, .
     return tuple(c)
 
 
-def _was_offered(history: VisitHistory, t: int) -> bool:
-    """Whether enrolling was on the table in period t.
-
-    An unenrolled, unvisited patient makes no decision, so their benefit
-    sign is only weakly constrained; a visited or previously enrolled one
-    actively declined if the record shows them unenrolled.
-    """
-    return history.visited[t] == 1 or (t > 0 and history.enrolled[t - 1] == 1)
-
-
 def _objective(history: VisitHistory, config: EstimationConfig):
     """P and q of the inner QP: the Gaussian negative log-likelihood.
 
@@ -263,14 +253,15 @@ def _constraints(history: VisitHistory, cell: Cell):
     n = T + 5
     imu, ial, ith, ila = T + 1, T + 2, T + 3, T + 4
 
-    s = reconstruct_adverse(history, s_base, beta, gamma)
+    y, z = np.array(history.visited), np.array(history.enrolled)
+    s = np.array(reconstruct_adverse(history, s_base, beta, gamma))
     c = np.array(perception_coefficients(history, rho))
-    g = [gamma * (s[t] - s_base) + s_base for t in range(T)]
-    h = np.array([g[t] + beta * history.visited[t] for t in range(T)])
+    g = gamma * (s - s_base) + s_base
+    h = g + beta * y
 
     ub = PARAM_UPPER_BOUND
-    theta_max = ub * (1.0 + max(abs(ct) for ct in c))
-    big_m = 2.0 * (ub + ub + theta_max * (max(g) + beta))
+    theta_max = ub * (1.0 + np.max(np.abs(c)))
+    big_m = 2.0 * (ub + ub + theta_max * (np.max(g) + beta))
 
     lo, hi = _box(history)
     A = np.zeros((3 * T + 5, n))
@@ -280,22 +271,15 @@ def _constraints(history: VisitHistory, cell: Cell):
     theta_rows[:, ila] = c
     benefit_rows = A[2 * T + 5:]
     benefit_rows[:, imu] = 1.0
-    benefit_rows[:, ial] = history.visited
+    benefit_rows[:, ial] = y
     benefit_rows[:, ith] = -h
     benefit_rows[:, ila] = -h * c
 
-    enrolled = np.array(history.enrolled) == 1
-    offered = np.array([_was_offered(history, t) for t in range(T)])
-    l = np.concatenate([
-        lo,
-        np.zeros(T),
-        np.where(enrolled, 0.0, -big_m),
-    ])
-    u = np.concatenate([
-        hi,
-        np.full(T, math.inf),
-        np.where(enrolled, big_m, np.where(offered, -STRICT_GAP, 0.0)),
-    ])
+    # an offer stands when visited or enrolled before: enroll_decision's z_prev | y
+    offered = (np.concatenate([[0], z[:-1]]) | y) == 1
+    l = np.concatenate([lo, np.zeros(T), np.where(z == 1, 0.0, -big_m)])
+    u = np.concatenate([hi, np.full(T, math.inf),
+                        np.where(z == 1, big_m, np.where(offered, -STRICT_GAP, 0.0))])
     return A, l, u
 
 
@@ -356,13 +340,13 @@ def relaxed_lower_bound(history: VisitHistory, config: EstimationConfig) -> floa
     """A certified lower bound on the nll of every grid cell of a history.
 
     Each cell's nll is F(x) = (1/2)x'Px + q'x + (1/2)w_eps*sum(val^2), with
-    _objective's P and q, at a point x of _box (_inner_solution clamps x
-    into it), so the minimum of F over the box bounds every cell. That
-    minimum comes from _box_qp, and is certified by weak duality: F is a
-    sum of squares, hence convex, so at the box point w with gradient
-    g = Pw + q, F(x) >= F(w) + g'(x - w) for every x, and the minimum of
-    the right side over the box is F(w) + sum_i min(g_i(lo_i - w_i),
-    g_i(hi_i - w_i)), whatever the accuracy of w.
+    _objective's P and q, at a point x of _box (_inner_solution clips the
+    QP's x to _box's l and u, the ones minimized over here), so the minimum
+    of F over the box bounds every cell. That minimum comes from _box_qp,
+    and is certified by weak duality: F is a sum of squares, hence convex,
+    so at the box point w with gradient g = Pw + q, F(x) >= F(w) + g'(x - w)
+    for every x, and the minimum of the right side over the box is F(w) +
+    sum_i min(g_i(lo_i - w_i), g_i(hi_i - w_i)), whatever the accuracy of w.
 
     The b_t have no upper bound, so the minimum is taken over the level set
     F(x) <= U = F(w) + 1 as well (outside it F > U exceeds the bound
@@ -437,13 +421,12 @@ def _inner_solution(
             f"solver reported success but a constraint is violated by {audit:.3e}"
         )
 
+    # the box relaxed_lower_bound minimizes over, so that it bounds this nll
+    x = np.clip(x, *_box(history))
     y, z = history.visited, history.enrolled
     T = history.length
-    ub = PARAM_UPPER_BOUND
-    b = tuple(max(float(v), 0.0) for v in x[:T])
-    p, mu, alpha, theta_base, lam = (
-        min(max(float(x[j]), 0.0), ub) for j in range(T, T + 5)
-    )
+    b = tuple(float(v) for v in x[:T])
+    p, mu, alpha, theta_base, lam = (float(v) for v in x[T:])
     xi = tuple(
         b[t + 1] - b[t] - p + mu * z[t] + alpha * y[t] * z[t] for t in range(T - 1)
     )

@@ -77,7 +77,7 @@ class PatientParams:
             # is a warning rather than an error.
             warnings.warn(
                 f"intervention cannot offset progression: p={self.p} >= mu+alpha={self.mu + self.alpha}",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import MISSING, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -49,7 +50,9 @@ def write_table(path: str, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: str, expected_header: Sequence[str]) -> List[List[str]]:
+def _read_csv(path: str, expected_header: Sequence[str]) -> List[Tuple[int, List[str]]]:
+    """The nonblank rows under the expected header, each with its 1-based
+    row number in the file; a row with another number of fields is named."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -61,7 +64,12 @@ def _read_csv(path: str, expected_header: Sequence[str]) -> List[List[str]]:
                 f"{path}: expected header {','.join(expected_header)},"
                 f" got {','.join(header)}"
             )
-        return [row for row in reader if row]
+        numbered = [(rownum, row) for rownum, row in enumerate(reader, 2) if row]
+    for rownum, row in numbered:
+        if len(row) != len(expected_header):
+            raise ValueError(f"{path} row {rownum}: expected"
+                             f" {len(expected_header)} fields, got {len(row)}")
+    return numbered
 
 
 def sha256_file(path: str) -> str:
@@ -85,13 +93,9 @@ def ingest_histories(path: str) -> List[VisitHistory]:
     in mg/dL and log-transformed here, so readings below 1 mg/dL are
     rejected rather than mapped to negative log values.
     """
-    rows = _read_csv(path, HISTORY_COLUMNS)
     per_patient: Dict[str, Dict[int, Tuple[int, int, Optional[float]]]] = {}
     order: List[str] = []
-    for i, row in enumerate(rows):
-        rownum = i + 2  # 1-based, after the header
-        if len(row) != 5:
-            raise ValueError(f"{path} row {rownum}: expected 5 fields, got {len(row)}")
+    for rownum, row in _read_csv(path, HISTORY_COLUMNS):
         pid, period_s, visited_s, enrolled_s, fbg_s = (f.strip() for f in row)
         if not pid:
             raise ValueError(f"{path} row {rownum}: empty patient_id")
@@ -223,17 +227,20 @@ def write_results_csv(path: str, results: Sequence[RunResult]) -> None:
     write_table(path, RESULTS_COLUMNS, rows)
 
 
+def _read_records(path: str, columns: Sequence[str], types) -> List[dict]:
+    """A table's rows as dicts keyed by columns, each field parsed by the
+    matching entry of types; a row with an unparsable field is named."""
+    records = []
+    for rownum, row in _read_csv(path, columns):
+        try:
+            records.append({c: t(v) for c, t, v in zip(columns, types, row)})
+        except ValueError as exc:
+            raise ValueError(f"{path} row {rownum}: {exc}")
+    return records
+
+
 def read_results_csv(path: str) -> List[dict]:
-    rows = _read_csv(path, RESULTS_COLUMNS)
-    out = []
-    for row in rows:
-        out.append({
-            "policy": row[0], "capacity_pct": float(row[1]),
-            "replication": int(row[2]), "period": int(row[3]),
-            "in_control": int(row[4]), "enrolled": int(row[5]),
-            "visits": int(row[6]), "screening_visits": int(row[7]),
-        })
-    return out
+    return _read_records(path, RESULTS_COLUMNS, (str, float) + (int,) * 6)
 
 
 def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
@@ -247,16 +254,7 @@ def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
 
 
 def read_summary_csv(path: str) -> List[dict]:
-    rows = _read_csv(path, SUMMARY_COLUMNS)
-    out = []
-    for row in rows:
-        out.append({
-            "policy": row[0], "capacity_pct": float(row[1]),
-            "ppc_mean": float(row[2]), "ppc_ci_halfwidth": float(row[3]),
-            "final_fbg_p25": float(row[4]), "final_fbg_p50": float(row[5]),
-            "final_fbg_p75": float(row[6]), "final_fbg_p90": float(row[7]),
-        })
-    return out
+    return _read_records(path, SUMMARY_COLUMNS, (str,) + (float,) * 7)
 
 
 def write_estimates_csv(path: str, estimates: Sequence[Tuple[str, EstimationResult]]) -> None:
@@ -281,16 +279,15 @@ def _group_to_dict(group: GroupSpec, weight: float) -> dict:
     }
 
 
+# ScenarioSpec's optional settings: population, gamma, rho, initial FBG
+_SCENARIO_SETTINGS = tuple(f.name for f in fields(ScenarioSpec)
+                           if f.default is not MISSING)
+
+
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "name": spec.name,
-        "population": spec.population,
-        "gamma": spec.gamma,
-        "rho": spec.rho,
-        "initial_fbg_mean_mgdl": spec.initial_fbg_mean_mgdl,
-        "initial_fbg_sd_mgdl": spec.initial_fbg_sd_mgdl,
-        "groups": [_group_to_dict(g, w) for g, w in spec.groups],
-    }
+    return {"name": spec.name,
+            **{key: getattr(spec, key) for key in _SCENARIO_SETTINGS},
+            "groups": [_group_to_dict(g, w) for g, w in spec.groups]}
 
 
 def _parse_feature_map(entry: dict, key: str, where: str) -> Tuple[float, ...]:
@@ -322,6 +319,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioSpec:
         raise ValueError(f"{where}: groups must be a nonempty list")
     centroids = []
     for i, entry in enumerate(groups_raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} group {i}: expected a JSON object")
         centroids.append(_parse_feature_map(entry, "centroid", f"{where} group {i}"))
     default_sd = default_sds(centroids)
     groups = []
@@ -336,11 +335,11 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioSpec:
               else default_sd)
         groups.append((GroupSpec(str(name), centroids[i], sd),
                        float(entry["weight"])))
-    kwargs = {}
-    for key in ("population", "gamma", "rho", "initial_fbg_mean_mgdl",
-                "initial_fbg_sd_mgdl"):
-        if key in data:
-            kwargs[key] = data[key]
+    kwargs = {key: data[key] for key in _SCENARIO_SETTINGS if key in data}
+    for key, value in kwargs.items():
+        kind, noun = (int, "an integer") if key == "population" else ((int, float), "a number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{where}: {key} must be {noun}, got {value!r}")
     return ScenarioSpec(str(data.get("name", "custom")), tuple(groups), **kwargs)
 
 
@@ -402,4 +401,7 @@ def read_manifest(directory: str) -> dict:
     if not os.path.exists(path):
         raise ValueError(f"{directory}: no {MANIFEST_NAME} found")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return manifest

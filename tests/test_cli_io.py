@@ -23,6 +23,8 @@ from chwplan.scenarios import builtin_scenarios, default_sds
 from _synthetic import generate_history
 
 NAN = float("nan")
+CENTROID = dict(zip(FEATURE_NAMES, (1.0, 0.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
+GROUPS = [{"name": "a", "weight": 1.0, "centroid": CENTROID}]
 
 
 def write_history_csv(path, lines):
@@ -83,6 +85,11 @@ class TestIngestHistories:
         with pytest.raises(ValueError, match="row 3") as exc:
             storage.ingest_histories(path)
         assert fragment in str(exc.value)
+
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        path = write_history_csv(tmp_path / "h.csv", ["p0,0,1,1,130", "", "p1,x,1,1,130"])
+        with pytest.raises(ValueError, match="row 4: bad period 'x'"):
+            storage.ingest_histories(path)
 
     def test_duplicate_period_rejected(self, tmp_path):
         path = write_history_csv(tmp_path / "h.csv",
@@ -173,6 +180,18 @@ class TestTables:
         path = tmp_path / "t.csv"
         path.write_text("p,mu,alpha,theta_base,lam,s_base\n1,2,3,4,5,6\n")
         with pytest.raises(ValueError, match="missing columns beta"):
+            storage.read_feature_table(str(path))
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("", "empty file"),
+        ("p,mu,alpha,theta_base,lam,s_base,beta\n", "no data rows"),
+        ("p,mu,alpha,theta_base,lam,s_base,beta\n1,2,3\n", "row 2: malformed"),
+        ("p,mu,alpha,theta_base,lam,s_base,beta\n1,2,3,4,5,6,x\n", "row 2: malformed"),
+    ])
+    def test_feature_table_malformed_rejected(self, tmp_path, text, fragment):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=fragment):
             storage.read_feature_table(str(path))
 
     def test_summary_round_trip(self, tmp_path):
@@ -365,7 +384,7 @@ class TestCapacityParsing:
         assert _parse_capacities("20,5,10") == (0.05, 0.1, 0.2)
 
     @pytest.mark.parametrize("text", [
-        "0,10", "110", "5:1:5", "5:100:0", "5:100", "a,b", "", "10,10",
+        "0,10", "110", "5:1:5", "5:100:0", "5:100", "a,b", "", "10,10", "a:b:c",
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ValueError):
@@ -623,11 +642,71 @@ class TestCliErrors:
         ["simulate"],  # missing required flags
         ["not-a-command"],
         [],
+        ["simulate", "--scenario", "scenario1", "--policies", ","],
+        ["estimate", "--histories", "h.csv", "--grid-beta", "x"],
+        ["estimate", "--histories", "h.csv", "--grid-beta", ","],
+        ["cluster", "--params", "t.csv", "--k", "1", "--elbow", "a:b"],
+        ["cluster", "--params", "t.csv", "--k", "1", "--elbow", "3:1"],
     ])
     def test_user_errors_exit_one(self, args, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        write_history_csv(tmp_path / "h.csv", ["p1,0,1,1,130"])
+        (tmp_path / "t.csv").write_text(",".join(FEATURE_NAMES) + "\n1,2,3,4,5,6,7\n")
         assert main(args) == 1
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize("data,fragment", [
+        ([], "expected a JSON object"),
+        ({"groups": []}, "groups must be a nonempty list"),
+        ({"groups": [5]}, "group 0: expected a JSON object"),
+        ({"groups": [{"weight": 1.0, "centroid": CENTROID}]}, "group 0: missing name"),
+        ({"groups": [{"name": "a", "centroid": CENTROID}]}, "group 0: missing weight"),
+        ({"population": "many", "groups": GROUPS}, "population must be an integer"),
+        ({"population": 10.5, "groups": GROUPS}, "population must be an integer"),
+        ({"gamma": None, "groups": GROUPS}, "gamma must be a number"),
+        ({"rho": True, "groups": GROUPS}, "rho must be a number"),
+    ], ids=["not-object", "no-groups", "group-not-object", "group-no-name",
+            "group-no-weight", "population-string", "population-float",
+            "gamma-null", "rho-bool"])
+    def test_malformed_scenario_file_exits_one(self, tmp_path, capsys, data, fragment):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert main(["scenario-gen", "--scenario", str(path),
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert fragment in err and str(path) in err
+
+    @pytest.mark.parametrize("name,text,fragment", [
+        ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,1,0,2,1\n"
+         "asc_fbg,10.0,0\n", "results.csv row 3: expected 8 fields, got 3"),
+        ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,x,0,2,1\n",
+         "results.csv row 2: invalid literal"),
+        ("summary.csv", ",".join(storage.SUMMARY_COLUMNS) + "\nasc_fbg,10.0\n",
+         "summary.csv row 2: expected 8 fields, got 2"),
+        ("summary.csv", None, "missing summary.csv"),
+        ("manifest.json", "[1, 2]\n", "manifest.json: expected a JSON object"),
+        ("manifest.json", '{"config": {"population": 0}}', "lacks a usable population"),
+        ("manifest.json", '{"config": 5}', "lacks a usable population"),
+    ], ids=["results-short-row", "results-bad-int", "summary-short-row",
+            "summary-missing", "manifest-not-object", "manifest-zero-population",
+            "manifest-config-not-object"])
+    def test_report_on_malformed_results_exits_one(self, tmp_path, capsys, name, text,
+                                                    fragment):
+        from chwplan.engine import SummaryRow
+        out = tmp_path / "run"
+        out.mkdir()
+        storage.write_results_csv(str(out / "results.csv"), [_run_result("asc_fbg", 0.1, 0)])
+        storage.write_summary_csv(str(out / "summary.csv"), [SummaryRow(
+            policy_kind="asc_fbg", capacity_fraction=0.1, ppc_mean=0.5,
+            ppc_ci_halfwidth=0.1, final_fbg_percentiles=(4.1, 4.5, 4.9, 5.2))])
+        storage.write_manifest(str(out), "simulate", {"population": 5}, 0, [], [], 0.0)
+        assert main(["report", "--results", str(out)]) == 0  # as written, it renders
+        if text is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_text(text)
+        assert main(["report", "--results", str(out)]) == 1
+        assert fragment in capsys.readouterr().err
 
     def test_report_on_missing_directory_exits_one(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "void")]) == 1

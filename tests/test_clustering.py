@@ -175,3 +175,16 @@ def test_inertia_never_increases_within_run(monkeypatch):
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-9 * (1 + abs(earlier))
     assert saw_multi_iteration
+
+
+def test_emptied_cluster_takes_the_worst_served_point():
+    # two identical starting centroids leave the second cluster empty at
+    # the first assignment; it must take a point, and the repair must not
+    # raise the objective
+    points = np.asarray(blob_table(per_blob=5), dtype=float)
+    start = np.repeat(points[:1], 2, axis=0)
+    _, assign, _, trace = clustering._lloyd(points, start)
+    assert np.all(np.bincount(assign, minlength=2) > 0)
+    assert len(trace) > 2
+    for earlier, later in zip(trace, trace[1:]):
+        assert later <= earlier + 1e-9 * (1 + abs(earlier))

@@ -63,8 +63,10 @@ def test_params_reject_non_finite_fields(name, bad):
 
 
 def test_params_warn_when_intervention_cannot_offset_progression():
-    with pytest.warns(UserWarning, match="cannot offset progression"):
+    with pytest.warns(UserWarning, match="cannot offset progression") as record:
         make_params(p=7.5, mu=4.0, alpha=2.0)  # group-D-like regime
+    # the warning names the code that built the params, not dataclass internals
+    assert record[0].filename == __file__
     # effective interventions construct silently
     import warnings
     with warnings.catch_warnings():

@@ -102,6 +102,8 @@ def test_group_spec_validation():
         GroupSpec("x", (-1.0,) + (0.0,) * 6, (0.0,) * 7)
     with pytest.raises(ValueError, match="sd entries"):
         GroupSpec("x", (0.0,) * 7, (-0.1,) + (0.0,) * 6)
+    with pytest.raises(ValueError, match="name must be nonempty"):
+        GroupSpec("", (0.0,) * 7, (0.0,) * 7)
 
 
 def test_scenario_spec_validation():
@@ -116,6 +118,10 @@ def test_scenario_spec_validation():
         ScenarioSpec("s", ((g, 1.0),), gamma=1.0)
     with pytest.raises(ValueError, match="at least one group"):
         ScenarioSpec("s", ())
+    with pytest.raises(ValueError, match="initial_fbg_mean_mgdl must be positive"):
+        ScenarioSpec("s", ((g, 1.0),), initial_fbg_mean_mgdl=0.0)
+    with pytest.raises(ValueError, match="initial_fbg_sd_mgdl must be >= 0"):
+        ScenarioSpec("s", ((g, 1.0),), initial_fbg_sd_mgdl=-1.0)
 
 
 # ---------------------------------------------------------------------------
