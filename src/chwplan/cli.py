@@ -313,9 +313,13 @@ def _cmd_report(args) -> int:
         raise ValueError(f"{res_dir}: results are empty")
     config = manifest.get("config")
     population = config.get("population") if isinstance(config, dict) else None
-    if not isinstance(population, int) or population < 1:
+    if isinstance(population, bool) or not isinstance(population, int) or population < 1:
         raise ValueError(f"{res_dir}: manifest lacks a usable population")
     delta_mgdl = config.get("delta_mgdl", 125.0)
+    if (isinstance(delta_mgdl, bool) or not isinstance(delta_mgdl, (int, float))
+            or not 0 < delta_mgdl < math.inf):
+        raise ValueError(f"{os.path.join(res_dir, storage.MANIFEST_NAME)}: config.delta_mgdl"
+                         f" must be a finite positive number, got {delta_mgdl!r}")
 
     policies = sorted({r["policy"] for r in rows})
     pcts = sorted({r["capacity_pct"] for r in rows})

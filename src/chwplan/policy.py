@@ -206,16 +206,15 @@ class RolloutTable:
         return RolloutSummary(v_tilde=v_tilde[mine], visits=visits[mine]), ran
 
 
-def _value_per_visit_key(rs: RolloutSummary, index):
+def _value_per_visit_key(rs: RolloutSummary, periods_remaining: int) -> np.ndarray:
     """Sort key for the value-per-visit ranking (ascending sort order).
 
-    A patient predicted to need zero visits is free value and outranks
-    every finite ratio; free patients order among themselves by more value
-    first, and any remaining ties fall back to ascending patient index.
-    Takes scalars (a tuple to sort by) or arrays (lexsort keys, primary
-    first).
+    A patient predicted to need zero visits is free value: its key
+    -v_tilde - (periods_remaining + 1) sorts below every finite ratio
+    -v_tilde/visits >= -periods_remaining, and more value comes first.
     """
-    return (rs.visits > 0, -rs.v_tilde / np.maximum(rs.visits, 1), index)
+    return np.where(rs.visits > 0, -rs.v_tilde / np.maximum(rs.visits, 1),
+                    -rs.v_tilde - (periods_remaining + 1))
 
 
 class Visits(NamedTuple):
@@ -223,7 +222,8 @@ class Visits(NamedTuple):
     it took per row."""
 
     mask: np.ndarray          # (K, n) bool: who is visited
-    members: np.ndarray       # (K,) interest-set size; 0 for baseline kinds
+    members: np.ndarray       # (K,) interest-set size, the candidates sorted
+                              # over capacity; 0 for baselines (everyone)
     rolled_out: np.ndarray    # (K,) members ranked by a value-to-go rollout
     rollouts_run: np.ndarray  # (K,) rollouts this call ran, each counted in
                               # the first row holding its start
@@ -244,64 +244,50 @@ def visit_mask(
     (K,), or one int for all). Every row is decided on its own: row k of
     the mask is what a one-row call on row k alone returns.
 
-    Heuristic kinds filter to the interest set first and only rank the
-    rows whose interest set exceeds capacity. The value-to-go kinds look
-    the members of all such rows up in table (a fresh RolloutTable if
-    None), which rolls out each start it has not seen once, in one
-    batched rollout: rows that share a patient's exact state share its
-    rollout, and so do calls that share the table. Baseline
-    kinds rank the whole cohort by log-FBG with no filtering;
     visit_everyone ignores the capacity (it is the unconstrained
-    benchmark) and visit_no_one visits nobody. All rankings break ties by
-    ascending patient index.
+    benchmark) and visit_no_one visits nobody. Every other kind keeps the
+    C best of its candidates: the interest set (ea_* kinds) or the whole
+    cohort (baselines). A row with more candidates than C keys each
+    patient (+inf off the candidates) and keeps the first C of one stable
+    sort of the row, so ties go to the lower index. The key is log-FBG or
+    its negation, or a value-to-go rollout summary: the members of all
+    over-capacity rows are looked up in table (a fresh RolloutTable if
+    None), which rolls out each start it has not seen once, in one batch:
+    rows that share a patient's exact state share its rollout, and so do
+    calls that share the table.
     """
     K, n = states.b.shape
     C = np.broadcast_to(C, (K,))
     if (C < 0).any():
         raise ValueError("capacity must be >= 0")
     none = np.zeros(K, dtype=int)
-    if spec.kind == "visit_no_one":
-        return Visits(np.zeros((K, n), dtype=bool), none, none, none)
-    if spec.kind == "visit_everyone":
-        return Visits(np.ones((K, n), dtype=bool), none, none, none)
-    if spec.kind in ("asc_fbg", "desc_fbg"):
-        key = states.b if spec.kind == "asc_fbg" else -states.b
-        mask = np.zeros((K, n), dtype=bool)
-        np.put_along_axis(mask, np.argsort(key, axis=1, kind="stable"),
-                          np.arange(n) < C[:, None], axis=1)
-        return Visits(mask, none, none, none)
+    if spec.kind in ("visit_no_one", "visit_everyone"):
+        return Visits(np.full((K, n), spec.kind == "visit_everyone"), none, none, none)
 
-    mask = single_patient_action(states, params)
+    filtered = spec.kind in EA_KINDS
+    mask = single_patient_action(states, params) if filtered else np.ones((K, n), dtype=bool)
     members = np.count_nonzero(mask, axis=1)
     over = np.flatnonzero(members > C)
     rolled_out = ran = none
     if len(over):
-        # members of the over-capacity rows, row-major: ascending index per row
-        row, col = np.nonzero(mask[over])
-        cells = (over[row], col)
-        if spec.kind == "ea_asc_fbg":
-            keys = (states.b[cells],)
-        elif spec.kind == "ea_desc_fbg":
-            keys = (-states.b[cells],)
+        candidates = mask[over]
+        if spec.kind.endswith("fbg"):
+            b = states.b[over]
+            key = np.where(candidates, b if "asc" in spec.kind else -b, np.inf)
         else:
-            if table is None:
-                table = RolloutTable()
-            rs, first = table.lookup(states.take(cells), params, col,
+            table = RolloutTable() if table is None else table
+            row, col = np.nonzero(candidates)
+            rs, first = table.lookup(states.take((over[row], col)), params, col,
                                      periods_remaining, spec.delta)
             ran = np.bincount(over[row[first]], minlength=K)
-            if spec.kind == "ea_desc_vtg":
-                keys = (-rs.v_tilde,)
-            else:
-                keys = _value_per_visit_key(rs, col)[:2]
             rolled_out = np.where(members > C, members, 0)
-        # with the row as primary key the sort keeps each row's members in
-        # the row's span, so the i-th sorted member ranks i - (span start)
-        order = np.lexsort(keys[::-1] + (row,))
-        sizes = members[over]
-        rank = np.arange(len(row)) - (np.cumsum(sizes) - sizes)[row]
-        drop = order[rank >= C[over][row]]
-        mask[over[row[drop]], col[drop]] = False
-    return Visits(mask, members, rolled_out, ran)
+            key = np.full(candidates.shape, np.inf)
+            key[row, col] = (-rs.v_tilde if spec.kind == "ea_desc_vtg"
+                             else _value_per_visit_key(rs, periods_remaining))
+        np.put_along_axis(candidates, np.argsort(key, axis=1, kind="stable"),
+                          np.arange(n) < C[over, None], axis=1)
+        mask[over] = candidates
+    return Visits(mask, members if filtered else none, rolled_out, ran)
 
 
 def select_visits(

@@ -290,6 +290,12 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
             "groups": [_group_to_dict(g, w) for g, w in spec.groups]}
 
 
+def _number(value, where: str, key: str, kind=(int, float), noun="a number"):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: {key} must be {noun}, got {value!r}")
+    return value
+
+
 def _parse_feature_map(entry: dict, key: str, where: str) -> Tuple[float, ...]:
     mapping = entry.get(key)
     if not isinstance(mapping, dict):
@@ -297,7 +303,7 @@ def _parse_feature_map(entry: dict, key: str, where: str) -> Tuple[float, ...]:
     missing = [c for c in FEATURE_NAMES if c not in mapping]
     if missing:
         raise ValueError(f"{where}: {key} missing {', '.join(missing)}")
-    return tuple(float(mapping[c]) for c in FEATURE_NAMES)
+    return tuple(float(_number(mapping[c], where, f"{key}.{c}")) for c in FEATURE_NAMES)
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioSpec:
@@ -310,7 +316,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioSpec:
                 "sd": {... same keys ...}  (optional)}, ...]}.
     Omitted group sd falls back to the shared 10%-of-mean rule. Top-level
     keys other than name/groups are optional and take ScenarioSpec's
-    defaults.
+    defaults. Every error names where (the file) and the offending key.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object")
@@ -333,14 +339,17 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioSpec:
             raise ValueError(f"{gwhere}: missing weight")
         sd = (_parse_feature_map(entry, "sd", gwhere) if "sd" in entry
               else default_sd)
-        groups.append((GroupSpec(str(name), centroids[i], sd),
-                       float(entry["weight"])))
+        groups.append((str(name), centroids[i], sd,
+                       float(_number(entry["weight"], gwhere, "weight"))))
     kwargs = {key: data[key] for key in _SCENARIO_SETTINGS if key in data}
     for key, value in kwargs.items():
-        kind, noun = (int, "an integer") if key == "population" else ((int, float), "a number")
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{where}: {key} must be {noun}, got {value!r}")
-    return ScenarioSpec(str(data.get("name", "custom")), tuple(groups), **kwargs)
+        _number(value, where, key, *((int, "an integer") if key == "population" else ()))
+    try:
+        return ScenarioSpec(str(data.get("name", "custom")),
+                            tuple((GroupSpec(name, centroid, sd), weight)
+                                  for name, centroid, sd, weight in groups), **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}")
 
 
 def load_scenario(name_or_path: str) -> Tuple[ScenarioSpec, Optional[str]]:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 
 import pytest
 
@@ -665,9 +666,26 @@ class TestCliErrors:
         ({"population": 10.5, "groups": GROUPS}, "population must be an integer"),
         ({"gamma": None, "groups": GROUPS}, "gamma must be a number"),
         ({"rho": True, "groups": GROUPS}, "rho must be a number"),
+        ({"groups": [{"name": "a", "weight": [1], "centroid": CENTROID}]},
+         "group 0: weight must be a number, got [1]"),
+        ({"groups": [{"name": "a", "weight": True, "centroid": CENTROID}]},
+         "group 0: weight must be a number, got True"),
+        ({"groups": [{"name": "a", "weight": 1.0, "centroid": {**CENTROID, "mu": "x"}}]},
+         "group 0: centroid.mu must be a number, got 'x'"),
+        ({"groups": [{"name": "a", "weight": 1.0, "centroid": CENTROID,
+                      "sd": {**CENTROID, "lam": [0.1]}}]},
+         "group 0: sd.lam must be a number, got [0.1]"),
+        ({"gamma": 0.0, "groups": GROUPS}, "gamma must lie in (0, 1)"),
+        ({"population": 0, "groups": GROUPS}, "population must be >= 1"),
+        ({"groups": [{"name": "a", "weight": 0.5, "centroid": CENTROID}]},
+         "group weights must sum to 1"),
+        ({"groups": [{"name": "a", "weight": 1.0, "centroid": {**CENTROID, "p": -1.0}}]},
+         "group 'a': centroid means must be >= 0"),
     ], ids=["not-object", "no-groups", "group-not-object", "group-no-name",
             "group-no-weight", "population-string", "population-float",
-            "gamma-null", "rho-bool"])
+            "gamma-null", "rho-bool", "weight-list", "weight-bool", "centroid-string",
+            "sd-list", "gamma-zero", "population-zero", "weights-not-one",
+            "centroid-negative"])
     def test_malformed_scenario_file_exits_one(self, tmp_path, capsys, data, fragment):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
@@ -687,9 +705,23 @@ class TestCliErrors:
         ("manifest.json", "[1, 2]\n", "manifest.json: expected a JSON object"),
         ("manifest.json", '{"config": {"population": 0}}', "lacks a usable population"),
         ("manifest.json", '{"config": 5}', "lacks a usable population"),
+        ("manifest.json", '{"config": {"population": true}}', "lacks a usable population"),
+        ("manifest.json", '{"config": {"population": 5, "delta_mgdl": -5}}',
+         "manifest.json: config.delta_mgdl must be a finite positive number, got -5"),
+        ("manifest.json", '{"config": {"population": 5, "delta_mgdl": 0}}',
+         "config.delta_mgdl must be a finite positive number, got 0"),
+        ("manifest.json", '{"config": {"population": 5, "delta_mgdl": NaN}}',
+         "config.delta_mgdl must be a finite positive number, got nan"),
+        ("manifest.json", '{"config": {"population": 5, "delta_mgdl": Infinity}}',
+         "config.delta_mgdl must be a finite positive number, got inf"),
+        ("manifest.json", '{"config": {"population": 5, "delta_mgdl": "125"}}',
+         "config.delta_mgdl must be a finite positive number, got '125'"),
+        ("manifest.json", '{"config": {"population": 5, "delta_mgdl": true}}',
+         "config.delta_mgdl must be a finite positive number, got True"),
     ], ids=["results-short-row", "results-bad-int", "summary-short-row",
             "summary-missing", "manifest-not-object", "manifest-zero-population",
-            "manifest-config-not-object"])
+            "manifest-config-not-object", "manifest-bool-population", "delta-negative", "delta-zero", "delta-nan",
+            "delta-inf", "delta-string", "delta-bool"])
     def test_report_on_malformed_results_exits_one(self, tmp_path, capsys, name, text,
                                                     fragment):
         from chwplan.engine import SummaryRow
@@ -701,12 +733,14 @@ class TestCliErrors:
             ppc_ci_halfwidth=0.1, final_fbg_percentiles=(4.1, 4.5, 4.9, 5.2))])
         storage.write_manifest(str(out), "simulate", {"population": 5}, 0, [], [], 0.0)
         assert main(["report", "--results", str(out)]) == 0  # as written, it renders
+        shutil.rmtree(out / "charts")
         if text is None:
             (out / name).unlink()
         else:
             (out / name).write_text(text)
         assert main(["report", "--results", str(out)]) == 1
         assert fragment in capsys.readouterr().err
+        assert not (out / "charts").exists()  # rejected before writing anything
 
     def test_report_on_missing_directory_exits_one(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "void")]) == 1

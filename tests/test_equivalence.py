@@ -33,7 +33,6 @@ from chwplan.policy import (
     PolicySpec,
     RolloutSummary,
     RolloutTable,
-    _value_per_visit_key,
     interest_set,
     rollout_cohort,
     rollout_single,
@@ -233,7 +232,8 @@ def _visits_alone(states, params, C, kind, periods):
     if kind == "ea_desc_vtg":
         ranked = sorted(members, key=lambda i: (-alone[i].v_tilde, i))
     else:
-        ranked = sorted(members, key=lambda i: _value_per_visit_key(alone[i], i))
+        ranked = sorted(members, key=lambda i: (alone[i].visits > 0,
+                                                -alone[i].v_tilde / max(alone[i].visits, 1), i))
     return set(ranked[:C])
 
 

@@ -1,4 +1,4 @@
-"""Golden digests of CLI `simulate` outputs.
+"""Golden digests of CLI `simulate`, `estimate` and `cluster` outputs.
 
 A small but complete sweep (all eight policies, two builtin scenarios,
 three capacities, two replications, default process noise) is pinned byte
@@ -10,10 +10,14 @@ value-to-go rollouts) decide who is visited.
 
 import csv
 import hashlib
+import math
 
 import pytest
 
 from chwplan import cli
+from chwplan.model import PatientParams
+
+from _synthetic import generate_history
 
 POLICIES = ("visit_no_one,visit_everyone,asc_fbg,desc_fbg,"
             "ea_asc_fbg,ea_desc_fbg,ea_desc_vtg,ea_desc_vtg_per_visit")
@@ -54,3 +58,48 @@ def test_simulate_outputs_match_golden_digests(scenario, tmp_path):
     for name, digest in GOLDEN[scenario].items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == digest, f"{scenario} {name}"
+
+
+# A 20-period noisy history fitted on the default 400-cell grid, and a
+# 40-patient scenario3 cohort clustered with k=3 and an elbow over 1..4.
+# Neither command runs a policy, so these pin the estimator, k-means and
+# their writers.
+ESTIMATE_GOLDEN = {
+    "estimates.csv": "bf077885fff768f15363178aa54be79493edd2829881c13eb2a347f6d8f62ab1",
+}
+CLUSTER_GOLDEN = {
+    "centroids.csv": "c4e39ae11224091d3f7d721b6651e3e022233c7aedcc68e22fa04d8402b752a2",
+    "assignments.csv": "c1d90bd192ae3b35fd855cc0aab989ec3f2bdf08e00a4a9e3947ce3b4801f25b",
+    "elbow.csv": "613489fd4c9862b4733084453a66eb5fc2017f357ba4194c93c534dc0e9bb3e1",
+}
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_estimate_output_matches_golden_digest(tmp_path):
+    params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,
+                           gamma=0.2, rho=0.2, s_base=0.0, theta_base=1.0)
+    visits = tuple(t for k in range(3) for t in (8 * k, 8 * k + 1, 8 * k + 2, 8 * k + 4))
+    hist, _ = generate_history(params, 2.0, visits, 20, sigma_eps=0.01,
+                               sigma_xi=0.01, seed=6)
+    obs = hist.observed_map
+    path = tmp_path / "histories.csv"
+    path.write_text("patient_id,period,visited,enrolled,fbg_mgdl\n" + "".join(
+        f"demo,{t},{hist.visited[t]},{hist.enrolled[t]},{math.exp(obs[t])!r}\n"
+        for t in range(20)))
+    out = tmp_path / "est"
+    assert cli.main(["estimate", "--histories", str(path), "--out", str(out)]) == 0
+    assert _digests(out, ESTIMATE_GOLDEN) == ESTIMATE_GOLDEN
+
+
+def test_cluster_outputs_match_golden_digests(tmp_path):
+    cohort = tmp_path / "cohort.csv"
+    assert cli.main(["scenario-gen", "--scenario", "scenario3", "--population", "40",
+                     "--seed", "1", "--out", str(cohort)]) == 0
+    out = tmp_path / "clu"
+    assert cli.main(["cluster", "--params", str(cohort), "--k", "3", "--elbow", "1:4",
+                     "--seed", "0", "--out", str(out)]) == 0
+    assert _digests(out, CLUSTER_GOLDEN) == CLUSTER_GOLDEN

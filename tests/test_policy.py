@@ -307,15 +307,18 @@ def test_ranking_stable_under_permutation_with_distinct_keys():
 
 def test_value_per_visit_key_ordering():
     # zero-visit patients outrank all finite ratios; more value wins among
-    # the free ones; index breaks residual ties
-    free_good = _value_per_visit_key(RolloutSummary(6, 0), 4)
-    free_poor = _value_per_visit_key(RolloutSummary(2, 0), 1)
-    finite_hi = _value_per_visit_key(RolloutSummary(9, 1), 0)
-    finite_lo = _value_per_visit_key(RolloutSummary(3, 2), 2)
-    tie_a = _value_per_visit_key(RolloutSummary(4, 2), 3)
-    tie_b = _value_per_visit_key(RolloutSummary(4, 2), 5)
-    order = sorted([free_good, free_poor, finite_hi, finite_lo, tie_a, tie_b])
-    assert order == [free_good, free_poor, finite_hi, tie_a, tie_b, finite_lo]
+    # the free ones; a stable sort breaks residual ties by index, as the
+    # tuple (visits > 0, -v_tilde/max(visits, 1), index) does
+    v_tilde, visits = [9, 6, 3, 4, 2, 4], [1, 0, 2, 2, 0, 2]
+    key = _value_per_visit_key(RolloutSummary(np.array(v_tilde), np.array(visits)), 9)
+    assert np.argsort(key, kind="stable").tolist() == [1, 4, 0, 3, 5, 2]
+    # every summary a rollout over P periods can return, against the tuple
+    for periods in range(6):
+        pairs = list(itertools.product(range(periods + 1), repeat=2))
+        rs = RolloutSummary(*(np.array(a) for a in zip(*pairs)))
+        order = np.argsort(_value_per_visit_key(rs, periods), kind="stable")
+        assert order.tolist() == sorted(range(len(pairs)), key=lambda i: (
+            pairs[i][1] > 0, -pairs[i][0] / max(pairs[i][1], 1), i))
 
 
 def test_value_per_visit_ranking_differs_from_value_ranking():
