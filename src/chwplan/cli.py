@@ -245,6 +245,8 @@ def _cmd_cluster(args) -> int:
          "elbow": [ks[0], ks[-1]] if ks else None,
          **_constants(clustering, "MAX_ITERATIONS", "TOLERANCE", "RESTARTS")},
         args.seed, [args.params], outputs, time.perf_counter() - start,
+        work={"lloyd_iterations": sum(f.lloyd_iterations for f in fits.values()),
+              "restarts_run": clustering.RESTARTS * len(fits)},
     )
     print(f"cluster: k={args.k} inertia={result.inertia!r} -> {out_dir}")
     return 0

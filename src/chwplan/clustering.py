@@ -5,10 +5,18 @@ s_base, beta), deliberately unscaled so centroids read in the same units
 as the parameters themselves. Lloyd's algorithm with k-means++ seeding,
 multiple restarts, and a centroid-movement stopping rule; everything is
 driven by one seed so runs are reproducible.
+
+A fit draws all of its k-means++ starts first and then runs the restarts
+as one batch: each Lloyd iteration steps every restart that has not yet
+stopped with array operations over the whole batch (one argmin, one
+bincount for the centroid sums), and a restart leaves the batch once its
+centroids stop moving. Each restart does the same arithmetic, in the same
+order, as it would alone, so the fit is bit-identical to running the
+restarts one after another.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +46,8 @@ class ClusterResult:
     # per-iteration objective of the winning restart, for the
     # never-increases sanity check
     inertia_trace: Tuple[float, ...]
+    # Lloyd iterations summed over the fit's restarts
+    lloyd_iterations: int
 
 
 def _as_points(param_table) -> np.ndarray:
@@ -51,11 +61,6 @@ def _as_points(param_table) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("param_table contains non-finite values")
     return pts
-
-
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -75,34 +80,76 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _lloyd(
-    points: np.ndarray, centroids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, float, Tuple[float, ...]]:
-    k = centroids.shape[0]
-    trace = []
-    assign = np.zeros(points.shape[0], dtype=int)
-    for _ in range(MAX_ITERATIONS):
-        d2 = _sq_dists(points, centroids)
-        assign = np.argmin(d2, axis=1)
+    points: np.ndarray, starts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[float, ...]], np.ndarray]:
+    """Lloyd's algorithm from R starts at once.
+
+    starts is (R, k, d); each restart runs exactly as it would alone and
+    leaves the loop once its centroids move at most TOLERANCE (a NaN
+    movement, from a cluster left empty, keeps it going). Returns the
+    final (R, k, d) centroids, (R, n) assignments, (R,) inertias, each
+    restart's inertia trace, and (R,) iterations run.
+    """
+    n, d = points.shape
+    R, k, _ = starts.shape
+    centroids = np.array(starts, dtype=float)
+    trace = np.empty((R, MAX_ITERATIONS + 1))
+    iterations = np.zeros(R, dtype=int)
+    diff = np.empty((n, k, d))
+    # bincount weights: the points once per restart, restart-major
+    weights = np.tile(points.ravel(), R)
+
+    def sq_dists(rows: np.ndarray) -> np.ndarray:
+        d2 = np.empty((len(rows), n, k))
+        for i, r in enumerate(rows):
+            np.subtract(points[:, None, :], centroids[r][None, :, :], out=diff)
+            np.einsum("nkd,nkd->nk", diff, diff, out=d2[i])
+        return d2
+
+    def served(d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(d2, assign[..., None], axis=2)[..., 0].sum(axis=1)
+
+    active = np.arange(R)
+    for it in range(MAX_ITERATIONS):
+        d2 = sq_dists(active)
+        assign = np.argmin(d2, axis=2)
+        label = assign + k * np.arange(len(active))[:, None]
+        counts = np.bincount(label.ravel(), minlength=len(active) * k).reshape(-1, k)
         # an emptied cluster grabs the point currently worst-served
-        for j in range(k):
-            if not np.any(assign == j):
-                worst = int(np.argmax(d2[np.arange(len(assign)), assign]))
-                assign[worst] = j
-                centroids[j] = points[worst]
-                d2[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
-        trace.append(float(d2[np.arange(len(assign)), assign].sum()))
-        new_centroids = np.vstack(
-            [points[assign == j].mean(axis=0) for j in range(k)]
-        )
-        movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if movement <= TOLERANCE:
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            c, a, dd = centroids[active[i]], assign[i], d2[i]
+            for j in range(k):
+                if not np.any(a == j):
+                    worst = int(np.argmax(dd[np.arange(n), a]))
+                    a[worst] = j
+                    c[j] = points[worst]
+                    dd[:, j] = np.sum((points - c[j]) ** 2, axis=1)
+            label[i] = a + k * i
+            counts[i] = np.bincount(a, minlength=k)
+        trace[active, it] = served(d2, assign)
+        iterations[active] += 1
+        if d == 1:
+            # numpy sums a lone column pairwise, not row by row as bincount does
+            sums = np.array([[points[a == j].sum(axis=0) for j in range(k)]
+                             for a in assign])
+        else:
+            sums = np.bincount(
+                (label[..., None] * d + np.arange(d)).ravel(),
+                weights=weights[:len(active) * n * d],
+                minlength=len(active) * k * d,
+            ).reshape(-1, k, d)
+        new_centroids = sums / counts[..., None]
+        movement = np.max(np.linalg.norm(new_centroids - centroids[active], axis=2), axis=1)
+        centroids[active] = new_centroids
+        active = active[~(movement <= TOLERANCE)]  # a NaN movement stays
+        if not len(active):
             break
-    d2 = _sq_dists(points, centroids)
-    assign = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(len(assign)), assign].sum())
-    trace.append(inertia)
-    return centroids, assign, inertia, tuple(trace)
+    d2 = sq_dists(np.arange(R))
+    assign = np.argmin(d2, axis=2)
+    inertia = served(d2, assign)
+    trace[np.arange(R), iterations] = inertia
+    traces = [tuple(trace[r, :iterations[r] + 1].tolist()) for r in range(R)]
+    return centroids, assign, inertia, traces, iterations
 
 
 def cluster_params(
@@ -122,18 +169,18 @@ def cluster_params(
         raise ValueError(f"k={k} must be between 1 and the number of rows ({n})")
 
     rng = np.random.default_rng(seed)
+    starts = np.stack([_kmeanspp_init(points, k, rng) for _ in range(RESTARTS)])
+    centroids, assign, inertia, traces, iterations = _lloyd(points, starts)
     best = None
-    for _ in range(RESTARTS):
-        init = _kmeanspp_init(points, k, rng)
-        centroids, assign, inertia, trace = _lloyd(points, init)
-        if best is None or inertia < best[2]:
-            best = (centroids, assign, inertia, trace)
-    centroids, assign, inertia, trace = best
+    for r in range(RESTARTS):
+        if best is None or inertia[r] < inertia[best]:
+            best = r
     return ClusterResult(
-        centroids=tuple(tuple(float(v) for v in row) for row in centroids),
-        assignments=tuple(int(a) for a in assign),
-        inertia=inertia,
-        inertia_trace=trace,
+        centroids=tuple(tuple(float(v) for v in row) for row in centroids[best]),
+        assignments=tuple(int(a) for a in assign[best]),
+        inertia=float(inertia[best]),
+        inertia_trace=traces[best],
+        lloyd_iterations=int(iterations.sum()),
     )
 
 

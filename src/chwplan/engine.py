@@ -205,7 +205,7 @@ def _simulate_rows(
         ran += visits.rollouts_run
         ran_steps += visits.rollouts_run * remaining
 
-        states, z = step_cohort(states, params, y, xi[t - 1])
+        states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit)
         in_control[t - 1] = np.count_nonzero(states.b <= spec.delta, axis=1)
         enrolled[t - 1] = np.count_nonzero(z, axis=1)
 

@@ -227,6 +227,8 @@ class Visits(NamedTuple):
     rolled_out: np.ndarray    # (K,) members ranked by a value-to-go rollout
     rollouts_run: np.ndarray  # (K,) rollouts this call ran, each counted in
                               # the first row holding its start
+    benefit: Optional[np.ndarray]  # (K, n) benefit at the mask, as step_cohort's
+                                   # B; None when the kind never computed it
 
 
 def visit_mask(
@@ -262,10 +264,14 @@ def visit_mask(
         raise ValueError("capacity must be >= 0")
     none = np.zeros(K, dtype=int)
     if spec.kind in ("visit_no_one", "visit_everyone"):
-        return Visits(np.full((K, n), spec.kind == "visit_everyone"), none, none, none)
+        return Visits(np.full((K, n), spec.kind == "visit_everyone"), none, none, none, None)
 
     filtered = spec.kind in EA_KINDS
-    mask = single_patient_action(states, params) if filtered else np.ones((K, n), dtype=bool)
+    if filtered:
+        b0, b1 = benefits(states, params)
+        mask = _visit_pays(states.z_prev, b0, b1)
+    else:
+        mask = np.ones((K, n), dtype=bool)
     members = np.count_nonzero(mask, axis=1)
     over = np.flatnonzero(members > C)
     rolled_out = ran = none
@@ -287,7 +293,8 @@ def visit_mask(
         np.put_along_axis(candidates, np.argsort(key, axis=1, kind="stable"),
                           np.arange(n) < C[over, None], axis=1)
         mask[over] = candidates
-    return Visits(mask, members if filtered else none, rolled_out, ran)
+    return Visits(mask, members if filtered else none, rolled_out, ran,
+                  np.where(mask, b1, b0) if filtered else None)
 
 
 def select_visits(

@@ -16,7 +16,7 @@ import pytest
 
 from chwplan import charts, clustering, estimation, qp, storage
 from chwplan.cli import _parse_capacities, _representative_pct, _share_series, main
-from chwplan.clustering import FEATURE_NAMES
+from chwplan.clustering import FEATURE_NAMES, cluster_params
 from chwplan.engine import RunResult
 from chwplan.model import PatientParams
 from chwplan.scenarios import builtin_scenarios, default_sds
@@ -523,6 +523,27 @@ class TestCliPipelines:
         assert config["clustering.MAX_ITERATIONS"] == clustering.MAX_ITERATIONS
         assert config["clustering.TOLERANCE"] == clustering.TOLERANCE
         assert config["clustering.RESTARTS"] == clustering.RESTARTS
+
+    def test_cluster_manifest_counts_its_work(self, tmp_path):
+        cohort = tmp_path / "cohort.csv"
+        assert main(["scenario-gen", "--scenario", "scenario3",
+                     "--population", "12", "--seed", "3",
+                     "--out", str(cohort)]) == 0
+        clu = tmp_path / "clu"
+        # --k 5 lies outside the sweep, so four k's are fit
+        assert main(["cluster", "--params", str(cohort), "--k", "5",
+                     "--elbow", "1:3", "--seed", "4", "--out", str(clu)]) == 0
+        _, rows = storage.read_feature_table(str(cohort))
+        fits = [cluster_params(rows, k, seed=4) for k in (1, 2, 3, 5)]
+        work = storage.read_manifest(str(clu))["work"]
+        assert work == {
+            "lloyd_iterations": sum(f.lloyd_iterations for f in fits),
+            "restarts_run": 4 * clustering.RESTARTS,
+        }
+        assert work["lloyd_iterations"] >= work["restarts_run"]
+        for table in ("centroids.csv", "assignments.csv", "elbow.csv"):
+            assert "lloyd" not in (clu / table).read_text()
+            assert "restarts" not in (clu / table).read_text()
 
     def test_estimate_recovers_noise_free_history(self, tmp_path):
         params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,

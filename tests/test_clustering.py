@@ -1,9 +1,15 @@
 """Clustering tests: feature extraction, k-means recovery on separated
-blobs, elbow behavior, degenerate k choices, and the within-run inertia
-monotonicity guarantee."""
+blobs, elbow behavior, degenerate k choices, the within-run inertia
+monotonicity guarantee, and the batched Lloyd loop against a one-restart
+reference."""
+
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chwplan import clustering
 from chwplan.clustering import (
@@ -183,8 +189,118 @@ def test_emptied_cluster_takes_the_worst_served_point():
     # raise the objective
     points = np.asarray(blob_table(per_blob=5), dtype=float)
     start = np.repeat(points[:1], 2, axis=0)
-    _, assign, _, trace = clustering._lloyd(points, start)
+    _, assign, _, traces, _ = clustering._lloyd(points, start[None])
+    assign, trace = assign[0], traces[0]
     assert np.all(np.bincount(assign, minlength=2) > 0)
     assert len(trace) > 2
     for earlier, later in zip(trace, trace[1:]):
         assert later <= earlier + 1e-9 * (1 + abs(earlier))
+
+
+# ---------------------------------------------------------------------------
+# the batched Lloyd loop against one restart at a time
+# ---------------------------------------------------------------------------
+
+def lloyd_one_restart(points, centroids):
+    """Lloyd's algorithm from one (k, d) start, one restart per call: the
+    reference the batched _lloyd must match bit for bit."""
+    centroids = np.array(centroids, dtype=float)
+    k = centroids.shape[0]
+    rows = np.arange(len(points))
+
+    def sq_dists(c):
+        diff = points[:, None, :] - c[None, :, :]
+        return np.einsum("nkd,nkd->nk", diff, diff)
+
+    trace = []
+    for _ in range(clustering.MAX_ITERATIONS):
+        d2 = sq_dists(centroids)
+        assign = np.argmin(d2, axis=1)
+        for j in range(k):
+            if not np.any(assign == j):
+                worst = int(np.argmax(d2[rows, assign]))
+                assign[worst] = j
+                centroids[j] = points[worst]
+                d2[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
+        trace.append(float(d2[rows, assign].sum()))
+        with warnings.catch_warnings():  # the mean of a cluster left empty
+            warnings.simplefilter("ignore", RuntimeWarning)
+            new_centroids = np.vstack(
+                [points[assign == j].mean(axis=0) for j in range(k)])
+        movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if movement <= clustering.TOLERANCE:
+            break
+    d2 = sq_dists(centroids)
+    assign = np.argmin(d2, axis=1)
+    inertia = float(d2[rows, assign].sum())
+    trace.append(inertia)
+    return centroids, assign, inertia, tuple(trace)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_matches_one_restart_each(points, starts):
+    with np.errstate(invalid="ignore"):
+        centroids, assign, inertia, traces, iterations = clustering._lloyd(points, starts)
+    for r, start in enumerate(starts):
+        ref_c, ref_a, ref_i, ref_t = lloyd_one_restart(points, start)
+        assert bits(centroids[r]) == bits(ref_c)  # signed zeros and NaNs too
+        assert assign[r].tolist() == ref_a.tolist()
+        assert bits(inertia[r]) == bits(ref_i)
+        assert bits(traces[r]) == bits(ref_t)
+        assert iterations[r] == len(ref_t) - 1
+    return iterations
+
+
+# a few distinct values, so rows repeat and distances tie, plus -0.0 and
+# free floats
+feature_st = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0]),
+                       st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def lloyd_case(draw):
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    pool = draw(st.lists(st.lists(feature_st, min_size=d, max_size=d),
+                         min_size=1, max_size=4))
+    n = draw(st.integers(1, 10))
+    points = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    k = draw(st.integers(1, n))
+    restarts = draw(st.integers(1, 5))
+    # starts are rows of the table, so duplicate starts leave clusters empty
+    idx = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                        min_size=restarts, max_size=restarts))
+    return points, points[np.array(idx)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lloyd_case(), max_iterations=st.sampled_from([300, 2]))
+def test_batched_lloyd_matches_one_restart_at_a_time(case, max_iterations):
+    points, starts = case
+    with mock.patch.object(clustering, "MAX_ITERATIONS", max_iterations):
+        assert_matches_one_restart_each(points, starts)
+
+
+def test_batched_restarts_stop_at_different_iterations():
+    points = np.asarray(blob_table(per_blob=8, jitter=1.0, seed=12))
+    rng = np.random.default_rng(0)
+    starts = np.stack([clustering._kmeanspp_init(points, 4, rng) for _ in range(10)])
+    iterations = assert_matches_one_restart_each(points, starts)
+    assert len(set(iterations.tolist())) > 1
+
+
+def test_k_equals_rows_with_duplicates_matches_one_restart_at_a_time():
+    # from the second start, point 0 is the only member of cluster 0 until
+    # the repair of cluster 2 takes it: cluster 0 is left empty, its
+    # centroid and the next step's objective go NaN, and the restart keeps
+    # going until every cluster has a point again
+    points = np.array([[0.0], [1.0], [1.0]])
+    starts = points[np.array([[0, 1, 2], [0, 1, 1], [1, 2, 0]])]
+    assert_matches_one_restart_each(points, starts)
+    with np.errstate(invalid="ignore"):
+        centroids, _, inertia, traces, _ = clustering._lloyd(points, starts[1:2])
+    assert np.isnan(traces[0]).any()
+    assert not np.isnan(centroids).any() and inertia[0] == 0.0

@@ -84,6 +84,9 @@ def _assert_rows_independent(params, rows, C, periods):
     for kind in POLICY_KINDS:
         spec = PolicySpec(kind, DELTA)
         batched = visit_mask(states, params, C, spec, periods)
+        if batched.benefit is not None:  # step_cohort's B, computed once
+            expected = benefit(states, params, batched.mask)
+            assert batched.benefit.tobytes() == expected.tobytes(), kind
         for k, row in enumerate(rows):
             alone = visit_mask(_stacked([row]), params, C[k:k + 1], spec, periods)
             assert batched.mask[k].tolist() == alone.mask[0].tolist(), (kind, k)
