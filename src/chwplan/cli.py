@@ -194,6 +194,7 @@ def _cmd_estimate(args) -> int:
         "grid_cells_primal_infeasible": sum(e.cells_infeasible for _, e in estimates),
         "grid_cells_nonconverged": sum(e.cells_nonconverged for _, e in estimates),
         "grid_cells_pruned": sum(e.cells_pruned for _, e in estimates),
+        "grid_cells_reused": sum(e.cells_reused for _, e in estimates),
         "qp_iterations": sum(e.qp_iterations for _, e in estimates),
     }
     storage.write_manifest(

@@ -15,9 +15,10 @@ linear in (b, p, mu, alpha). Gaussian observation and process noise make
 the objective quadratic.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,7 +106,13 @@ PARAM_UPPER_BOUND = 20.0
 STRICT_GAP = 1e-9
 # Relative slack under which two cells' objectives count as a numerical
 # tie, so the earlier cell in grid order is kept instead of whichever the
-# solver's last few bits happen to favor.
+# solver's last few bits happen to favor. It covers rounding, not the
+# ADMM's error: a solved cell's nll can sit above its exact minimum by more
+# than this slack (2.4e-5 to 2.2e-4 against slacks of 1.9e-5 to 4.2e-5 on
+# never-enrolled generated scenario1 records). Among cells whose exact
+# minima tie, the solver's error then picks the winner, not grid order, and
+# the early stop at relaxed_lower_bound may not fire. Solution polishing
+# or a wider slack would fix that, but each changes estimates.csv.
 NLL_TIE_TOLERANCE = 1e-5
 
 
@@ -136,7 +143,11 @@ class InnerSolution:
     """Outcome of one grid cell's convex subproblem.
 
     status is the QP's: "solved", "primal_infeasible" or "nonconverged".
-    Only solved cells carry a fit; the others have nll = +inf.
+    Only solved cells carry a fit; the others have nll = +inf. iterations
+    counts ADMM slot-iterations: solve_inner's are the QP's own, and
+    solve_cells gives each cell those its pool stepped since the cell
+    before it. A reused cell's QP is byte-equal to an earlier cell's, whose
+    solution it carries with iterations = 0.
     """
 
     status: str
@@ -149,6 +160,7 @@ class InnerSolution:
     latent_log_fbg: Tuple[float, ...]
     innovations: Tuple[float, ...]
     iterations: int
+    reused: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -165,11 +177,14 @@ class EstimationResult:
     latent_perception: Tuple[float, ...]
     innovations: Tuple[float, ...]
     # the grid search's work: cells by QP status, the cells the search
-    # stopped before, and ADMM iterations summed
+    # stopped before, the cells (of any status) that reused an earlier
+    # cell's QP, and the ADMM slot-iterations stepped, each distinct QP's
+    # once and those of the QPs in flight when the search stopped
     cells_solved: int
     cells_infeasible: int
     cells_nonconverged: int
     cells_pruned: int
+    cells_reused: int
     qp_iterations: int
 
 
@@ -240,28 +255,34 @@ def _box(history: VisitHistory):
                                             np.full(5, PARAM_UPPER_BOUND)])
 
 
-def _constraints(history: VisitHistory, cell: Cell):
-    """A, l, u of one grid cell's inner QP, row blocks in this order:
+def _cell_terms(y, cell: Cell, s, c):
+    """h and big_m, the terms of a cell's constraints besides its
+    perception coefficients c: the benefit's adversity factor h = g +
+    beta*y, with g = gamma*(s - s_base) + s_base the adversity carried over,
+    and the big M that bounds the benefit over the parameter box. y is the
+    visit record, s the cell's reconstruct_adverse and c its
+    perception_coefficients, all as arrays.
+    """
+    s_base, beta, gamma, _ = cell
+    g = gamma * (s - s_base) + s_base
+    ub = PARAM_UPPER_BOUND
+    theta_max = ub * (1.0 + np.max(np.abs(c)))
+    return g + beta * y, 2.0 * (ub + ub + theta_max * (np.max(g) + beta))
+
+
+def _assemble(history: VisitHistory, c, h, big_m):
+    """A, l, u of a cell's inner QP from its terms, row blocks in this order:
 
     b_t >= 0; the five parameters in [0, PARAM_UPPER_BOUND]; theta_t =
     theta_base + c_t*lam >= 0; and the enrollment benefit's sign per
-    period, bounded by a big M derived from the cell: >= 0 when enrolled,
-    <= -STRICT_GAP when an offer was declined, <= 0 otherwise.
+    period, mu + alpha*y_t - theta_t*h_t, bounded by big_m: >= 0 when
+    enrolled, <= -STRICT_GAP when an offer was declined, <= 0 otherwise.
+    Byte-equal terms give byte-equal A, l, u.
     """
-    s_base, beta, gamma, rho = cell
     T = history.length
     n = T + 5
     imu, ial, ith, ila = T + 1, T + 2, T + 3, T + 4
-
     y, z = np.array(history.visited), np.array(history.enrolled)
-    s = np.array(reconstruct_adverse(history, s_base, beta, gamma))
-    c = np.array(perception_coefficients(history, rho))
-    g = gamma * (s - s_base) + s_base
-    h = g + beta * y
-
-    ub = PARAM_UPPER_BOUND
-    theta_max = ub * (1.0 + np.max(np.abs(c)))
-    big_m = 2.0 * (ub + ub + theta_max * (np.max(g) + beta))
 
     lo, hi = _box(history)
     A = np.zeros((3 * T + 5, n))
@@ -281,6 +302,14 @@ def _constraints(history: VisitHistory, cell: Cell):
     u = np.concatenate([hi, np.full(T, math.inf),
                         np.where(z == 1, big_m, np.where(offered, -STRICT_GAP, 0.0))])
     return A, l, u
+
+
+def _constraints(history: VisitHistory, cell: Cell):
+    """A, l, u of one grid cell's inner QP: _assemble of its _cell_terms."""
+    s_base, beta, gamma, rho = cell
+    s = np.array(reconstruct_adverse(history, s_base, beta, gamma))
+    c = np.array(perception_coefficients(history, rho))
+    return _assemble(history, c, *_cell_terms(np.array(history.visited), cell, s, c))
 
 
 def _box_qp(P, q, lo, hi):
@@ -474,16 +503,66 @@ def grid_cells(config: EstimationConfig) -> List[Cell]:
 def solve_cells(
     history: VisitHistory, cells: Sequence[Cell], config: EstimationConfig
 ) -> Iterator[InnerSolution]:
-    """solve_inner for every cell, in order, as one batched QP solve.
+    """solve_inner for every cell, in order, as one batched solve of the
+    byte-distinct cell QPs.
 
-    The cells share the objective, so it is built once; their constraint
-    sets are built as the solver's pool asks for them, and each cell's
-    solution is yielded as soon as the cells before it are done.
+    The cells share the objective, so it is built once. As the solver's
+    pool frees slots it reads on through the cells, keys each by the bytes
+    of its c and _cell_terms (reconstruct_adverse runs once per (s_base,
+    beta, gamma), perception_coefficients once per rho), and assembles A,
+    l, u only for a new key, reading past the others to fill its slots.
+    Equal terms give byte-equal A, l, u and the solver is deterministic,
+    so a cell whose key came earlier is yielded that cell's solution,
+    marked reused. Each cell's solution is yielded as soon as the cells
+    before it are done.
     """
     P, q = _objective(history, config)
-    results = solve_qps(P, q, (_constraints(history, cell) for cell in cells))
-    return (_inner_solution(history, cell, config, result)
-            for cell, result in zip(cells, results))
+    y = np.array(history.visited)
+
+    @functools.lru_cache(maxsize=None)
+    def adverse(s_base, beta, gamma):
+        return np.array(reconstruct_adverse(history, s_base, beta, gamma))
+
+    @functools.lru_cache(maxsize=None)
+    def perception(rho):
+        # c's bytes too, shared by the keys of every cell with this rho
+        c = np.array(perception_coefficients(history, rho))
+        return c, c.tobytes()
+
+    # the index of each distinct QP, by its terms' bytes
+    first: Dict[Tuple[bytes, bytes, bytes], int] = {}
+    # for each cell the pool has read, the index of its distinct QP
+    distinct_of: List[int] = []
+
+    def distinct_constraints():
+        for cell in cells:
+            s_base, beta, gamma, rho = cell
+            c, c_bytes = perception(rho)
+            h, big_m = _cell_terms(y, cell, adverse(s_base, beta, gamma), c)
+            key = (c_bytes, h.tobytes(), big_m.tobytes())
+            fresh = len(first)
+            d = first.setdefault(key, fresh)
+            distinct_of.append(d)
+            if d == fresh:
+                yield _assemble(history, c, h, big_m)
+
+    # closing this generator drops the last reference to the pool, which
+    # closes it too: nothing more is stepped or read
+    results = iter(solve_qps(P, q, distinct_constraints()))
+    solutions: List[InnerSolution] = []
+    stepped = 0
+    for i, cell in enumerate(cells):
+        # the pool reads a cell before it yields the cell's result, and
+        # refills a freed slot before it yields, so only the first cell can
+        # be unread here
+        if i < len(distinct_of) and distinct_of[i] < len(solutions):
+            yield replace(solutions[distinct_of[i]], iterations=0, reused=True)
+            continue
+        result = next(results)
+        sol = _inner_solution(history, cell, config, result)
+        solutions.append(replace(sol, iterations=result.pool_iterations - stepped))
+        stepped = result.pool_iterations
+        yield solutions[-1]
 
 
 def estimate_patient(
@@ -498,7 +577,8 @@ def estimate_patient(
     precision are genuine ties, and letting the last few floating-point
     bits pick the winner would make the selected cell non-reproducible.
     Infeasible and nonconverged cells are dropped and counted in the
-    result.
+    result. A cell that reuses an earlier cell's QP (see solve_cells)
+    competes like any other and is counted as reused as well.
 
     The walk stops once the best nll, less its tie slack, is at or below
     relaxed_lower_bound: no later cell can then replace it, so the result
@@ -510,7 +590,7 @@ def estimate_patient(
     bound = relaxed_lower_bound(history, config)
     statuses: Dict[str, int] = dict.fromkeys(
         ("solved", "primal_infeasible", "nonconverged"), 0)
-    iterations = 0
+    reused = iterations = 0
     best: Optional[InnerSolution] = None
     best_cell = None
     # a later cell replaces the best only with an nll below this
@@ -518,6 +598,7 @@ def estimate_patient(
     solutions = solve_cells(history, cells, config)
     for cell, sol in zip(cells, solutions):
         statuses[sol.status] += 1
+        reused += sol.reused
         iterations += sol.iterations
         if not sol.feasible or sol.nll >= threshold:
             continue
@@ -551,5 +632,6 @@ def estimate_patient(
         cells_infeasible=statuses["primal_infeasible"],
         cells_nonconverged=statuses["nonconverged"],
         cells_pruned=len(cells) - sum(statuses.values()),
+        cells_reused=reused,
         qp_iterations=iterations,
     )

@@ -25,7 +25,8 @@ variables and ~200 boxed or one-sided rows):
   directions.
 
 One loop solves a stream of problems that share P and q (the estimator's
-grid cells: one history, one constraint set per cell). It runs a pool of
+grid cells: one history, one constraint set per byte-distinct cell). It
+runs a pool of
 POOL_WIDTH slots, each holding one problem's A, bounds, inverse and
 iterate, and steps every slot at once with stacked matrix-vector
 products. When a problem finishes, the next one loads into its slot;
@@ -39,12 +40,15 @@ A and 65 x 65 inverse (1.0 MB) stay in a 2 MB per-core L2. On one
 2-4 alternating runs) widths 1, 4, 8, 12, 16 and 64 took 8.0, 4.1, 3.2,
 3.3, 3.6 and 4.1 s; a stack of all 400 cells would also need 38 MB for
 A alone. The estimator now usually stops its grid early, and the slots
-still in flight when it stops are wasted work. On the benchmark's two
-60-period patients, which stop after cell 25, widths 4, 8 and 16 took
-0.178, 0.187 and 0.221 s for both (medians of 40 alternating runs, same
-machine). Width 4 won 28 of the 40 runs, but by less than the quartile
-spread (0.143-0.186 against 0.146-0.195 s), and it is about 1.3x slower
-on a patient that runs the whole grid. So the width stays eight.
+still in flight when it stops are wasted work. When the benchmark still
+had two 60-period patients, each stopping after cell 25, and every cell
+went to the pool, widths 4, 8 and 16 took 0.178, 0.187 and 0.221 s for
+both (medians of 40 alternating runs, same machine). Width 4 won 28 of
+the 40 runs, but by less than the quartile spread (0.143-0.186 against
+0.146-0.195 s), and it is about 1.3x slower on a patient that runs the
+whole grid. So the width stays eight. Each result records the pool's
+slot-iterations so far (pool_iterations), so a caller that stops early
+can count the work spent on the problems it drops.
 
 Every slot keeps its own iteration counter and the single-problem
 arithmetic, so a problem's iterates do not depend on its neighbours in
@@ -57,7 +61,7 @@ problem ends in a QPResult whose status says how: "solved",
 raises.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -85,6 +89,10 @@ class QPResult:
     iterations: int
     primal_residual: float
     dual_residual: float
+    # slot-iterations the pool had stepped, over every problem of the
+    # stream, when it yielded this result: with an early close, the work
+    # spent on problems that never finish shows only here
+    pool_iterations: int = 0
 
 
 def _absmax(v):
@@ -180,6 +188,7 @@ def solve_qps(
     k = np.zeros(POOL_WIDTH, dtype=np.int64)
     index = np.zeros(POOL_WIDTH, dtype=np.int64)
     loaded = 0
+    stepped = 0
     finished: Dict[int, QPResult] = {}
     next_out = 0
 
@@ -210,6 +219,7 @@ def solve_qps(
     At = A.transpose(0, 2, 1)
     while w:
         k += 1
+        stepped += w
         rho_col = rho[:, None, None]
         rhs = SIGMA * x - qs + At @ (rho_col * z - y)
         x_tilde = inv @ rhs
@@ -288,7 +298,7 @@ def solve_qps(
         rho, k, index = rho[:w], k[:w], index[:w]
         At = A.transpose(0, 2, 1)
         while next_out in finished:
-            yield finished.pop(next_out)
+            yield replace(finished.pop(next_out), pool_iterations=stepped)
             next_out += 1
 
 

@@ -629,6 +629,24 @@ class TestCliEstimate:
         header = (out / "estimates.csv").read_text().splitlines()[0]
         assert header == ",".join(storage.ESTIMATE_COLUMNS)
 
+    @pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+    def test_manifest_counts_reused_cells(self, tmp_path):
+        # the console-script check's records: a and b stop at cell 0; c
+        # declines the offer of its second visit, which its cells 0-24
+        # (s_base = beta = 0, so h = 0) fit badly, and their constraints
+        # differ only by rho: 5 distinct QPs for 25 cells before cell 25 wins
+        lines = ["a,0,1,1,180", "a,1,0,1,171", "a,2,0,1,165", "a,3,1,1,150",
+                 "b,0,0,0,160", "b,1,1,0,166", "b,2,0,0,172",
+                 "c,0,1,1,155", "c,1,1,0,156", "c,2,0,0,144"]
+        path = write_history_csv(tmp_path / "hist.csv", lines)
+        out = tmp_path / "est"
+        assert main(["estimate", "--histories", path, "--out", str(out)]) == 0
+        work = storage.read_manifest(str(out))["work"]
+        assert work["grid_cells_reused"] == 20
+        # status counts still cover every cell, reused or not
+        assert (work["grid_cells_solved"] + work["grid_cells_primal_infeasible"]
+                + work["grid_cells_nonconverged"] + work["grid_cells_pruned"]) == 400 * 3
+
     def test_manifest_records_solver_constants(self, tmp_path):
         params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,
                                gamma=0.2, rho=0.2, s_base=0.0, theta_base=1.0)

@@ -5,12 +5,13 @@ synthetic patient with known parameters."""
 
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chwplan.estimation as est
@@ -365,8 +366,10 @@ def test_estimation_failed_when_every_cell_infeasible(monkeypatch):
 def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
     # all four cells fit this record exactly, so the earliest would win;
     # the batch reports the first infeasible and the second out of budget,
-    # and the best remaining cell (the third, by the tie rule) wins
-    h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
+    # and the best remaining cell (the third, by the tie rule) wins. The
+    # visit while enrolled at period 1 makes c depend on rho, so the four
+    # cells' constraints differ and all four reach the solver
+    h = VisitHistory(visited=(1, 1, 0), enrolled=(1, 1, 1), observations={0: 1.0})
     cfg = EstimationConfig(grid_s_base=(0.0, 1.0), grid_beta=(0.0,),
                            grid_gamma=(0.2,), grid_rho=(0.2, 0.5))
     cells = est.grid_cells(cfg)
@@ -511,6 +514,74 @@ def test_pruned_search_equals_full_search(h):
     assert pruned.nll == full.nll
     assert pruned.params == full.params
     assert pruned.latent_log_fbg == full.latent_log_fbg
+
+
+def _fields_but_work(sol):
+    # repr round-trips every float, so equal reprs are bit-equal fields
+    return repr(replace(sol, iterations=0, reused=False))
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@settings(max_examples=30, deadline=None)
+@given(records())
+@example(DEGENERATE_RECORDS["never enrolled"])
+@example(reference_history()[0])
+def test_solve_cells_equals_solve_inner_per_cell(h):
+    # solving only the byte-distinct cell QPs, and handing a later equal
+    # cell the earlier one's solution, changes no field but the work counts
+    cells = est.grid_cells(SMALL_GRID)
+    batched = list(est.solve_cells(h, cells, SMALL_GRID))
+    assert len(batched) == len(cells)
+    for cell, sol in zip(cells, batched):
+        alone = solve_inner(h, *cell, SMALL_GRID)
+        assert _fields_but_work(sol) == _fields_but_work(alone)
+        assert not alone.reused
+        if sol.reused:
+            assert sol.iterations == 0
+
+
+def _constraints_bytes(h, cell):
+    return b"".join(a.tobytes() for a in est._constraints(h, cell))
+
+
+def test_pool_receives_each_distinct_qp_once_and_closes_on_stop(monkeypatch):
+    # the planted record's cells 0-24 (s_base = beta = 0) have g = h = 0,
+    # so their constraints depend on rho alone; the search stops at cell 25
+    h, _ = reference_history()
+    cfg = small_config()
+    cells = est.grid_cells(cfg)
+    received, yielded, ends = [], [], []
+    real_solve_qps = est.solve_qps
+
+    def counting(P, q, constraints):
+        def read():
+            for A, l, u in constraints:
+                received.append(b"".join(a.tobytes() for a in (A, l, u)))
+                yield A, l, u
+        try:
+            for result in real_solve_qps(P, q, read()):
+                yielded.append(result)
+                yield result
+            ends.append("exhausted")
+        finally:
+            ends.append("closed")
+
+    monkeypatch.setattr(est, "solve_qps", counting)
+    result = estimate_patient(h, cfg)
+    assert result.grid_cell == TRUE_CELL
+    assert result.cells_pruned > 0
+    assert ends == ["closed"]
+    # the pool read the first len(received) distinct QPs of the grid, in
+    # grid order, each once
+    distinct = list(dict.fromkeys(_constraints_bytes(h, cell) for cell in cells))
+    assert received == distinct[:len(received)]
+    reached = 400 - result.cells_pruned
+    reached_distinct = len(set(_constraints_bytes(h, cell) for cell in cells[:reached]))
+    assert reached_distinct == 6
+    assert result.cells_reused == reached - reached_distinct
+    # the work counts the slots still in flight when the search stopped
+    assert result.qp_iterations == yielded[-1].pool_iterations
+    assert result.qp_iterations > sum(r.iterations for r in yielded)
 
 
 def test_estimation_does_not_import_scipy():

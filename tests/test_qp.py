@@ -213,6 +213,21 @@ def test_batch_is_deterministic(monkeypatch):
             assert (va is None and vb is None) or np.array_equal(va, vb)
 
 
+def test_pool_iterations_count_every_stepped_slot(monkeypatch):
+    monkeypatch.setattr(qp, "MAX_ITERATIONS", 75)
+    P, q, problems = _mixed_batch()
+    results = list(solve_qps(P, q, problems))
+    counts = [r.pool_iterations for r in results]
+    assert counts == sorted(counts)
+    # run to the end, the pool stepped each problem's own iterations
+    assert counts[-1] == sum(r.iterations for r in results)
+    # stopped after the first result, the slots in flight count as well
+    first = next(solve_qps(P, q, problems))
+    assert first.iterations < first.pool_iterations <= POOL_WIDTH * first.iterations
+    single = solve_qp(P, q, *problems[0])
+    assert single.pool_iterations == single.iterations
+
+
 def test_batch_reads_problems_lazily():
     # an endless stream: only a lazy reader can yield the first result
     problem = (np.eye(2), np.zeros(2), np.ones(2))
