@@ -172,10 +172,7 @@ def _cmd_estimate(args) -> int:
         sigma_eps=args.sigma_eps,
         sigma_xi=args.sigma_xi,
     )
-    estimates = []
-    for i, history in enumerate(histories):
-        pid = history.patient_id or f"patient{i}"
-        estimates.append((pid, estimate_patient(history, config)))
+    estimates = [(h.patient_id, estimate_patient(h, config)) for h in histories]
     out_dir = _resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     storage.write_estimates_csv(os.path.join(out_dir, "estimates.csv"),

@@ -15,7 +15,6 @@ linear in (b, p, mu, alpha). Gaussian observation and process noise make
 the objective quadratic.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -195,7 +194,9 @@ def reconstruct_adverse(
 
     With the visit/enrollment record observed the recurrence has no free
     variables. The trajectory starts at s_base when the patient begins
-    enrolled and at zero otherwise.
+    enrolled and at zero otherwise. Given arrays of cell values it runs
+    elementwise: each period's entry is an array holding, for every cell,
+    the float that cell gets alone.
     """
     y, z = history.visited, history.enrolled
     s = [s_base * z[0]]
@@ -210,9 +211,10 @@ def perception_coefficients(history: VisitHistory, rho: float) -> Tuple[float, .
     Unrolling the perception recurrence shows theta_t is affine in
     (theta_base, lam); the lam coefficient depends only on rho and the
     observed visit/enrollment record, starting at zero and never positive.
+    Elementwise, like reconstruct_adverse, when rho is an array.
     """
     y, z = history.visited, history.enrolled
-    c = [0.0]
+    c = [0.0 * rho]
     for t in range(history.length - 1):
         c.append(rho * c[t] - y[t] * z[t])
     return tuple(c)
@@ -255,19 +257,28 @@ def _box(history: VisitHistory):
                                             np.full(5, PARAM_UPPER_BOUND)])
 
 
-def _cell_terms(y, cell: Cell, s, c):
-    """h and big_m, the terms of a cell's constraints besides its
-    perception coefficients c: the benefit's adversity factor h = g +
-    beta*y, with g = gamma*(s - s_base) + s_base the adversity carried over,
-    and the big M that bounds the benefit over the parameter box. y is the
-    visit record, s the cell's reconstruct_adverse and c its
-    perception_coefficients, all as arrays.
+def _cell_terms(history: VisitHistory, triples: Sequence[Tuple[float, float, float]],
+                rhos: Sequence[float]):
+    """The terms of the constraints of every cell (s_base, beta, gamma, rho)
+    built from a (s_base, beta, gamma) triple and a rho, by factor:
+
+    c, one row per rho, its perception_coefficients; h, one row per triple,
+    the benefit's adversity factor g + beta*y, with g = gamma*(s - s_base) +
+    s_base the adversity carried over from the triple's reconstruct_adverse
+    s; and big_m, triple by rho, the big M that bounds the benefit over the
+    parameter box. Both recurrences run once, elementwise over all triples
+    and all rhos, so each row holds the floats its cell gets alone.
     """
-    s_base, beta, gamma, _ = cell
+    # (K, 1) and (R, 1) columns, so the recurrences give one column per period
+    s_base, beta, gamma = np.array(triples, dtype=float).T[:, :, None]
+    rho = np.array(rhos, dtype=float)[:, None]
+    c = np.concatenate(perception_coefficients(history, rho), axis=1)
+    s = np.concatenate(reconstruct_adverse(history, s_base, beta, gamma), axis=1)
     g = gamma * (s - s_base) + s_base
     ub = PARAM_UPPER_BOUND
-    theta_max = ub * (1.0 + np.max(np.abs(c)))
-    return g + beta * y, 2.0 * (ub + ub + theta_max * (np.max(g) + beta))
+    theta_max = ub * (1.0 + np.max(np.abs(c), axis=1))
+    big_m = 2.0 * (ub + ub + (np.max(g, axis=1, keepdims=True) + beta) * theta_max)
+    return c, g + beta * np.array(history.visited), big_m
 
 
 def _assemble(history: VisitHistory, c, h, big_m):
@@ -305,11 +316,10 @@ def _assemble(history: VisitHistory, c, h, big_m):
 
 
 def _constraints(history: VisitHistory, cell: Cell):
-    """A, l, u of one grid cell's inner QP: _assemble of its _cell_terms."""
-    s_base, beta, gamma, rho = cell
-    s = np.array(reconstruct_adverse(history, s_base, beta, gamma))
-    c = np.array(perception_coefficients(history, rho))
-    return _assemble(history, c, *_cell_terms(np.array(history.visited), cell, s, c))
+    """A, l, u of one grid cell's inner QP: _assemble of a one-cell
+    _cell_terms."""
+    c, h, big_m = _cell_terms(history, [cell[:3]], [cell[3]])
+    return _assemble(history, c[0], h[0], big_m[0, 0])
 
 
 def _box_qp(P, q, lo, hi):
@@ -429,9 +439,10 @@ def relaxed_lower_bound(history: VisitHistory, config: EstimationConfig) -> floa
 
 
 def _inner_solution(
-    history: VisitHistory, cell: Cell, config: EstimationConfig, result: QPResult
+    history: VisitHistory, problem, config: EstimationConfig, result: QPResult
 ) -> InnerSolution:
-    """A cell's fit from its QP result; unsolved cells get nll = +inf.
+    """A cell's fit from the result of its QP, whose A, l, u are problem;
+    unsolved cells get nll = +inf.
 
     A cell whose subproblem is infeasible, or cannot be solved to
     tolerance within the iteration budget, cannot be trusted as the
@@ -443,7 +454,7 @@ def _inner_solution(
                              (), (), result.iterations)
 
     x = result.x
-    A, l, u = _constraints(history, cell)
+    A, l, u = problem
     audit = max(float(np.max(l - A @ x)), float(np.max(A @ x - u)))
     if audit > 10.0 * QP_TOLERANCE:
         raise RuntimeError(
@@ -488,10 +499,9 @@ def solve_inner(
     -STRICT_GAP; without an offer only the weak bound benefit <= 0
     applies. solve_cells fits many cells of one history at once.
     """
-    cell = (s_base, beta, gamma, rho)
-    P, q = _objective(history, config)
-    return _inner_solution(history, cell, config,
-                           solve_qp(P, q, *_constraints(history, cell)))
+    problem = _constraints(history, (s_base, beta, gamma, rho))
+    return _inner_solution(history, problem, config,
+                           solve_qp(*_objective(history, config), *problem))
 
 
 def grid_cells(config: EstimationConfig) -> List[Cell]:
@@ -500,69 +510,47 @@ def grid_cells(config: EstimationConfig) -> List[Cell]:
                                   config.grid_gamma, config.grid_rho))
 
 
-def solve_cells(
-    history: VisitHistory, cells: Sequence[Cell], config: EstimationConfig
-) -> Iterator[InnerSolution]:
-    """solve_inner for every cell, in order, as one batched solve of the
-    byte-distinct cell QPs.
+def solve_cells(history: VisitHistory, config: EstimationConfig) -> Iterator[InnerSolution]:
+    """solve_inner for every cell of grid_cells(config), in order, as one
+    batched solve of the byte-distinct cell QPs.
 
-    The cells share the objective, so it is built once. As the solver's
-    pool frees slots it reads on through the cells, keys each by the bytes
-    of its c and _cell_terms (reconstruct_adverse runs once per (s_base,
-    beta, gamma), perception_coefficients once per rho), and assembles A,
-    l, u only for a new key, reading past the others to fill its slots.
-    Equal terms give byte-equal A, l, u and the solver is deterministic,
-    so a cell whose key came earlier is yielded that cell's solution,
-    marked reused. Each cell's solution is yielded as soon as the cells
-    before it are done.
+    The cells share the objective, so it is built once, and their
+    constraint terms come from one _cell_terms table. Before the solve,
+    each cell is keyed by the bytes of its rho's c, its triple's h and its
+    big_m, and only the first cell of each key is assembled for the
+    solver's pool. Equal terms give byte-equal A, l, u and the solver is
+    deterministic, so a later cell with the same key is yielded the first
+    cell's solution, marked reused. Each cell's solution is yielded as soon
+    as the cells before it are done.
     """
-    P, q = _objective(history, config)
-    y = np.array(history.visited)
+    triples = itertools.product(config.grid_s_base, config.grid_beta, config.grid_gamma)
+    c, h, big_m = _cell_terms(history, list(triples), config.grid_rho)
+    c_keys, h_keys = ([row.tobytes() for row in terms] for terms in (c, h))
+    # each cell as (triple, rho) indices, in grid_cells order, and its key
+    cells = list(itertools.product(range(len(h)), range(len(c))))
+    keys = [(c_keys[r], h_keys[k], big_m[k, r].tobytes()) for k, r in cells]
+    first: Dict[Tuple[bytes, bytes, bytes], Tuple[int, int]] = {}
+    for key, cell in zip(keys, cells):
+        first.setdefault(key, cell)
 
-    @functools.lru_cache(maxsize=None)
-    def adverse(s_base, beta, gamma):
-        return np.array(reconstruct_adverse(history, s_base, beta, gamma))
-
-    @functools.lru_cache(maxsize=None)
-    def perception(rho):
-        # c's bytes too, shared by the keys of every cell with this rho
-        c = np.array(perception_coefficients(history, rho))
-        return c, c.tobytes()
-
-    # the index of each distinct QP, by its terms' bytes
-    first: Dict[Tuple[bytes, bytes, bytes], int] = {}
-    # for each cell the pool has read, the index of its distinct QP
-    distinct_of: List[int] = []
-
-    def distinct_constraints():
-        for cell in cells:
-            s_base, beta, gamma, rho = cell
-            c, c_bytes = perception(rho)
-            h, big_m = _cell_terms(y, cell, adverse(s_base, beta, gamma), c)
-            key = (c_bytes, h.tobytes(), big_m.tobytes())
-            fresh = len(first)
-            d = first.setdefault(key, fresh)
-            distinct_of.append(d)
-            if d == fresh:
-                yield _assemble(history, c, h, big_m)
+    def problem(k, r):
+        return _assemble(history, c[r], h[k], big_m[k, r])
 
     # closing this generator drops the last reference to the pool, which
-    # closes it too: nothing more is stepped or read
-    results = iter(solve_qps(P, q, distinct_constraints()))
-    solutions: List[InnerSolution] = []
+    # closes it too: nothing more is stepped or assembled
+    results = iter(solve_qps(*_objective(history, config),
+                             (problem(*cell) for cell in first.values())))
+    solved: Dict[Tuple[bytes, bytes, bytes], InnerSolution] = {}
     stepped = 0
-    for i, cell in enumerate(cells):
-        # the pool reads a cell before it yields the cell's result, and
-        # refills a freed slot before it yields, so only the first cell can
-        # be unread here
-        if i < len(distinct_of) and distinct_of[i] < len(solutions):
-            yield replace(solutions[distinct_of[i]], iterations=0, reused=True)
+    for key, cell in zip(keys, cells):
+        if key in solved:
+            yield replace(solved[key], iterations=0, reused=True)
             continue
         result = next(results)
-        sol = _inner_solution(history, cell, config, result)
-        solutions.append(replace(sol, iterations=result.pool_iterations - stepped))
+        sol = _inner_solution(history, problem(*cell), config, result)
+        solved[key] = replace(sol, iterations=result.pool_iterations - stepped)
         stepped = result.pool_iterations
-        yield solutions[-1]
+        yield solved[key]
 
 
 def estimate_patient(
@@ -595,7 +583,7 @@ def estimate_patient(
     best_cell = None
     # a later cell replaces the best only with an nll below this
     threshold = math.inf
-    solutions = solve_cells(history, cells, config)
+    solutions = solve_cells(history, config)
     for cell, sol in zip(cells, solutions):
         statuses[sol.status] += 1
         reused += sol.reused

@@ -206,15 +206,14 @@ class RolloutTable:
         return RolloutSummary(v_tilde=v_tilde[mine], visits=visits[mine]), ran
 
 
-def _value_per_visit_key(rs: RolloutSummary, periods_remaining: int) -> np.ndarray:
-    """Sort key for the value-per-visit ranking (ascending sort order).
+def _value_per_visit_key(rs: RolloutSummary) -> np.ndarray:
+    """Sort key for the value-per-visit ranking (ascending): -v_tilde/visits.
 
-    A patient predicted to need zero visits is free value: its key
-    -v_tilde - (periods_remaining + 1) sorts below every finite ratio
-    -v_tilde/visits >= -periods_remaining, and more value comes first.
+    A member's rollout applies the rule that made it a member to the same
+    state first, so visits >= 1 while a period remains; with none left,
+    every summary is zero and every key ties.
     """
-    return np.where(rs.visits > 0, -rs.v_tilde / np.maximum(rs.visits, 1),
-                    -rs.v_tilde - (periods_remaining + 1))
+    return -rs.v_tilde / np.maximum(rs.visits, 1)
 
 
 class Visits(NamedTuple):
@@ -289,7 +288,7 @@ def visit_mask(
             rolled_out = np.where(members > C, members, 0)
             key = np.full(candidates.shape, np.inf)
             key[row, col] = (-rs.v_tilde if spec.kind == "ea_desc_vtg"
-                             else _value_per_visit_key(rs, periods_remaining))
+                             else _value_per_visit_key(rs))
         np.put_along_axis(candidates, np.argsort(key, axis=1, kind="stable"),
                           np.arange(n) < C[over, None], axis=1)
         mask[over] = candidates

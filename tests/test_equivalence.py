@@ -155,6 +155,17 @@ def test_batched_rollout_equals_per_patient_rollouts(cohort, periods):
         assert (single.v_tilde, single.visits) == _scalar_rollout(state, prm, periods, DELTA)
 
 
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(cohort=cohort_st, periods=st.integers(1, 15))
+@settings(max_examples=150, deadline=None)
+def test_every_interest_set_member_rolls_out_a_visit(cohort, periods):
+    # a member's rollout starts from its state under the rule that made it
+    # a member, so the value-per-visit key never sees zero visits
+    states, params = _arrays(cohort)
+    members = single_patient_action(states, params)
+    assert (rollout_cohort(states, params, periods, DELTA).visits[members] >= 1).all()
+
+
 def test_clamps_fire_and_match_in_the_array_step():
     plain = PatientParams(p=0.0, mu=1.0, alpha=1.0, beta=0.5, lam=0.5,
                           gamma=0.5, rho=0.5, s_base=0.5, theta_base=0.5)

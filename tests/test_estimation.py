@@ -304,7 +304,8 @@ def _fake_solution(nll):
 def test_grid_visits_every_cell_once(monkeypatch):
     calls = []
 
-    def counting(history, cells, config):
+    def counting(history, config):
+        cells = est.grid_cells(config)
         calls.extend(cells)
         return [_fake_solution(1.0) for _ in cells]
 
@@ -321,7 +322,7 @@ def test_grid_visits_every_cell_once(monkeypatch):
 def test_grid_tie_slack_keeps_earlier_cell(monkeypatch):
     # an improvement smaller than the tie tolerance is solver noise, not
     # evidence; a real improvement still wins
-    def scripted(history, cells, config):
+    def scripted(history, config):
         def one(cell):
             if cell == (0.0, 0.0, 0.2, 0.2):
                 return _fake_solution(10.0)
@@ -330,21 +331,21 @@ def test_grid_tie_slack_keeps_earlier_cell(monkeypatch):
             if cell == (1.0, 2.0, 0.5, 0.8):
                 return _fake_solution(1.0)
             return _fake_solution(50.0)
-        return [one(cell) for cell in cells]
+        return [one(cell) for cell in est.grid_cells(config)]
 
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
     monkeypatch.setattr(est, "solve_cells", scripted)
     result = estimate_patient(h, EstimationConfig())
     assert result.grid_cell == (1.0, 2.0, 0.5, 0.8)
 
-    def scripted_ties_only(history, cells, config):
+    def scripted_ties_only(history, config):
         def one(cell):
             if cell == (0.0, 0.0, 0.2, 0.2):
                 return _fake_solution(10.0)
             if cell == (0.0, 0.0, 0.2, 0.5):
                 return _fake_solution(10.0 - 5e-5)
             return _fake_solution(50.0)
-        return [one(cell) for cell in cells]
+        return [one(cell) for cell in est.grid_cells(config)]
 
     monkeypatch.setattr(est, "solve_cells", scripted_ties_only)
     result = estimate_patient(h, EstimationConfig())
@@ -352,9 +353,9 @@ def test_grid_tie_slack_keeps_earlier_cell(monkeypatch):
 
 
 def test_estimation_failed_when_every_cell_infeasible(monkeypatch):
-    def never_feasible(history, cells, config):
+    def never_feasible(history, config):
         return [InnerSolution("primal_infeasible", math.inf, 0, 0, 0, 0, 0, (), (), 3)
-                for _ in cells]
+                for _ in est.grid_cells(config)]
 
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0},
                      patient_id="pt-042")
@@ -423,8 +424,7 @@ def test_relaxed_bound_below_every_solved_cell(name):
     cfg = EstimationConfig()
     bound = est.relaxed_lower_bound(h, cfg)
     assert math.isfinite(bound)
-    cells = est.grid_cells(cfg)
-    nlls = [sol.nll for sol in est.solve_cells(h, cells, cfg) if sol.feasible]
+    nlls = [sol.nll for sol in est.solve_cells(h, cfg) if sol.feasible]
     assert len(nlls) > 0
     assert all(bound <= nll for nll in nlls)
 
@@ -434,8 +434,7 @@ def test_relaxed_bound_below_every_solved_cell_of_noisy_record():
     cfg = small_config(grid_s_base=(0.0, 1.0), grid_beta=(0.0, 1.0, 3.0),
                        grid_gamma=(0.2, 0.99), grid_rho=(0.2, 0.9))
     bound = est.relaxed_lower_bound(h, cfg)
-    nlls = [sol.nll for sol in est.solve_cells(h, est.grid_cells(cfg), cfg)
-            if sol.feasible]
+    nlls = [sol.nll for sol in est.solve_cells(h, cfg) if sol.feasible]
     assert len(nlls) == 24
     assert all(bound <= nll for nll in nlls)
     # the record fits the planted cell to within the tie slack of the bound
@@ -458,9 +457,9 @@ def test_search_stops_at_first_cell_within_tie_slack_of_bound(monkeypatch):
     assert est.relaxed_lower_bound(h, EstimationConfig()) == 0.0
     walked, closed = [], []
 
-    def scripted(history, cells, config):
+    def scripted(history, config):
         try:
-            for cell in cells:
+            for cell in est.grid_cells(config):
                 walked.append(cell)
                 yield _fake_solution(5e-4 if len(walked) == 1 else 0.0)
         finally:
@@ -530,7 +529,7 @@ def test_solve_cells_equals_solve_inner_per_cell(h):
     # solving only the byte-distinct cell QPs, and handing a later equal
     # cell the earlier one's solution, changes no field but the work counts
     cells = est.grid_cells(SMALL_GRID)
-    batched = list(est.solve_cells(h, cells, SMALL_GRID))
+    batched = list(est.solve_cells(h, SMALL_GRID))
     assert len(batched) == len(cells)
     for cell, sol in zip(cells, batched):
         alone = solve_inner(h, *cell, SMALL_GRID)
@@ -538,6 +537,35 @@ def test_solve_cells_equals_solve_inner_per_cell(h):
         assert not alone.reused
         if sol.reused:
             assert sol.iterations == 0
+
+
+shape_values = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3)
+decay_values = st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(records(), shape_values, shape_values, decay_values, decay_values)
+@example(reference_history()[0], [0.0, 1.0], [0.0, 1.0], [0.2, 0.99], [0.2, 0.9])
+def test_cell_terms_rows_equal_each_cell_alone(h, s_bases, betas, gammas, rhos):
+    # each row of the grid-wide table is byte-equal to the cell's terms
+    # restated from the scalar recurrences
+    triples = [(s_base, beta, gamma) for s_base in s_bases for beta in betas
+               for gamma in gammas]
+    c, h_table, big_m = est._cell_terms(h, triples, rhos)
+    assert c.shape == (len(rhos), h.length) and h_table.shape == (len(triples), h.length)
+    assert big_m.shape == (len(triples), len(rhos))
+    y = np.array(h.visited)
+    ub = est.PARAM_UPPER_BOUND
+    for r, rho in enumerate(rhos):
+        c_alone = np.array(perception_coefficients(h, rho))
+        assert c[r].tobytes() == c_alone.tobytes()
+        theta_max = ub * (1.0 + np.max(np.abs(c_alone)))
+        for k, (s_base, beta, gamma) in enumerate(triples):
+            s = np.array(reconstruct_adverse(h, s_base, beta, gamma))
+            g = gamma * (s - s_base) + s_base
+            assert h_table[k].tobytes() == (g + beta * y).tobytes()
+            alone = 2.0 * (ub + ub + theta_max * (np.max(g) + beta))
+            assert big_m[k, r].tobytes() == alone.tobytes()
 
 
 def _constraints_bytes(h, cell):

@@ -10,6 +10,7 @@ value-to-go rollouts) decide who is visited.
 
 import csv
 import hashlib
+import json
 import math
 
 import pytest
@@ -93,6 +94,50 @@ def test_estimate_output_matches_golden_digest(tmp_path):
     out = tmp_path / "est"
     assert cli.main(["estimate", "--histories", str(path), "--out", str(out)]) == 0
     assert _digests(out, ESTIMATE_GOLDEN) == ESTIMATE_GOLDEN
+
+
+# Two 60-period scenario1 records (seed 2, patients 0 and 29) driven by
+# step_cohort with a visit probability of 0.25 per period, process noise
+# sd 0.05, and FBG read at visits with log noise sd 0.1. Neither patient
+# enrolls. One runs the whole 400-cell grid; in both, many cells share
+# their constraints, so later cells reuse an earlier cell's QP.
+FULL_GRID_RECORDS = {
+    "p0000": ("000000000000000010000000000000000000100000110000101000000100",
+              (1215.1646584172051, 18585.159337853125, 30268.840432744844,
+               47751.83202314685, 73102.70054485524, 112460.9300568427,
+               258229.64008867342)),
+    "p0029": ("100000000000001000000000000000010010000000010111000000000010",
+              (203.11648811525268, 211416820.2397133, 1653377803005146.8,
+               3.0727538755954104e+16, 1.7516562304253565e+20,
+               1.3575108753924455e+21, 3.2132508357629365e+21,
+               7.719537844642935e+21, 2.6522461363047554e+26)),
+}
+FULL_GRID_GOLDEN = {
+    "estimates.csv": "9dad20045d95ea4adfa5ba051de2fca3149f037e29e48621c03e28e69cb5d2e8",
+}
+FULL_GRID_WORK = {
+    "grid_cells_solved": 506,
+    "grid_cells_primal_infeasible": 0,
+    "grid_cells_nonconverged": 0,
+    "grid_cells_pruned": 294,
+    "grid_cells_reused": 440,
+    "qp_iterations": 3636,
+}
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+def test_estimate_full_grid_with_reuse_matches_golden(tmp_path):
+    rows = []
+    for pid, (visited, readings) in FULL_GRID_RECORDS.items():
+        fbg = iter(readings)
+        rows += [f"{pid},{t},{v},0,{repr(next(fbg)) if v == '1' else ''}\n"
+                 for t, v in enumerate(visited)]
+    path = tmp_path / "histories.csv"
+    path.write_text("patient_id,period,visited,enrolled,fbg_mgdl\n" + "".join(rows))
+    out = tmp_path / "est"
+    assert cli.main(["estimate", "--histories", str(path), "--out", str(out)]) == 0
+    assert _digests(out, FULL_GRID_GOLDEN) == FULL_GRID_GOLDEN
+    assert json.loads((out / "manifest.json").read_text())["work"] == FULL_GRID_WORK
 
 
 def test_cluster_outputs_match_golden_digests(tmp_path):

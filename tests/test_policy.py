@@ -306,19 +306,20 @@ def test_ranking_stable_under_permutation_with_distinct_keys():
 
 
 def test_value_per_visit_key_ordering():
-    # zero-visit patients outrank all finite ratios; more value wins among
-    # the free ones; a stable sort breaks residual ties by index, as the
-    # tuple (visits > 0, -v_tilde/max(visits, 1), index) does
-    v_tilde, visits = [9, 6, 3, 4, 2, 4], [1, 0, 2, 2, 0, 2]
-    key = _value_per_visit_key(RolloutSummary(np.array(v_tilde), np.array(visits)), 9)
-    assert np.argsort(key, kind="stable").tolist() == [1, 4, 0, 3, 5, 2]
-    # every summary a rollout over P periods can return, against the tuple
-    for periods in range(6):
-        pairs = list(itertools.product(range(periods + 1), repeat=2))
+    # more value per visit comes first; a stable sort breaks residual ties
+    # by index, as the tuple (-v_tilde/visits, index) does. Every ranked
+    # member rolls out at least one visit (see test_equivalence)
+    v_tilde, visits = [9, 6, 3, 4, 2, 4], [1, 3, 2, 2, 1, 2]
+    key = _value_per_visit_key(RolloutSummary(np.array(v_tilde), np.array(visits)))
+    assert np.argsort(key, kind="stable").tolist() == [0, 1, 3, 4, 5, 2]
+    # every summary with visits >= 1 a rollout over P periods can return,
+    # against the tuple
+    for periods in range(1, 6):
+        pairs = list(itertools.product(range(periods + 1), range(1, periods + 1)))
         rs = RolloutSummary(*(np.array(a) for a in zip(*pairs)))
-        order = np.argsort(_value_per_visit_key(rs, periods), kind="stable")
+        order = np.argsort(_value_per_visit_key(rs), kind="stable")
         assert order.tolist() == sorted(range(len(pairs)), key=lambda i: (
-            pairs[i][1] > 0, -pairs[i][0] / max(pairs[i][1], 1), i))
+            -pairs[i][0] / pairs[i][1], i))
 
 
 def test_value_per_visit_ranking_differs_from_value_ranking():
