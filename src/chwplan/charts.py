@@ -51,8 +51,6 @@ class _Canvas:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

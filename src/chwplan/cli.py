@@ -138,7 +138,7 @@ def _cmd_simulate(args) -> int:
     manifest_config = {
         "scenario": storage.scenario_to_dict(spec),
         "policies": kinds,
-        "capacity_pct": [round(f * 100.0, 10) for f in fractions],
+        "capacity_pct": [storage.capacity_pct(f) for f in fractions],
         "replications": args.reps,
         "horizon": args.horizon,
         "sigma_xi": args.sigma_xi,

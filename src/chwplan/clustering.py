@@ -9,14 +9,15 @@ driven by one seed so runs are reproducible.
 A fit draws all of its k-means++ starts first and then runs the restarts
 as one batch: each Lloyd iteration steps every restart that has not yet
 stopped with array operations over the whole batch (one argmin, one
-bincount for the centroid sums), and a restart leaves the batch once its
-centroids stop moving. Each restart does the same arithmetic, in the same
-order, as it would alone, so the fit is bit-identical to running the
-restarts one after another.
+bincount that sums each cluster's rows in order), and a restart leaves
+the batch once its centroids stop moving. No cluster is ever left empty,
+so every centroid is a finite mean. Each restart does the same arithmetic,
+in the same order, as it would alone, so the fit is bit-identical to
+running the restarts one after another.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,9 +44,6 @@ class ClusterResult:
     centroids: Tuple[Tuple[float, ...], ...]
     assignments: Tuple[int, ...]
     inertia: float
-    # per-iteration objective of the winning restart, for the
-    # never-increases sanity check
-    inertia_trace: Tuple[float, ...]
     # Lloyd iterations summed over the fit's restarts
     lloyd_iterations: int
 
@@ -81,19 +79,20 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 def _lloyd(
     points: np.ndarray, starts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[float, ...]], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd's algorithm from R starts at once.
 
     starts is (R, k, d); each restart runs exactly as it would alone and
-    leaves the loop once its centroids move at most TOLERANCE (a NaN
-    movement, from a cluster left empty, keeps it going). Returns the
-    final (R, k, d) centroids, (R, n) assignments, (R,) inertias, each
-    restart's inertia trace, and (R,) iterations run.
+    leaves the loop once its centroids move at most TOLERANCE. A cluster
+    that an assignment leaves empty takes the worst-served point among the
+    clusters that keep another member (one exists because k <= n), so no
+    cluster is ever empty when the centroids are recomputed. Returns the
+    final (R, k, d) centroids, (R, n) assignments, (R,) inertias and (R,)
+    iterations run.
     """
     n, d = points.shape
     R, k, _ = starts.shape
     centroids = np.array(starts, dtype=float)
-    trace = np.empty((R, MAX_ITERATIONS + 1))
     iterations = np.zeros(R, dtype=int)
     diff = np.empty((n, k, d))
     # bincount weights: the points once per restart, restart-major
@@ -106,50 +105,38 @@ def _lloyd(
             np.einsum("nkd,nkd->nk", diff, diff, out=d2[i])
         return d2
 
-    def served(d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(d2, assign[..., None], axis=2)[..., 0].sum(axis=1)
-
     active = np.arange(R)
-    for it in range(MAX_ITERATIONS):
+    for _ in range(MAX_ITERATIONS):
         d2 = sq_dists(active)
         assign = np.argmin(d2, axis=2)
         label = assign + k * np.arange(len(active))[:, None]
         counts = np.bincount(label.ravel(), minlength=len(active) * k).reshape(-1, k)
-        # an emptied cluster grabs the point currently worst-served
         for i in np.flatnonzero((counts == 0).any(axis=1)):
-            c, a, dd = centroids[active[i]], assign[i], d2[i]
-            for j in range(k):
-                if not np.any(a == j):
-                    worst = int(np.argmax(dd[np.arange(n), a]))
-                    a[worst] = j
-                    c[j] = points[worst]
-                    dd[:, j] = np.sum((points - c[j]) ** 2, axis=1)
+            c, a, cnt = centroids[active[i]], assign[i], counts[i]
+            served = d2[i, np.arange(n), a]
+            for j in np.flatnonzero(cnt == 0):
+                worst = int(np.argmax(np.where(cnt[a] > 1, served, -np.inf)))
+                cnt[a[worst]] -= 1
+                cnt[j] += 1
+                a[worst] = j
+                c[j] = points[worst]
             label[i] = a + k * i
-            counts[i] = np.bincount(a, minlength=k)
-        trace[active, it] = served(d2, assign)
         iterations[active] += 1
-        if d == 1:
-            # numpy sums a lone column pairwise, not row by row as bincount does
-            sums = np.array([[points[a == j].sum(axis=0) for j in range(k)]
-                             for a in assign])
-        else:
-            sums = np.bincount(
-                (label[..., None] * d + np.arange(d)).ravel(),
-                weights=weights[:len(active) * n * d],
-                minlength=len(active) * k * d,
-            ).reshape(-1, k, d)
+        sums = np.bincount(
+            (label[..., None] * d + np.arange(d)).ravel(),
+            weights=weights[:len(active) * n * d],
+            minlength=len(active) * k * d,
+        ).reshape(-1, k, d)
         new_centroids = sums / counts[..., None]
         movement = np.max(np.linalg.norm(new_centroids - centroids[active], axis=2), axis=1)
         centroids[active] = new_centroids
-        active = active[~(movement <= TOLERANCE)]  # a NaN movement stays
+        active = active[movement > TOLERANCE]
         if not len(active):
             break
     d2 = sq_dists(np.arange(R))
     assign = np.argmin(d2, axis=2)
-    inertia = served(d2, assign)
-    trace[np.arange(R), iterations] = inertia
-    traces = [tuple(trace[r, :iterations[r] + 1].tolist()) for r in range(R)]
-    return centroids, assign, inertia, traces, iterations
+    inertia = np.take_along_axis(d2, assign[..., None], axis=2)[..., 0].sum(axis=1)
+    return centroids, assign, inertia, iterations
 
 
 def cluster_params(
@@ -170,16 +157,12 @@ def cluster_params(
 
     rng = np.random.default_rng(seed)
     starts = np.stack([_kmeanspp_init(points, k, rng) for _ in range(RESTARTS)])
-    centroids, assign, inertia, traces, iterations = _lloyd(points, starts)
-    best = None
-    for r in range(RESTARTS):
-        if best is None or inertia[r] < inertia[best]:
-            best = r
+    centroids, assign, inertia, iterations = _lloyd(points, starts)
+    best = int(np.argmin(inertia))
     return ClusterResult(
         centroids=tuple(tuple(float(v) for v in row) for row in centroids[best]),
         assignments=tuple(int(a) for a in assign[best]),
         inertia=float(inertia[best]),
-        inertia_trace=traces[best],
         lloyd_iterations=int(iterations.sum()),
     )
 

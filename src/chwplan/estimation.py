@@ -356,7 +356,7 @@ def _box_qp(P, q, lo, hi):
         out = (z < lo) | (z > hi)
         if out.any():
             bound = np.where(z < lo, lo, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t = (bound - x) / (z - x)
             step = np.min(t[out])
             x = x + step * (z - x)

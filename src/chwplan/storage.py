@@ -210,7 +210,8 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
 # results and summary tables
 # ---------------------------------------------------------------------------
 
-def _capacity_pct(fraction: float) -> float:
+def capacity_pct(fraction: float) -> float:
+    """A capacity fraction as the percent the CSVs and manifests record."""
     return round(fraction * 100.0, 10)
 
 
@@ -218,7 +219,7 @@ def write_results_csv(path: str, results: Sequence[RunResult]) -> None:
     """One row per (policy, capacity, replication, period), sorted."""
     rows = []
     for r in results:
-        pct = _capacity_pct(r.capacity_fraction)
+        pct = capacity_pct(r.capacity_fraction)
         for t in range(len(r.in_control)):
             rows.append((r.policy_kind, pct, r.replication, t + 1,
                          r.in_control[t], r.enrolled[t], r.visits_total[t],
@@ -247,7 +248,7 @@ def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
     table = []
     for s in rows:
         p25, p50, p75, p90 = s.final_fbg_percentiles
-        table.append((s.policy_kind, _capacity_pct(s.capacity_fraction),
+        table.append((s.policy_kind, capacity_pct(s.capacity_fraction),
                       s.ppc_mean, s.ppc_ci_halfwidth, p25, p50, p75, p90))
     table.sort(key=lambda row: (row[0], row[1]))
     write_table(path, SUMMARY_COLUMNS, table)

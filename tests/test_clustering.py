@@ -1,7 +1,7 @@
 """Clustering tests: feature extraction, k-means recovery on separated
 blobs, elbow behavior, degenerate k choices, the within-run inertia
-monotonicity guarantee, and the batched Lloyd loop against a one-restart
-reference."""
+monotonicity guarantee, the empty-cluster repair, and the batched Lloyd
+loop against a one-restart reference."""
 
 import warnings
 from unittest import mock
@@ -168,33 +168,61 @@ def test_elbow_rejects_empty_range():
 # within-run objective monotonicity
 # ---------------------------------------------------------------------------
 
-def test_inertia_never_increases_within_run(monkeypatch):
+def inertia_by_iteration_cap(table, k, seed):
+    """The public inertia of one restart stopped after 0, 1, ..., n
+    iterations, where n is the number the uncapped run takes."""
+    with mock.patch.object(clustering, "RESTARTS", 1):
+        full = cluster_params(table, k=k, seed=seed)
+        inertias = []
+        for cap in range(full.lloyd_iterations + 1):
+            with mock.patch.object(clustering, "MAX_ITERATIONS", cap):
+                inertias.append(cluster_params(table, k=k, seed=seed).inertia)
+    assert inertias[-1] == full.inertia
+    return inertias
+
+
+def assert_never_increases(inertias):
+    for earlier, later in zip(inertias, inertias[1:]):
+        assert later <= earlier + 1e-9 * (1 + abs(earlier))
+
+
+def test_inertia_never_increases_within_run():
     # a single restart from a k-means++ draw must improve monotonically;
     # run several seeds so multiple-iteration runs actually occur
     table = blob_table(per_blob=8, jitter=1.0, seed=12)  # overlapping blobs
     saw_multi_iteration = False
-    monkeypatch.setattr(clustering, "RESTARTS", 1)
     for seed in range(6):
-        result = cluster_params(table, k=4, seed=seed)
-        trace = result.inertia_trace
-        saw_multi_iteration = saw_multi_iteration or len(trace) > 2
-        for earlier, later in zip(trace, trace[1:]):
-            assert later <= earlier + 1e-9 * (1 + abs(earlier))
+        inertias = inertia_by_iteration_cap(table, k=4, seed=seed)
+        saw_multi_iteration = saw_multi_iteration or len(inertias) > 2
+        assert_never_increases(inertias)
     assert saw_multi_iteration
 
 
-def test_emptied_cluster_takes_the_worst_served_point():
+def test_emptied_cluster_takes_the_worst_served_point(monkeypatch):
     # two identical starting centroids leave the second cluster empty at
-    # the first assignment; it must take a point, and the repair must not
-    # raise the objective
-    points = np.asarray(blob_table(per_blob=5), dtype=float)
+    # the first assignment; it must take the point farthest from the
+    # first, and the repair must not raise the objective
+    table = blob_table(per_blob=5)
+    points = np.asarray(table, dtype=float)
     start = np.repeat(points[:1], 2, axis=0)
-    _, assign, _, traces, _ = clustering._lloyd(points, start[None])
-    assign, trace = assign[0], traces[0]
-    assert np.all(np.bincount(assign, minlength=2) > 0)
-    assert len(trace) > 2
-    for earlier, later in zip(trace, trace[1:]):
-        assert later <= earlier + 1e-9 * (1 + abs(earlier))
+    monkeypatch.setattr(clustering, "_kmeanspp_init", lambda *args: start)
+    inertias = inertia_by_iteration_cap(table, k=2, seed=0)
+    assert len(inertias) > 2
+    assert_never_increases(inertias)
+    worst = int(np.argmax(np.sum((points - points[0]) ** 2, axis=1)))
+    with mock.patch.object(clustering, "MAX_ITERATIONS", 1):
+        result = cluster_params(table, k=2, seed=0)
+    assert result.centroids[1] == tuple(points[worst])
+    assert np.all(np.bincount(result.assignments, minlength=2) > 0)
+
+
+def test_fewer_distinct_rows_than_k_converges_without_warnings():
+    row = (1.5, 0.25, 0.75, 0.1, 0.0, 2.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = cluster_params([row] * 5, k=3, seed=0)
+    assert result.inertia == 0.0
+    assert result.lloyd_iterations == clustering.RESTARTS
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +240,25 @@ def lloyd_one_restart(points, centroids):
         diff = points[:, None, :] - c[None, :, :]
         return np.einsum("nkd,nkd->nk", diff, diff)
 
-    trace = []
+    iterations = 0
     for _ in range(clustering.MAX_ITERATIONS):
         d2 = sq_dists(centroids)
         assign = np.argmin(d2, axis=1)
         for j in range(k):
             if not np.any(assign == j):
-                worst = int(np.argmax(d2[rows, assign]))
+                # only a point whose cluster keeps another member may move
+                shared = np.bincount(assign, minlength=k)[assign] > 1
+                served = d2[rows, assign]
+                worst = max(np.flatnonzero(shared), key=lambda i: (served[i], -i))
                 assign[worst] = j
                 centroids[j] = points[worst]
-                d2[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
-        trace.append(float(d2[rows, assign].sum()))
-        with warnings.catch_warnings():  # the mean of a cluster left empty
-            warnings.simplefilter("ignore", RuntimeWarning)
-            new_centroids = np.vstack(
-                [points[assign == j].mean(axis=0) for j in range(k)])
+        iterations += 1
+        new_centroids = np.empty_like(centroids)
+        for j in range(k):
+            total = np.zeros(points.shape[1])
+            for x in points[assign == j]:  # row by row, in order
+                total = total + x
+            new_centroids[j] = total / np.count_nonzero(assign == j)
         movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if movement <= clustering.TOLERANCE:
@@ -234,8 +266,7 @@ def lloyd_one_restart(points, centroids):
     d2 = sq_dists(centroids)
     assign = np.argmin(d2, axis=1)
     inertia = float(d2[rows, assign].sum())
-    trace.append(inertia)
-    return centroids, assign, inertia, tuple(trace)
+    return centroids, assign, inertia, iterations
 
 
 def bits(values):
@@ -243,15 +274,13 @@ def bits(values):
 
 
 def assert_matches_one_restart_each(points, starts):
-    with np.errstate(invalid="ignore"):
-        centroids, assign, inertia, traces, iterations = clustering._lloyd(points, starts)
+    centroids, assign, inertia, iterations = clustering._lloyd(points, starts)
     for r, start in enumerate(starts):
-        ref_c, ref_a, ref_i, ref_t = lloyd_one_restart(points, start)
-        assert bits(centroids[r]) == bits(ref_c)  # signed zeros and NaNs too
+        ref_c, ref_a, ref_i, ref_iterations = lloyd_one_restart(points, start)
+        assert bits(centroids[r]) == bits(ref_c)  # signed zeros too
         assert assign[r].tolist() == ref_a.tolist()
         assert bits(inertia[r]) == bits(ref_i)
-        assert bits(traces[r]) == bits(ref_t)
-        assert iterations[r] == len(ref_t) - 1
+        assert iterations[r] == ref_iterations
     return iterations
 
 
@@ -293,14 +322,13 @@ def test_batched_restarts_stop_at_different_iterations():
 
 
 def test_k_equals_rows_with_duplicates_matches_one_restart_at_a_time():
-    # from the second start, point 0 is the only member of cluster 0 until
-    # the repair of cluster 2 takes it: cluster 0 is left empty, its
-    # centroid and the next step's objective go NaN, and the restart keeps
-    # going until every cluster has a point again
+    # from the second start every point sits on its centroid, so a plain
+    # argmax of the served distances would take point 0, the only member
+    # of cluster 0; cluster 2's repair must take a point of cluster 1
+    # instead, and every restart then converges at once
     points = np.array([[0.0], [1.0], [1.0]])
     starts = points[np.array([[0, 1, 2], [0, 1, 1], [1, 2, 0]])]
     assert_matches_one_restart_each(points, starts)
-    with np.errstate(invalid="ignore"):
-        centroids, _, inertia, traces, _ = clustering._lloyd(points, starts[1:2])
-    assert np.isnan(traces[0]).any()
-    assert not np.isnan(centroids).any() and inertia[0] == 0.0
+    centroids, _, inertia, iterations = clustering._lloyd(points, starts)
+    assert np.isfinite(centroids).all()
+    assert (inertia == 0.0).all() and (iterations <= 2).all()

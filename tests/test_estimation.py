@@ -8,6 +8,7 @@ import os
 from dataclasses import replace
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,16 @@ def test_relaxed_bound_below_every_solved_cell_of_noisy_record():
     assert all(bound <= nll for nll in nlls)
     # the record fits the planted cell to within the tie slack of the bound
     assert min(nlls) - NLL_TIE_TOLERANCE * (1.0 + min(nlls)) <= bound
+
+
+def test_box_qp_step_ratio_overflow_is_silent():
+    # z - x is subnormal in the first coordinate, so its step ratio
+    # overflows; only coordinates leaving the box read the ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = est._box_qp(np.eye(2), np.array([-1e-310, 1.0]), np.zeros(2),
+                        np.full(2, 20.0))
+    assert x.tolist() == [1e-310, 0.0]
 
 
 def test_criterion_06_fixture_stops_early():
