@@ -16,6 +16,7 @@ in the same order, as it would alone, so the fit is bit-identical to
 running the restarts one after another.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -31,14 +32,6 @@ TOLERANCE = 1e-6
 RESTARTS = 10
 
 
-def parameter_matrix(params: Sequence[PatientParams]) -> np.ndarray:
-    """Stack the seven clustering features into an (n, 7) float array."""
-    return np.array(
-        [[getattr(pp, name) for name in FEATURE_NAMES] for pp in params],
-        dtype=float,
-    )
-
-
 @dataclass(frozen=True)
 class ClusterResult:
     centroids: Tuple[Tuple[float, ...], ...]
@@ -48,16 +41,29 @@ class ClusterResult:
     lloyd_iterations: int
 
 
+def first_unusable_row(points) -> int:
+    """Index of the first row of an (n, d) table holding a non-finite value,
+    or one so large that squared distances summed over the table could
+    overflow; -1 if none. Each of the n*d squared differences is at most
+    (2*max|x|)^2, and the limit keeps their sum below half the largest float.
+    """
+    points = np.asarray(points, dtype=float)
+    limit = math.sqrt(np.finfo(float).max / (8 * points.size))
+    bad = np.flatnonzero(~(np.abs(points) <= limit).all(axis=1))
+    return int(bad[0]) if bad.size else -1
+
+
 def _as_points(param_table) -> np.ndarray:
     rows = list(param_table)
     if rows and isinstance(rows[0], PatientParams):
-        pts = parameter_matrix(rows)
-    else:
-        pts = np.asarray(rows, dtype=float)
+        rows = [[getattr(pp, name) for name in FEATURE_NAMES] for pp in rows]
+    pts = np.asarray(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("param_table must be a nonempty table of rows")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("param_table contains non-finite values")
+    bad = first_unusable_row(pts)
+    if bad >= 0:
+        raise ValueError(f"param_table row {bad} is non-finite or too large to cluster"
+                         " (squared distances would overflow)")
     return pts
 
 

@@ -2,34 +2,20 @@
 
 Runs the period loop (select visits -> patients decide -> states advance),
 sweeps policies x capacity levels x replications with common random
-numbers, summarizes the result table, and provides a small exhaustive
-search over visit schedules used as a test oracle for the policy rules.
+numbers, and summarizes the result table.
 """
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .model import ParamArrays, PatientParams, PatientState, StateArrays, step_cohort
-from .policy import PolicySpec, RolloutTable, single_patient_action, visit_mask
+from .policy import PolicySpec, RolloutTable, visit_mask
 
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
-
-
-class InstanceTooLargeError(Exception):
-    """Exhaustive schedule search would exceed the enumeration budget."""
-
-    def __init__(self, enumeration_count: int, budget: int):
-        self.enumeration_count = enumeration_count
-        self.budget = budget
-        super().__init__(
-            f"schedule enumeration needs {enumeration_count} evaluations"
-            f" (budget {budget})"
-        )
 
 
 @dataclass(frozen=True)
@@ -326,112 +312,3 @@ def period_shares(
     screening = np.where(idle, math.nan, screening_visits / np.where(idle, 1.0, visits))
     return screening, np.asarray(enrolled, dtype=float) / population
 
-
-# ---------------------------------------------------------------------------
-# exhaustive schedule oracle
-# ---------------------------------------------------------------------------
-
-ENUMERATION_BUDGET = 10_000_000
-# Schedules of at most this many leaves are searched breadth-first in one
-# batch of array steps; larger searches go depth-first down to that size.
-SEARCH_BATCH_LEAVES = 1 << 15
-
-
-def _expand(
-    states: StateArrays,
-    reward: np.ndarray,
-    params: ParamArrays,
-    visit_masks: np.ndarray,
-    delta: float,
-    interest_only: bool,
-) -> Tuple[np.ndarray, np.ndarray, StateArrays, np.ndarray]:
-    """Every child of every node of one search level, in one array step.
-
-    states holds one row per node (node x patient arrays) and reward each
-    node's in-control periods so far. A child visits one allowed subset
-    (a row of visit_masks); with interest_only, only subsets of the node's
-    interest set are allowed. Children come ordered by node, then by
-    subset, and are returned as (parent node, subset index, states,
-    rewards).
-    """
-    if interest_only:
-        outside = ~single_patient_action(states, params)
-        allowed = ~(outside[:, None, :] & visit_masks[None, :, :]).any(axis=2)
-    else:
-        allowed = np.ones((len(reward), len(visit_masks)), dtype=bool)
-    parent, chosen = np.nonzero(allowed)
-    nxt, _ = step_cohort(states.take(parent), params, visit_masks[chosen], 0.0)
-    return parent, chosen, nxt, reward[parent] + np.count_nonzero(nxt.b <= delta, axis=1)
-
-
-def brute_force_plan(
-    cohort: Cohort,
-    C: int,
-    N: int,
-    delta: float,
-    interest_only: bool = False,
-) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """Exhaustively maximize total in-control periods under zero noise.
-
-    Searches every per-period visit subset of size <= C (optionally only
-    subsets of the current patients-of-interest set), advancing the cohort
-    deterministically. Ties keep the lexicographically smallest schedule
-    (periods compared first to last, each period's visit set as a sorted
-    tuple). Raises InstanceTooLargeError when the full enumeration would
-    exceed the evaluation budget.
-    """
-    population = len(cohort)
-    per_period = sum(
-        math.comb(population, k) for k in range(0, min(C, population) + 1)
-    )
-    total = per_period ** N
-    if total > ENUMERATION_BUDGET:
-        raise InstanceTooLargeError(total, ENUMERATION_BUDGET)
-
-    subsets = sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(population), k)
-            for k in range(0, min(C, population) + 1)
-        )
-    )
-    visit_masks = np.array([np.isin(np.arange(population), sub) for sub in subsets])
-    params = ParamArrays.of(cohort.params)
-
-    def expand(states, reward):
-        return _expand(states, reward, params, visit_masks, delta, interest_only)
-
-    def search_batch(states, reward, periods):
-        # Breadth-first over the remaining periods; the first maximum of the
-        # last level is the lexicographically smallest best schedule.
-        levels = []
-        for _ in range(periods):
-            parent, chosen, states, reward = expand(states, reward)
-            levels.append((parent, chosen))
-        leaf = int(np.argmax(reward))
-        value = int(reward[leaf])
-        picks = []
-        for parent, chosen in reversed(levels):
-            picks.append(subsets[chosen[leaf]])
-            leaf = parent[leaf]
-        return value, tuple(reversed(picks))
-
-    best_value = -1
-    best_schedule: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-    def dfs(states: StateArrays, reward: np.ndarray, prefix: Tuple[Tuple[int, ...], ...]):
-        nonlocal best_value, best_schedule
-        periods = N - len(prefix)
-        if per_period ** periods <= SEARCH_BATCH_LEAVES:
-            value, rest = search_batch(states, reward, periods)
-            if value > best_value:
-                best_value = value
-                best_schedule = prefix + rest
-            return
-        _, chosen, nxt, rewards = expand(states, reward)
-        for k in range(len(chosen)):
-            dfs(nxt.take([k]), rewards[k:k + 1], prefix + (subsets[chosen[k]],))
-
-    start = StateArrays(*(a[None, :] for a in StateArrays.of(cohort.initial_states)))
-    dfs(start, np.zeros(1, dtype=int), ())
-    assert best_schedule is not None
-    return best_value, best_schedule

@@ -18,11 +18,12 @@ the objective quadratic.
 import itertools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import PatientParams
+from .model import PatientParams, carried_adverse, step_adverse
 from .qp import QP_TOLERANCE, QPResult, solve_qp, solve_qps
 
 Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
@@ -87,8 +88,8 @@ class VisitHistory:
             if t in seen:
                 raise ValueError(f"duplicate observation for period {t}")
             seen.add(t)
-            if not (math.isfinite(val) and val >= 0.0):
-                raise ValueError(f"observed log-FBG at period {t} must be >= 0")
+            if not math.isfinite(val):
+                raise ValueError(f"observed log-FBG at period {t} must be finite")
 
     @property
     def length(self) -> int:
@@ -192,16 +193,17 @@ def reconstruct_adverse(
 ) -> Tuple[float, ...]:
     """Adversity trajectory implied by a (s_base, beta, gamma) cell.
 
-    With the visit/enrollment record observed the recurrence has no free
-    variables. The trajectory starts at s_base when the patient begins
-    enrolled and at zero otherwise. Given arrays of cell values it runs
+    With the visit/enrollment record observed, model.step_adverse's
+    recurrence has no free variables. The trajectory starts at s_base when
+    the patient begins enrolled and at zero otherwise. Given arrays of cell values it runs
     elementwise: each period's entry is an array holding, for every cell,
     the float that cell gets alone.
     """
     y, z = history.visited, history.enrolled
+    cell = SimpleNamespace(s_base=s_base, beta=beta, gamma=gamma)
     s = [s_base * z[0]]
     for t in range(history.length - 1):
-        s.append(z[t] * (gamma * (s[t] - s_base) + s_base) + beta * y[t] * z[t])
+        s.append(step_adverse(s[t], cell, y[t], z[t]))
     return tuple(s)
 
 
@@ -263,18 +265,18 @@ def _cell_terms(history: VisitHistory, triples: Sequence[Tuple[float, float, flo
     built from a (s_base, beta, gamma) triple and a rho, by factor:
 
     c, one row per rho, its perception_coefficients; h, one row per triple,
-    the benefit's adversity factor g + beta*y, with g = gamma*(s - s_base) +
-    s_base the adversity carried over from the triple's reconstruct_adverse
-    s; and big_m, triple by rho, the big M that bounds the benefit over the
-    parameter box. Both recurrences run once, elementwise over all triples
-    and all rhos, so each row holds the floats its cell gets alone.
+    the benefit's adversity factor g + beta*y, with g the carried_adverse of
+    the triple's reconstruct_adverse s; and big_m, triple by rho, the big M
+    that bounds the benefit over the parameter box. Both recurrences run
+    once, elementwise over all triples and all rhos, so each row holds the
+    floats its cell gets alone.
     """
     # (K, 1) and (R, 1) columns, so the recurrences give one column per period
     s_base, beta, gamma = np.array(triples, dtype=float).T[:, :, None]
     rho = np.array(rhos, dtype=float)[:, None]
     c = np.concatenate(perception_coefficients(history, rho), axis=1)
     s = np.concatenate(reconstruct_adverse(history, s_base, beta, gamma), axis=1)
-    g = gamma * (s - s_base) + s_base
+    g = carried_adverse(s, gamma, s_base)
     ub = PARAM_UPPER_BOUND
     theta_max = ub * (1.0 + np.max(np.abs(c), axis=1))
     big_m = 2.0 * (ub + ub + (np.max(g, axis=1, keepdims=True) + beta) * theta_max)

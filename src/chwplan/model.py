@@ -166,13 +166,19 @@ def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num) -> Num:
     return state.b + params.p - params.mu * z - params.alpha * y * z + xi
 
 
+def carried_adverse(s: Num, gamma: Num, s_base: Num) -> Num:
+    """The adversity an enrolled patient carries from level s into the next
+    period: gamma*(s - s_base) + s_base."""
+    return gamma * (s - s_base) + s_base
+
+
 def step_adverse(s: Num, params: Params, y: Num, z: Num) -> Num:
-    """Next adverse-factor level: z*(gamma*(s - s_base) + s_base) + beta*y*z.
+    """Next adverse-factor level: z*carried_adverse(s) + beta*y*z.
 
     Deviations from the enrolled steady state s_base decay geometrically at
     rate gamma; each visit adds beta. Unenrolled patients carry none.
     """
-    return z * (params.gamma * (s - params.s_base) + params.s_base) + params.beta * y * z
+    return z * carried_adverse(s, params.gamma, params.s_base) + params.beta * y * z
 
 
 def step_perception(theta: Num, params: Params, y: Num, z: Num) -> Num:
@@ -190,12 +196,11 @@ def step_perception(theta: Num, params: Params, y: Num, z: Num) -> Num:
 def benefits(state: State, params: Params) -> Tuple[Num, Num]:
     """Net benefit of enrolling this period without and with a visit: (b0, b1).
 
-    Closed form: b0 = mu - theta*(gamma*(s - s_base) + s_base) and
+    Closed form: b0 = mu - theta*carried_adverse(s) and
     b1 = b0 + (alpha - theta*beta). Deterministic: the FBG disturbance
     cancels out of the comparison.
     """
-    decayed = params.gamma * (state.s - params.s_base) + params.s_base
-    base = params.mu - state.theta * decayed
+    base = params.mu - state.theta * carried_adverse(state.s, params.gamma, params.s_base)
     return base, base + (params.alpha - state.theta * params.beta)
 
 

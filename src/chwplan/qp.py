@@ -83,12 +83,9 @@ RHO_INITIAL = 0.1
 @dataclass(frozen=True)
 class QPResult:
     status: str  # "solved", "primal_infeasible" or "nonconverged"
-    x: Optional[np.ndarray]
-    y: Optional[np.ndarray]  # multipliers, or the infeasibility certificate
-    objective: Optional[float]
+    x: Optional[np.ndarray]  # the solution, when solved
+    y: Optional[np.ndarray]  # the infeasibility certificate, when primal_infeasible
     iterations: int
-    primal_residual: float
-    dual_residual: float
     # slot-iterations the pool had stepped, over every problem of the
     # stream, when it yielded this result: with an early close, the work
     # spent on problems that never finish shows only here
@@ -273,17 +270,14 @@ def solve_qps(
         if not done.any():
             continue
         for s in np.flatnonzero(done)[::-1]:
-            it, rp, rd = int(k[s]), float(r_prim[s]), float(r_dual[s])
+            it = int(k[s])
             if solved[s]:
-                xs = x[s, :, 0].copy()
-                objective = 0.5 * float(xs @ P @ xs) + float(q @ xs)
-                result = QPResult("solved", xs, y[s, :, 0] * scale, objective, it, rp, rd)
+                result = QPResult("solved", x[s, :, 0].copy(), None, it)
             elif infeasible[s]:
                 d = certificate[s, :, 0]
-                result = QPResult("primal_infeasible", None, d / np.max(np.abs(d)),
-                                  None, it, rp, rd)
+                result = QPResult("primal_infeasible", None, d / np.max(np.abs(d)), it)
             else:
-                result = QPResult("nonconverged", None, None, None, it, rp, rd)
+                result = QPResult("nonconverged", None, None, it)
             finished[int(index[s])] = result
             problem = next(pending, None)
             if problem is not None:

@@ -16,7 +16,7 @@ from dataclasses import MISSING, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .clustering import FEATURE_NAMES
+from .clustering import FEATURE_NAMES, first_unusable_row
 from .engine import RunResult, SummaryRow
 from .estimation import EstimationResult, VisitHistory
 from .scenarios import (
@@ -90,8 +90,9 @@ def ingest_histories(path: str) -> List[VisitHistory]:
     Columns: patient_id, period, visited, enrolled, fbg_mgdl (blank when
     no reading was taken). Periods may be sparse; gaps become unobserved
     periods with no visit and enrollment carried forward. FBG is recorded
-    in mg/dL and log-transformed here, so readings below 1 mg/dL are
-    rejected rather than mapped to negative log values.
+    in mg/dL and log-transformed here. Any positive finite reading is
+    accepted: observation noise takes readings below 1 mg/dL (a negative
+    log-FBG) although the model floors the latent log-FBG at 0.
     """
     per_patient: Dict[str, Dict[int, Tuple[int, int, Optional[float]]]] = {}
     order: List[str] = []
@@ -115,13 +116,9 @@ def ingest_histories(path: str) -> List[VisitHistory]:
                 fbg = float(fbg_s)
             except ValueError:
                 raise ValueError(f"{path} row {rownum}: bad fbg_mgdl {fbg_s!r}")
-            if not math.isfinite(fbg) or fbg < 0:
-                raise ValueError(f"{path} row {rownum}: negative FBG {fbg_s}")
-            if fbg < 1.0:
+            if not (math.isfinite(fbg) and fbg > 0.0):
                 raise ValueError(
-                    f"{path} row {rownum}: FBG {fbg_s} mg/dL below 1"
-                    " (log transform would go negative)"
-                )
+                    f"{path} row {rownum}: FBG {fbg_s} mg/dL is negative or zero, or not finite")
         if pid not in per_patient:
             per_patient[pid] = {}
             order.append(pid)
@@ -178,7 +175,8 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
 
     Accepts both cohort tables and estimate tables; extra columns are
     ignored, and patient ids are taken from a patient_id column when
-    present (row numbers otherwise).
+    present (row numbers otherwise). A row that clustering.first_unusable_row
+    rejects is named here, with the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -191,7 +189,7 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
             raise ValueError(f"{path}: missing columns {', '.join(missing)}")
         idx = {c: header.index(c) for c in FEATURE_NAMES}
         id_idx = header.index("patient_id") if "patient_id" in header else None
-        ids, rows = [], []
+        ids, rows, rownums = [], [], []
         for i, row in enumerate(reader):
             if not row:
                 continue
@@ -201,8 +199,13 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
             except (ValueError, IndexError):
                 raise ValueError(f"{path} row {rownum}: malformed feature row")
             ids.append(row[id_idx] if id_idx is not None else f"row{rownum}")
+            rownums.append(rownum)
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    bad = first_unusable_row(rows)
+    if bad >= 0:
+        raise ValueError(f"{path} row {rownums[bad]}: features non-finite or too large"
+                         " to cluster (squared distances would overflow)")
     return ids, rows
 
 

@@ -27,7 +27,6 @@ from chwplan.clustering import cluster_params, elbow_curve
 from chwplan.engine import (
     Cohort,
     SimulationConfig,
-    brute_force_plan,
     capacity_sweep,
     period_shares,
 )
@@ -44,6 +43,7 @@ from chwplan.model import (
 from chwplan.policy import PolicySpec, single_patient_action
 from chwplan.scenarios import builtin_groups, builtin_scenarios, sample_cohort
 
+from _oracle import brute_force_plan
 from _synthetic import generate_history
 
 DELTA = math.log(125.0)

@@ -54,6 +54,12 @@ class TestIngestHistories:
         (hist,) = storage.ingest_histories(path)
         assert hist.observed_map == {1: math.log(162.5)}
 
+    def test_reading_below_one_mgdl_accepted(self, tmp_path):
+        # observation noise takes readings below 1 mg/dL, a negative log-FBG
+        path = write_history_csv(tmp_path / "h.csv", ["p1,0,1,1,0.5"])
+        (hist,) = storage.ingest_histories(path)
+        assert hist.observed_map == {0: math.log(0.5)}
+
     def test_gaps_carry_enrollment_forward(self, tmp_path):
         path = write_history_csv(tmp_path / "h.csv",
                                  ["p1,1,1,1,", "p1,4,0,1,200"])
@@ -78,8 +84,9 @@ class TestIngestHistories:
         ("p1,0,2,1,130", "visited/enrolled must be 0 or 1"),
         ("p1,0,1,yes,130", "visited/enrolled must be 0 or 1"),
         ("p1,0,1,1,abc", "bad fbg_mgdl 'abc'"),
-        ("p1,0,1,1,-4", "negative FBG"),
-        ("p1,0,1,1,0.5", "below 1"),
+        ("p1,0,1,1,-4", "negative or zero, or not finite"),
+        ("p1,0,1,1,0", "negative or zero, or not finite"),
+        ("p1,0,1,1,nan", "negative or zero, or not finite"),
     ])
     def test_malformed_rows_name_the_row_number(self, tmp_path, line, fragment):
         path = write_history_csv(tmp_path / "h.csv", ["p0,0,1,1,130", line])
@@ -807,6 +814,16 @@ class TestCliErrors:
         assert main(["cluster", "--params", str(cohort), "--k", "2",
                      "--elbow", "3", "--out", str(tmp_path / "c")]) == 1
         assert "expected kmin:kmax" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cluster_on_overflowing_table_names_file_and_row(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("patient_id,p,mu,alpha,theta_base,lam,s_base,beta\n"
+                        "a,1,1,1,1,1,1,1\n\nb,1e200,1,1,1,1,1,1\nc,2,2,2,2,2,2,2\n")
+        for k in ("1", "2"):
+            assert main(["cluster", "--params", str(path), "--k", k,
+                         "--out", str(tmp_path / "c")]) == 1
+            assert f"{path} row 4: features non-finite or too large" in capsys.readouterr().err
 
     def test_internal_bug_exits_two(self, tmp_path, capsys, monkeypatch):
         import chwplan.cli as cli_mod

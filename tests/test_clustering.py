@@ -12,12 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chwplan import clustering
-from chwplan.clustering import (
-    FEATURE_NAMES,
-    cluster_params,
-    elbow_curve,
-    parameter_matrix,
-)
+from chwplan.clustering import FEATURE_NAMES, cluster_params, elbow_curve
 from chwplan.model import PatientParams
 
 # the four patient archetypes the estimation study surfaced, used here as
@@ -52,7 +47,7 @@ def nearest(centroids, target):
 def test_parameter_matrix_column_order():
     pp = PatientParams(p=1.0, mu=2.0, alpha=3.0, beta=7.0, lam=5.0,
                        gamma=0.3, rho=0.4, s_base=6.0, theta_base=4.0)
-    m = parameter_matrix([pp])
+    m = clustering._as_points([pp])
     assert m.shape == (1, 7)
     assert tuple(m[0]) == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
     assert FEATURE_NAMES == ("p", "mu", "alpha", "theta_base", "lam",
@@ -214,6 +209,23 @@ def test_emptied_cluster_takes_the_worst_served_point(monkeypatch):
         result = cluster_params(table, k=2, seed=0)
     assert result.centroids[1] == tuple(points[worst])
     assert np.all(np.bincount(result.assignments, minlength=2) > 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 2])
+def test_table_whose_distances_overflow_is_rejected_by_row(k):
+    # squared distances of a 1e200 row overflow: rejected up front, naming
+    # the row, before k-means++ or Lloyd computes any distance
+    table = [(1.0,) * 7, (1e200,) + (1.0,) * 6, (2.0,) * 7]
+    with pytest.raises(ValueError, match="row 1 is non-finite or too large"):
+        cluster_params(table, k=k)
+    assert clustering.first_unusable_row(table) == 1
+    # the largest magnitude the check admits clusters to finite values
+    n, d = 3, 7
+    limit = np.sqrt(np.finfo(float).max / (8 * n * d))
+    table = [(limit,) * d, (-limit,) * d, (limit,) * (d - 1) + (-limit,)]
+    assert clustering.first_unusable_row(table) == -1
+    assert np.isfinite(cluster_params(table, k=k).inertia)
 
 
 def test_fewer_distinct_rows_than_k_converges_without_warnings():

@@ -8,13 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chwplan import engine
 from chwplan.engine import (
     Cohort,
-    InstanceTooLargeError,
     RunResult,
     SimulationConfig,
-    brute_force_plan,
     capacity_from_fraction,
     capacity_sweep,
     cohort_stream_seed,
@@ -26,6 +23,8 @@ from chwplan.engine import (
 )
 from chwplan.model import PatientParams, PatientState
 from chwplan.policy import POLICY_KINDS, PolicySpec
+
+from _oracle import InstanceTooLargeError, brute_force_plan
 
 DELTA = math.log(125.0)
 
@@ -330,21 +329,6 @@ def test_brute_force_interest_only_restricts_candidates():
     assert schedule == ((), (), ())
     value_free, _ = brute_force_plan(cohort, C=1, N=3, delta=DELTA)
     assert value_free == value  # visiting group A is useless anyway
-
-
-@pytest.mark.parametrize("interest_only", [False, True])
-def test_brute_force_depth_first_split_matches_one_batch(monkeypatch, interest_only):
-    # a tiny batch size forces the depth-first descent above the
-    # breadth-first batches; value and tie-breaking must not change
-    params = (brittle_patient(), GROUP_B, brittle_patient())
-    states = (PatientState(b=5.0, s=0.0, theta=0.1, z_prev=0),
-              PatientState(b=4.9, s=0.1, theta=0.5, z_prev=1),
-              PatientState(b=4.6, s=0.0, theta=0.1, z_prev=1))
-    cohort = Cohort(params=params, initial_states=states)
-    whole = brute_force_plan(cohort, C=1, N=4, delta=DELTA, interest_only=interest_only)
-    monkeypatch.setattr(engine, "SEARCH_BATCH_LEAVES", 4)
-    split = brute_force_plan(cohort, C=1, N=4, delta=DELTA, interest_only=interest_only)
-    assert split == whole
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,12 @@ def test_history_observation_validation():
     with pytest.raises(ValueError, match="duplicate observation"):
         VisitHistory(visited=(1, 0), enrolled=(1, 1),
                      observations=((0, 1.0), (0, 2.0)))
-    with pytest.raises(ValueError, match="must be >= 0"):
-        VisitHistory(visited=(1,), enrolled=(1,), observations={0: -0.5})
-    with pytest.raises(ValueError, match="must be >= 0"):
-        VisitHistory(visited=(1,), enrolled=(1,), observations={0: math.nan})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            VisitHistory(visited=(1,), enrolled=(1,), observations={0: bad})
+    # a reading below 1 mg/dL is a negative log-FBG; only the latent b is floored
+    h = VisitHistory(visited=(1,), enrolled=(1,), observations={0: -0.5})
+    assert h.observed_map == {0: -0.5}
 
 
 def test_history_normalizes_observations():
@@ -255,7 +257,7 @@ def test_inner_solution_respects_benefit_signs():
 
 def test_inner_excludes_stalled_cell(monkeypatch):
     def always_stalls(*args, **kwargs):
-        return QPResult("nonconverged", None, None, None, 17, 1e-3, 1e-5)
+        return QPResult("nonconverged", None, None, 17)
 
     monkeypatch.setattr(est, "solve_qp", always_stalls)
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
@@ -353,6 +355,21 @@ def test_grid_tie_slack_keeps_earlier_cell(monkeypatch):
     assert result.grid_cell == (0.0, 0.0, 0.2, 0.2)
 
 
+def test_reading_below_one_mgdl_is_estimated():
+    # noise takes the 0.9 mg/dL reading below the model's floor of 1 mg/dL:
+    # the fit boxes the latent log-FBG at 0, not the reading
+    h = VisitHistory(visited=(1, 0, 0), enrolled=(1, 1, 1),
+                     observations={0: math.log(1.5), 1: math.log(0.9), 2: math.log(1.2)})
+    cfg = EstimationConfig(grid_s_base=(0.0, 1.0), grid_beta=(0.0,),
+                           grid_gamma=(0.2,), grid_rho=(0.2, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = estimate_patient(h, cfg)
+    assert math.isfinite(result.nll)
+    assert result.cells_solved >= 1
+    assert min(result.latent_log_fbg) >= 0.0
+
+
 def test_estimation_failed_when_every_cell_infeasible(monkeypatch):
     def never_feasible(history, config):
         return [InnerSolution("primal_infeasible", math.inf, 0, 0, 0, 0, 0, (), (), 3)
@@ -381,8 +398,8 @@ def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
     def first_two_fail(P, q, constraints, **kwargs):
         results = list(real_solve_qps(P, q, constraints, **kwargs))
         assert len(results) == 4 and all(r.status == "solved" for r in results)
-        results[0] = QPResult("primal_infeasible", None, None, None, 25, 1.0, 1.0)
-        results[1] = QPResult("nonconverged", None, None, None, 10000, 1e-3, 1e-3)
+        results[0] = QPResult("primal_infeasible", None, None, 25)
+        results[1] = QPResult("nonconverged", None, None, 10000)
         return results
 
     monkeypatch.setattr(est, "solve_qps", first_two_fail)

@@ -16,7 +16,7 @@ def test_scalar_clipped_minimum():
                    np.array([[1.0]]), np.array([0.0]), np.array([0.5]))
     assert res.status == "solved"
     assert res.x[0] == pytest.approx(0.5, abs=1e-5)
-    assert res.objective == pytest.approx(0.5 * 0.25 - 0.5, abs=1e-5)
+    assert 0.5 * res.x[0] ** 2 - res.x[0] == pytest.approx(0.5 * 0.25 - 0.5, abs=1e-5)
 
 
 def test_symmetric_equality_split():
@@ -84,7 +84,7 @@ def test_random_feasible_boxes_match_slsqp():
             options={"maxiter": 500, "ftol": 1e-12},
         )
         assert ref.success
-        assert res.objective == pytest.approx(ref.fun, abs=5e-4, rel=5e-4)
+        assert 0.5 * res.x @ P @ res.x + q @ res.x == pytest.approx(ref.fun, abs=5e-4, rel=5e-4)
 
 
 def test_one_sided_rows_and_unbounded_side():
@@ -101,8 +101,8 @@ def test_one_sided_rows_and_unbounded_side():
 def test_unconstrained_problem():
     res = solve_qp(2 * np.eye(2), np.array([-2.0, 2.0]), np.zeros((0, 2)),
                    np.zeros(0), np.zeros(0))
+    assert res.status == "solved"
     assert res.x == pytest.approx([1.0, -1.0], abs=1e-5)
-    assert res.primal_residual == 0.0
 
 
 def test_contradictory_rows_detected_infeasible():
@@ -134,8 +134,7 @@ def test_iteration_budget_error_carries_count(monkeypatch):
     res = solve_qp(np.eye(2), np.array([-1.0, 2.0]),
                    np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0]))
     assert res.status == "nonconverged"
-    assert res.x is None and res.iterations == 1
-    assert res.primal_residual >= 0.0
+    assert res.x is None and res.y is None and res.iterations == 1
 
 
 def test_solver_is_deterministic():
@@ -207,8 +206,7 @@ def test_batch_is_deterministic(monkeypatch):
     a = list(solve_qps(P, q, problems))
     b = list(solve_qps(P, q, problems))
     for ra, rb in zip(a, b):
-        assert (ra.status, ra.iterations, ra.objective) == (rb.status, rb.iterations,
-                                                            rb.objective)
+        assert (ra.status, ra.iterations) == (rb.status, rb.iterations)
         for va, vb in ((ra.x, rb.x), (ra.y, rb.y)):
             assert (va is None and vb is None) or np.array_equal(va, vb)
 
