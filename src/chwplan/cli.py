@@ -19,7 +19,7 @@ import numpy as np
 
 from . import charts, clustering, estimation, qp, storage
 from .clustering import cluster_params
-from .engine import SimulationConfig, capacity_sweep, period_shares, summarize
+from .engine import WORK, SimulationConfig, capacity_sweep, period_shares, summarize
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
 from .policy import POLICY_KINDS, PolicySpec
 from .scenarios import SamplingError, sample_cohort
@@ -145,9 +145,9 @@ def _cmd_simulate(args) -> int:
         "delta_mgdl": args.delta_mgdl,
         "population": spec.population,
     }
-    work = {key: sum(getattr(r, key) for r in results)
-            for key in ("interest_set_members", "members_ranked_by_rollout",
-                        "rollout_member_steps", "rollouts_run", "rollout_steps_run")}
+    work = {key: sum(getattr(r, key) for r in results) for key in WORK}
+    work["row_periods"] = len(results) * config.horizon
+    work["row_periods_stepped"] = work.pop("periods_stepped")
     storage.write_manifest(
         out_dir, "simulate", manifest_config, args.seed,
         [spec_path] if spec_path else [], ["results.csv", "summary.csv"],

@@ -7,13 +7,13 @@ numbers, and summarizes the result table.
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .model import ParamArrays, PatientParams, PatientState, StateArrays, step_cohort
-from .policy import PolicySpec, RolloutTable, visit_mask
+from .policy import PolicySpec, visit_mask
 
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
@@ -78,17 +78,25 @@ class RunResult:
     ppc_fraction: float
     # work done, summed over periods (never written to the result tables):
     # interest-set members, members ranked by a value-to-go rollout, and
-    # rollout steps taken by those members; and the distinct rollouts the
-    # replication's RolloutTable ran for this row and their steps
+    # rollout steps taken by those members; the distinct rollouts run and
+    # their steps, and the periods decided and stepped, each counted in the
+    # first row of the replication holding that start or decision (so
+    # periods_stepped depends on which rows ran together: equality skips it)
     interest_set_members: int = 0
     members_ranked_by_rollout: int = 0
     rollout_member_steps: int = 0
     rollouts_run: int = 0
     rollout_steps_run: int = 0
+    periods_stepped: int = field(default=0, compare=False)
 
     @property
     def population(self) -> int:
         return len(self.final_log_fbg)
+
+
+# RunResult's work counts
+WORK = ("interest_set_members", "members_ranked_by_rollout", "rollout_member_steps",
+        "rollouts_run", "rollout_steps_run", "periods_stepped")
 
 
 @dataclass(frozen=True)
@@ -140,79 +148,70 @@ def capacity_from_fraction(fraction: float, population: int) -> int:
     return int(math.floor(fraction * population + 0.5))
 
 
-def _draw_noise_matrix(config: SimulationConfig, replication: int, population: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(noise_stream_seed(config.base_seed, replication)))
-    return rng.normal(0.0, config.sigma_xi, size=(config.horizon, population))
-
-
 def _simulate_rows(
     cohort: Cohort,
-    spec: PolicySpec,
+    specs: Sequence[PolicySpec],
     config: SimulationConfig,
     fractions: Sequence[float],
     replication: int,
-    table: RolloutTable,
 ) -> List[RunResult]:
-    """Run one policy over one cohort at several capacity levels at once.
+    """Run every (policy, capacity) row of one cohort at once, policy-major.
 
-    The cohort is held as struct-of-arrays with one row per capacity level
-    ((K, n) state arrays over the shared (n,) parameters). Per period: the
-    policy selects at most C patients in each row (classified as screening
-    visits when the patient was unenrolled), every patient of every row
-    advances one step with its own noise draw, which all rows share, and
-    metrics are recorded on the post-transition states (in control: b <=
-    spec.delta, the threshold the policy plans with). Each row evolves
-    exactly as it would alone. table holds this cohort's rollouts.
+    All rows start from the cohort's initial state and share the noise
+    draws, so many hold equal states: the cohort is held as G states
+    ((G, n) arrays over the shared (n,) parameters) and each row's index
+    into them. Per period visit_mask decides each distinct (state, class)
+    once (at most C visits per row; a visit to an unenrolled patient is a
+    screening visit), each decision steps its state, and metrics are taken
+    on the post-transition states (in control: b <= the row's spec.delta,
+    the threshold the policy plans with). Each row evolves exactly as it
+    would alone.
     """
     n_periods = config.horizon
     population = len(cohort)
     C = np.array([capacity_from_fraction(f, population) for f in fractions])
-    xi = _draw_noise_matrix(config, replication, population)
+    rng = np.random.Generator(np.random.PCG64(noise_stream_seed(config.base_seed, replication)))
+    xi = rng.normal(0.0, config.sigma_xi, size=(n_periods, population))
+    delta = np.repeat([spec.delta for spec in specs], len(C))[:, None]
 
-    states = StateArrays(*(np.tile(a, (len(fractions), 1))
-                           for a in StateArrays.of(cohort.initial_states)))
+    states = StateArrays(*(a[None, :] for a in StateArrays.of(cohort.initial_states)))
+    state = np.zeros(len(specs) * len(C), dtype=int)
     params = ParamArrays.of(cohort.params)
 
     # per-period counts, one column per row, and per-row work counts
     in_control, enrolled, visits_total, screening = (
-        np.zeros((n_periods, len(fractions)), dtype=int) for _ in range(4))
-    members, rolled_out, rollout_steps, ran, ran_steps = (
-        np.zeros(len(fractions), dtype=int) for _ in range(5))
+        np.zeros((n_periods, len(state)), dtype=int) for _ in range(4))
+    work = np.zeros((len(WORK), len(state)), dtype=int)
 
     for t in range(1, n_periods + 1):
         remaining = n_periods - t + 1
-        visits = visit_mask(states, params, C, spec, remaining, table)
-        y = visits.mask
-        screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)
-        visits_total[t - 1] = np.count_nonzero(y, axis=1)
-        members += visits.members
-        rolled_out += visits.rolled_out
-        rollout_steps += visits.rolled_out * remaining
-        ran += visits.rollouts_run
-        ran_steps += visits.rollouts_run * remaining
+        visits = visit_mask(states, params, C, specs, remaining, state)
+        y, state = visits.mask, visits.row
+        states = states.take(visits.state)
+        screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)[state]
+        visits_total[t - 1] = np.count_nonzero(y, axis=1)[state]
+        work += (visits.members, visits.rolled_out, visits.rolled_out * remaining,
+                 visits.rollouts_run, visits.rollouts_run * remaining,
+                 np.bincount(visits.first, minlength=len(state)))
 
-        states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit)
-        in_control[t - 1] = np.count_nonzero(states.b <= spec.delta, axis=1)
-        enrolled[t - 1] = np.count_nonzero(z, axis=1)
+        states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit, visits.carried)
+        in_control[t - 1] = np.count_nonzero(states.b[state] <= delta, axis=1)
+        enrolled[t - 1] = np.count_nonzero(z, axis=1)[state]
 
     return [
         RunResult(
-            policy_kind=spec.kind,
-            capacity_fraction=fraction,
+            policy_kind=specs[r // len(C)].kind,
+            capacity_fraction=fractions[r % len(C)],
             replication=replication,
-            in_control=tuple(in_control[:, k].tolist()),
-            enrolled=tuple(enrolled[:, k].tolist()),
-            visits_total=tuple(visits_total[:, k].tolist()),
-            screening_visits=tuple(screening[:, k].tolist()),
-            final_log_fbg=tuple(states.b[k].tolist()),
-            ppc_fraction=int(in_control[:, k].sum()) / (population * n_periods),
-            interest_set_members=int(members[k]),
-            members_ranked_by_rollout=int(rolled_out[k]),
-            rollout_member_steps=int(rollout_steps[k]),
-            rollouts_run=int(ran[k]),
-            rollout_steps_run=int(ran_steps[k]),
+            in_control=tuple(in_control[:, r].tolist()),
+            enrolled=tuple(enrolled[:, r].tolist()),
+            visits_total=tuple(visits_total[:, r].tolist()),
+            screening_visits=tuple(screening[:, r].tolist()),
+            final_log_fbg=tuple(states.b[state[r]].tolist()),
+            ppc_fraction=int(in_control[:, r].sum()) / (population * n_periods),
+            **dict(zip(WORK, work[:, r].tolist())),
         )
-        for k, fraction in enumerate(fractions)
+        for r in range(len(state))
     ]
 
 
@@ -226,10 +225,9 @@ def simulate(
     """Run one policy over one cohort for one replication at one capacity.
 
     Fully deterministic given (cohort, spec, config, fraction,
-    replication); the same as that capacity's row of a capacity sweep.
+    replication); the same as that row of a capacity sweep.
     """
-    return _simulate_rows(cohort, spec, config, (fraction,), replication,
-                          RolloutTable())[0]
+    return _simulate_rows(cohort, (spec,), config, (fraction,), replication)[0]
 
 
 def capacity_sweep(
@@ -242,18 +240,14 @@ def capacity_sweep(
     The cohort and process-noise draws are keyed by replication alone, so
     every policy and capacity level sees identical patients and identical
     disturbances within a replication (common random numbers); all
-    capacity levels of a (replication, policy) pair run as one array
-    simulation. A patient that no row has treated differently so far
-    starts the same rollout in every row and value-to-go policy, so each
-    replication's rows and policies share one RolloutTable.
+    (policy, capacity) rows of a replication run as one array simulation,
+    which decides and steps each distinct row state once and rolls out
+    each distinct start of the value-to-go rankings once per period.
     """
     results: List[RunResult] = []
     for replication in range(config.replications):
         cohort = cohort_generator(cohort_stream_seed(config.base_seed, replication))
-        table = RolloutTable()
-        for spec in specs:
-            results.extend(_simulate_rows(cohort, spec, config, config.capacity_fractions,
-                                          replication, table))
+        results.extend(_simulate_rows(cohort, specs, config, config.capacity_fractions, replication))
     results.sort(key=lambda r: (r.policy_kind, r.capacity_fraction, r.replication))
     return results
 
@@ -275,23 +269,25 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
     for r in results:
         cells.setdefault((r.policy_kind, r.capacity_fraction), []).append(r)
 
+    groups = sorted(cells.items())
+    # one percentile call for all the cells that pool as many values
+    pooled = [np.concatenate([r.final_log_fbg for r in group]) for _, group in groups]
+    pcts: Dict[int, Tuple[float, ...]] = {}
+    for length in {len(values) for values in pooled}:
+        same = [i for i, values in enumerate(pooled) if len(values) == length]
+        q = np.percentile([pooled[i] for i in same], (25, 50, 75, 90), axis=1)
+        pcts.update(zip(same, map(tuple, q.T.tolist())))
+
     rows: List[SummaryRow] = []
-    for (kind, fraction), group in sorted(cells.items()):
+    for i, ((kind, fraction), group) in enumerate(groups):
         ppcs = np.array([r.ppc_fraction for r in group])
-        if len(ppcs) > 1:
-            half = 1.96 * ppcs.std(ddof=1) / math.sqrt(len(ppcs))
-        else:
-            half = 0.0
-
-        pooled = np.concatenate([np.asarray(r.final_log_fbg) for r in group])
-        pcts = tuple(np.percentile(pooled, (25, 50, 75, 90)).tolist())
-
+        half = 1.96 * ppcs.std(ddof=1) / math.sqrt(len(ppcs)) if len(ppcs) > 1 else 0.0
         rows.append(SummaryRow(
             policy_kind=kind,
             capacity_fraction=fraction,
             ppc_mean=float(ppcs.mean()),
             ppc_ci_halfwidth=float(half),
-            final_fbg_percentiles=pcts,
+            final_fbg_percentiles=pcts[i],
         ))
     return rows
 

@@ -156,14 +156,16 @@ Num = Union[float, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num) -> Num:
+def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num,
+             yz: Optional[Num] = None) -> Num:
     """Next log-FBG: b + p - mu*z - alpha*y*z + xi.
 
     Unmitigated, log-FBG drifts up by p each period; enrollment pulls it
     down by mu and a management visit by a further alpha. The return value
-    may be any real — clamping to >= 0 happens in the period step.
+    may be any real — clamping to >= 0 happens in the period step. yz is
+    y*z when the caller has it: coef*y*z equals coef*yz bit for bit.
     """
-    return state.b + params.p - params.mu * z - params.alpha * y * z + xi
+    return state.b + params.p - params.mu * z - params.alpha * (y * z if yz is None else yz) + xi
 
 
 def carried_adverse(s: Num, gamma: Num, s_base: Num) -> Num:
@@ -172,35 +174,40 @@ def carried_adverse(s: Num, gamma: Num, s_base: Num) -> Num:
     return gamma * (s - s_base) + s_base
 
 
-def step_adverse(s: Num, params: Params, y: Num, z: Num) -> Num:
+def step_adverse(s: Num, params: Params, y: Num, z: Num, yz: Optional[Num] = None,
+                 carried: Optional[Num] = None) -> Num:
     """Next adverse-factor level: z*carried_adverse(s) + beta*y*z.
 
     Deviations from the enrolled steady state s_base decay geometrically at
-    rate gamma; each visit adds beta. Unenrolled patients carry none.
+    rate gamma; each visit adds beta. Unenrolled patients carry none. yz
+    and carried are y*z and carried_adverse(s) when the caller has them.
     """
-    return z * carried_adverse(s, params.gamma, params.s_base) + params.beta * y * z
+    carried = carried_adverse(s, params.gamma, params.s_base) if carried is None else carried
+    return z * carried + params.beta * (y * z if yz is None else yz)
 
 
-def step_perception(theta: Num, params: Params, y: Num, z: Num) -> Num:
+def step_perception(theta: Num, params: Params, y: Num, z: Num, yz: Optional[Num] = None) -> Num:
     """Next perceived importance, floored at zero.
 
     Reverts toward theta_base at rate rho; a visit while enrolled reduces
     it by lam. The raw recurrence can go negative when lam is large, so the
     result is clamped at 0 to stay in the model's feasible region (exactly
-    max(0.0, raw), elementwise).
+    max(0.0, raw), elementwise). yz is y*z when the caller has it.
     """
-    raw = params.rho * (theta - params.theta_base) + params.theta_base - params.lam * y * z
+    yz = y * z if yz is None else yz
+    raw = params.rho * (theta - params.theta_base) + params.theta_base - params.lam * yz
     return np.where(raw > 0.0, raw, 0.0)
 
 
-def benefits(state: State, params: Params) -> Tuple[Num, Num]:
+def benefits(state: State, params: Params, carried: Optional[Num] = None) -> Tuple[Num, Num]:
     """Net benefit of enrolling this period without and with a visit: (b0, b1).
 
-    Closed form: b0 = mu - theta*carried_adverse(s) and
-    b1 = b0 + (alpha - theta*beta). Deterministic: the FBG disturbance
+    Closed form: b0 = mu - theta*carried_adverse(s) (carried, if given)
+    and b1 = b0 + (alpha - theta*beta). Deterministic: the FBG disturbance
     cancels out of the comparison.
     """
-    base = params.mu - state.theta * carried_adverse(state.s, params.gamma, params.s_base)
+    carried = carried_adverse(state.s, params.gamma, params.s_base) if carried is None else carried
+    base = params.mu - state.theta * carried
     return base, base + (params.alpha - state.theta * params.beta)
 
 
@@ -220,20 +227,22 @@ def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
     return (z_prev | y) & (B >= 0.0)
 
 
-def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = None):
+def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = None,
+             carried: Optional[Num] = None):
     """One period on a patient or a cohort: (b, s, theta, z) after it.
 
     The provider's y precedes the patient's z within the period; the benefit
     is evaluated at the current (s, theta). B is benefit(state, params, y)
-    when the caller already has it. Log-FBG is clamped at 0, exactly as
-    PatientState does on construction.
+    and carried is carried_adverse(s) when the caller already has them.
+    Log-FBG is clamped at 0, exactly as PatientState does on construction.
     """
     if B is None:
         B = benefit(state, params, y)
     z = enroll_decision(state.z_prev, y, B)
-    b = step_fbg(state, params, y, z, xi)
-    return (np.where(b < 0.0, 0.0, b), step_adverse(state.s, params, y, z),
-            step_perception(state.theta, params, y, z), z)
+    yz = y & z
+    b = step_fbg(state, params, y, z, xi, yz)
+    return (np.where(b < 0.0, 0.0, b), step_adverse(state.s, params, y, z, yz, carried),
+            step_perception(state.theta, params, y, z, yz), z)
 
 
 def step_patient(
@@ -251,13 +260,14 @@ def step_patient(
 
 def step_cohort(
     state: StateArrays, params: ParamArrays, y: np.ndarray, xi: Num,
-    B: Optional[np.ndarray] = None,
+    B: Optional[np.ndarray] = None, carried: Optional[np.ndarray] = None,
 ) -> Tuple[StateArrays, np.ndarray]:
     """step_patient for every patient of a cohort at once.
 
     y is the visit mask (bool or 0/1 per patient) and xi the noise draw per
     patient (or one scalar for all); B, if given, is the benefit at y
-    (np.where(y, b1, b0) of benefits). Returns the next states and z.
+    (np.where(y, b1, b0) of benefits) and carried the carried_adverse of
+    s. Returns the next states and z.
     """
-    nxt = StateArrays(*_advance(state, params, y, xi, B))
+    nxt = StateArrays(*_advance(state, params, y, xi, B, carried))
     return nxt, nxt.z_prev

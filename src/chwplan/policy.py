@@ -8,7 +8,7 @@ baselines rank everyone with no filtering.
 
 The cohort functions take the cohort as struct-of-arrays (StateArrays,
 ParamArrays) or as aligned sequences of PatientState/PatientParams;
-visit_mask decides K rows of one cohort (one per capacity level) at once.
+visit_mask decides every (policy, capacity) row of one cohort at once.
 """
 
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ from .model import (
     State,
     StateArrays,
     benefits,
+    carried_adverse,
     step_cohort,
 )
 
@@ -75,8 +76,10 @@ def single_patient_action(state: State, params: Params):
 
 
 def _visit_pays(z_prev, b0, b1):
-    """single_patient_action from the benefits without (b0) and with (b1) a visit."""
-    return (b1 >= 0.0) & ((b0 < 0.0) | (z_prev == 0) | ((b1 - b0) > 0.0))
+    """single_patient_action from the benefits without (b0) and with (b1) a
+    visit. b1 > b0 exactly when b1 - b0 > 0: gradual underflow keeps the
+    difference of two unequal floats nonzero."""
+    return (b1 >= 0.0) & ((b0 < 0.0) | (z_prev == 0) | (b1 > b0))
 
 
 CohortStates = Union[StateArrays, Sequence[PatientState]]
@@ -112,17 +115,18 @@ def rollout_cohort(
 
     Every patient of the cohort is rolled out independently and all at
     once, one array step per remaining period; each step evaluates the
-    benefits once and the action and the transition share them. A
-    patient's result depends only on its own state, constants,
-    periods_remaining and delta, which is what lets RolloutTable run each
-    distinct start once.
+    carried adversity and the benefits once, and the action and the
+    transition share them. A patient's result depends only on its own
+    state, constants, periods_remaining and delta, which is what lets
+    visit_mask run each distinct start once.
 
     Args:
         states: current (pre-decision) patient states.
         params: patient constants.
         periods_remaining: number of decisions left, counting the current
             period's.
-        delta: in-control threshold on log-FBG.
+        delta: in-control threshold on log-FBG, one for all patients or
+            one per patient.
 
     Returns:
         RolloutSummary of int arrays counting each patient's
@@ -134,9 +138,10 @@ def rollout_cohort(
     v_tilde = np.zeros(len(states.b), dtype=int)
     visits = np.zeros(len(states.b), dtype=int)
     for _ in range(periods_remaining):
-        b0, b1 = benefits(states, params)
+        carried = carried_adverse(states.s, params.gamma, params.s_base)
+        b0, b1 = benefits(states, params, carried)
         y = _visit_pays(states.z_prev, b0, b1)
-        states, _ = step_cohort(states, params, y, 0.0, np.where(y, b1, b0))
+        states, _ = step_cohort(states, params, y, 0.0, np.where(y, b1, b0), carried)
         visits += y
         v_tilde += states.b <= delta
     return RolloutSummary(v_tilde=v_tilde, visits=visits)
@@ -154,58 +159,6 @@ def rollout_single(
     return RolloutSummary(v_tilde=int(rs.v_tilde[0]), visits=int(rs.visits[0]))
 
 
-class RolloutTable:
-    """rollout_cohort results for one cohort, each distinct start run once.
-
-    A start is the patient's index into the cohort's params, periods
-    remaining, delta and the exact state: the bit patterns of b, s and
-    theta, and z_prev. Equal starts roll out to equal summaries, and
-    comparing bits keeps -0.0 and 0.0 apart. Indices only mean the same
-    patient within one cohort, so a table lives for one cohort:
-    capacity_sweep keeps one per replication, shared by that
-    replication's capacity rows and policies, and every other caller
-    gets a fresh one.
-    """
-
-    def __init__(self):
-        # (periods_remaining, delta) -> (sorted start keys, v_tilde, visits)
-        self._done = {}
-
-    def lookup(
-        self,
-        states: StateArrays,
-        params: ParamArrays,
-        col: np.ndarray,
-        periods_remaining: int,
-        delta: float,
-    ) -> Tuple[RolloutSummary, np.ndarray]:
-        """Rollout summaries for members i (state states[i], patient col[i]).
-
-        Only starts the table has not seen are rolled out, each once, in
-        one rollout_cohort call. Also returns the positions of the members
-        that call rolled out: the first member of each new start.
-        """
-        keys = np.column_stack((col, states.b.view(np.int64), states.s.view(np.int64),
-                                states.theta.view(np.int64), states.z_prev))
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        none = np.zeros(0, dtype=int)
-        known, v_known, visits_known = self._done.get(
-            (periods_remaining, delta), (keys[:0], none, none))
-        starts, first, inverse = np.unique(np.concatenate((known, keys)),
-                                           return_index=True, return_inverse=True)
-        new = first >= len(known)
-        v_tilde, visits = (np.empty(len(starts), dtype=int) for _ in range(2))
-        v_tilde[~new], visits[~new] = v_known[first[~new]], visits_known[first[~new]]
-        ran = first[new] - len(known)
-        if len(ran):
-            rs = rollout_cohort(states.take(ran), params.take(col[ran]),
-                                periods_remaining, delta)
-            v_tilde[new], visits[new] = rs.v_tilde, rs.visits
-        self._done[periods_remaining, delta] = (starts, v_tilde, visits)
-        mine = inverse[len(known):]
-        return RolloutSummary(v_tilde=v_tilde[mine], visits=visits[mine]), ran
-
-
 def _value_per_visit_key(rs: RolloutSummary) -> np.ndarray:
     """Sort key for the value-per-visit ranking (ascending): -v_tilde/visits.
 
@@ -216,84 +169,125 @@ def _value_per_visit_key(rs: RolloutSummary) -> np.ndarray:
     return -rs.v_tilde / np.maximum(rs.visits, 1)
 
 
-class Visits(NamedTuple):
-    """One period's visit decision for K rows of a cohort, with the work
-    it took per row."""
+def _distinct(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of int64 columns, compared bit for bit: the index
+    of each one's first occurrence, and each row's distinct row."""
+    keys = np.column_stack(columns)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
-    mask: np.ndarray          # (K, n) bool: who is visited
-    members: np.ndarray       # (K,) interest-set size, the candidates sorted
-                              # over capacity; 0 for baselines (everyone)
-    rolled_out: np.ndarray    # (K,) members ranked by a value-to-go rollout
-    rollouts_run: np.ndarray  # (K,) rollouts this call ran, each counted in
-                              # the first row holding its start
-    benefit: Optional[np.ndarray]  # (K, n) benefit at the mask, as step_cohort's
-                                   # B; None when the kind never computed it
+
+def _smallest(key: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Mask of the C[k] smallest keys of each row k, ties to the lower index.
+
+    This is the first C[k] of a stable sort of the row: every key below the
+    row's C-th smallest, then the first of the keys equal to it. Rows have
+    no nan and more than C finite keys.
+    """
+    nth = np.take_along_axis(np.sort(key, axis=1), np.maximum(C - 1, 0)[:, None], axis=1)
+    below, tie = key < nth, key == nth
+    room = C[:, None] - np.count_nonzero(below, axis=1)[:, None]
+    return below | (tie & (np.cumsum(tie, axis=1) <= room))
+
+
+class Visits(NamedTuple):
+    """One period's visit decisions for R rows of a cohort, each distinct
+    decision made once, with the work it took per row."""
+
+    mask: np.ndarray          # (J, n) bool: who each distinct decision visits
+    state: np.ndarray         # (J,) the state each decision was made in
+    row: np.ndarray           # (R,) each row's decision: row r visits mask[row[r]]
+    first: np.ndarray         # (J,) the first row holding each decision, ascending
+    benefit: np.ndarray       # (J, n) benefit at the mask, as step_cohort's B
+    carried: np.ndarray       # (J, n) carried_adverse of s, as step_cohort's carried
+    members: np.ndarray       # (R,) interest-set size; 0 for baselines
+    rolled_out: np.ndarray    # (R,) members ranked by a value-to-go rollout
+    rollouts_run: np.ndarray  # (R,) rollouts run, each in the first row holding its start
+
+
+# per kind: its candidates are the interest set, the sign of its log-FBG
+# ranking key, and whether it ranks by a value-to-go rollout
+_FILTERED = np.array([k in EA_KINDS for k in POLICY_KINDS])
+_SIGN = np.array([1.0 if "asc" in k else -1.0 for k in POLICY_KINDS])
+_VTG = np.array(["vtg" in k for k in POLICY_KINDS])
 
 
 def visit_mask(
     states: StateArrays,
     params: ParamArrays,
     C,
-    spec: PolicySpec,
+    spec: Union[PolicySpec, Sequence[PolicySpec]],
     periods_remaining: int,
-    table: Optional[RolloutTable] = None,
+    state: Optional[np.ndarray] = None,
 ) -> Visits:
-    """Pick this period's visits for K rows of one cohort at once.
+    """Pick this period's visits for R rows of one cohort at once.
 
-    states holds one row per capacity level ((K, n) arrays), params the
-    cohort's shared (n,) constants and C the capacity of each row (shape
-    (K,), or one int for all). Every row is decided on its own: row k of
-    the mask is what a one-row call on row k alone returns.
+    states holds G states of the cohort ((G, n) arrays), params its shared
+    (n,) constants. The rows are the (policy, capacity) pairs of spec (one
+    PolicySpec or several) and C (one int or one per level), policy-major;
+    row r is in state state[r] (default r). Each row's mask is what a
+    one-row call on its state alone returns.
 
-    visit_everyone ignores the capacity (it is the unconstrained
-    benchmark) and visit_no_one visits nobody. Every other kind keeps the
-    C best of its candidates: the interest set (ea_* kinds) or the whole
-    cohort (baselines). A row with more candidates than C keys each
-    patient (+inf off the candidates) and keeps the first C of one stable
-    sort of the row, so ties go to the lower index. The key is log-FBG or
-    its negation, or a value-to-go rollout summary: the members of all
-    over-capacity rows are looked up in table (a fresh RolloutTable if
-    None), which rolls out each start it has not seen once, in one batch:
-    rows that share a patient's exact state share its rollout, and so do
-    calls that share the table.
+    Every kind keeps the C best of its candidates: the interest set (ea_*
+    kinds) or the whole cohort (baselines; visit_no_one and visit_everyone
+    are C = 0 and C = n). So a mask depends on the state and the class:
+    every candidate (at most C of them), or the C smallest keys (+inf off
+    the candidates, ties to the lower index) of its kind. Each distinct
+    (state, class) is decided once, in the order of the first row holding
+    it. The key is log-FBG or its negation, or a rollout summary: every
+    distinct start (patient, state bits, delta) of the call's members is
+    rolled out once, in one batch.
     """
-    K, n = states.b.shape
-    C = np.broadcast_to(C, (K,))
+    specs = (spec,) if isinstance(spec, PolicySpec) else tuple(spec)
+    n = states.b.shape[1]
+    C = np.atleast_1d(C)
     if (C < 0).any():
         raise ValueError("capacity must be >= 0")
-    none = np.zeros(K, dtype=int)
-    if spec.kind in ("visit_no_one", "visit_everyone"):
-        return Visits(np.full((K, n), spec.kind == "visit_everyone"), none, none, none, None)
+    kind = np.repeat([POLICY_KINDS.index(s.kind) for s in specs], len(C))
+    delta = np.repeat([float(s.delta) for s in specs], len(C))
+    cap = np.tile(C, len(specs))
+    cap[kind == POLICY_KINDS.index("visit_no_one")] = 0
+    cap[kind == POLICY_KINDS.index("visit_everyone")] = n
+    state = np.arange(len(kind)) if state is None else state
 
-    filtered = spec.kind in EA_KINDS
-    if filtered:
-        b0, b1 = benefits(states, params)
-        mask = _visit_pays(states.z_prev, b0, b1)
-    else:
-        mask = np.ones((K, n), dtype=bool)
-    members = np.count_nonzero(mask, axis=1)
-    over = np.flatnonzero(members > C)
-    rolled_out = ran = none
-    if len(over):
-        candidates = mask[over]
-        if spec.kind.endswith("fbg"):
-            b = states.b[over]
-            key = np.where(candidates, b if "asc" in spec.kind else -b, np.inf)
-        else:
-            table = RolloutTable() if table is None else table
-            row, col = np.nonzero(candidates)
-            rs, first = table.lookup(states.take((over[row], col)), params, col,
-                                     periods_remaining, spec.delta)
-            ran = np.bincount(over[row[first]], minlength=K)
-            rolled_out = np.where(members > C, members, 0)
-            key = np.full(candidates.shape, np.inf)
-            key[row, col] = (-rs.v_tilde if spec.kind == "ea_desc_vtg"
-                             else _value_per_visit_key(rs))
-        np.put_along_axis(candidates, np.argsort(key, axis=1, kind="stable"),
-                          np.arange(n) < C[over, None], axis=1)
-        mask[over] = candidates
-    return Visits(mask, members if filtered else none, rolled_out, ran,
-                  np.where(mask, b1, b0) if filtered else None)
+    carried = carried_adverse(states.s, params.gamma, params.s_base)
+    b0, b1 = benefits(states, params, carried)
+    interest = _visit_pays(states.z_prev, b0, b1)
+    filtered = _FILTERED[kind]
+    candidates = np.where(filtered, np.count_nonzero(interest, axis=1)[state], n)
+    ranked = candidates > cap
+    vtg = ranked & _VTG[kind]
+    # a row's decision: its state and class, which is every candidate (-1
+    # the cohort, -2 the interest set) or the C best by its kind (and by its
+    # policy's delta, for the rollout kinds)
+    first, inverse = _distinct(state, np.where(ranked, kind, -1 - filtered),
+                               np.where(ranked, cap, 0),
+                               np.where(vtg, np.arange(len(kind)) // len(C), 0))
+    order = np.argsort(first)
+    row, first = np.argsort(order)[inverse], first[order]
+    at = state[first]
+
+    mask = interest[at] | ~filtered[first, None]
+    rollouts_run = np.zeros(len(kind), dtype=int)
+    over = first[ranked[first]]  # the first row of each ranked decision
+    ranked_mask = mask[row[over]]
+    sort_key = np.where(ranked_mask, states.b[state[over]] * _SIGN[kind[over], None], np.inf)
+    i, col = np.nonzero(ranked_mask & vtg[over, None])
+    if len(i):
+        by = over[i]  # the row each value-to-go member is ranked for
+        start = states.take((state[by], col))
+        ran, same = _distinct(col, start.b.view(np.int64), start.s.view(np.int64),
+                              start.theta.view(np.int64), start.z_prev, delta[by].view(np.int64))
+        rs = rollout_cohort(start.take(ran), params.take(col[ran]), periods_remaining,
+                            delta[by[ran]])
+        rollouts_run = np.bincount(by[ran], minlength=len(kind))
+        per_visit = kind[by] == POLICY_KINDS.index("ea_desc_vtg_per_visit")
+        sort_key[i, col] = np.where(per_visit, _value_per_visit_key(rs)[same], -rs.v_tilde[same])
+    mask[row[over]] = _smallest(sort_key, cap[over])
+    return Visits(mask, at, row, first, np.where(mask, b1[at], b0[at]), carried[at],
+                  np.where(filtered, candidates, 0), np.where(vtg, candidates, 0),
+                  rollouts_run)
 
 
 def select_visits(

@@ -446,15 +446,18 @@ class TestCliSimulate:
         assert work == storage.read_manifest(str(out2))["work"]
         assert set(work) == {"interest_set_members", "members_ranked_by_rollout",
                              "rollout_member_steps", "rollouts_run",
-                             "rollout_steps_run"}
+                             "rollout_steps_run", "row_periods", "row_periods_stepped"}
         assert work["members_ranked_by_rollout"] > 0
         assert work["rollout_member_steps"] > work["members_ranked_by_rollout"]
         assert work["interest_set_members"] >= work["members_ranked_by_rollout"]
+        # 2 policies x 2 capacities x 2 replications x 8 periods
+        assert work["row_periods"] == 64
+        assert 0 < work["row_periods_stepped"] <= work["row_periods"]
 
     def test_rollout_table_does_not_outlive_a_call(self, tmp_path):
-        # both value-to-go policies at two capacities share each
-        # replication's rollouts; a table kept past the call would let the
-        # second identical run skip rollouts and report fewer
+        # both value-to-go policies at two capacities share each period's
+        # rollouts; rollouts kept past the call would let the second
+        # identical run skip them and report fewer
         args = SIM_ARGS[:3] + ["--policies", "ea_desc_vtg,ea_desc_vtg_per_visit"] + SIM_ARGS[5:]
         works = []
         for name in ("a", "b"):

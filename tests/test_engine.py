@@ -374,6 +374,27 @@ def test_summarize_pooled_percentiles():
     assert summary.final_fbg_percentiles == pytest.approx((1.75, 2.5, 3.25, 3.7))
 
 
+def test_summarize_percentiles_equal_per_cell_calls():
+    # cells pooling 126 to 3,780 values, several of each length, with ties
+    # and zeros: one batched call per length gives each cell's own floats
+    rng = np.random.default_rng(4)
+    rows = []
+    for c, (population, reps) in enumerate([(126, 1), (126, 1), (378, 10), (126, 3),
+                                           (378, 10), (378, 1)]):
+        for rep in range(reps):
+            finals = rng.choice([0.0, 4.0, 5.5], population) * (rng.random(population) < 0.7)
+            finals = np.where(rng.random(population) < 0.5, finals, rng.gamma(9.0, 0.6, population))
+            rows.append(fake_result("asc_fbg", 0.05 * (c + 1), rep, ppc=0.5,
+                                    finals=finals.tolist()))
+    summaries = summarize(rows)
+    assert len(summaries) == 6
+    for summary in summaries:
+        pooled = np.concatenate([r.final_log_fbg for r in rows
+                                 if r.capacity_fraction == summary.capacity_fraction])
+        assert summary.final_fbg_percentiles == tuple(
+            np.percentile(pooled, (25, 50, 75, 90)).tolist())
+
+
 def shares_of(results):
     """period_shares of RunResults: (replication, period) arrays."""
     return period_shares(

@@ -4,12 +4,13 @@ One array step, the visit mask and the batched rollout must reproduce,
 element by element and exactly (compared with ==), what step_patient,
 single_patient_action and a per-patient rollout loop give for each patient
 on its own; each row of a batched visit_mask (one row per capacity
-level) must be what a one-row call on that row alone decides; and a
-RolloutTable shared by rows, policies and calls must rank exactly as a
-rollout of each member on its own.
+level) must be what a one-row call on that row alone decides; and the
+rollouts one call shares among its rows and policies must rank exactly as
+a rollout of each member on its own.
 Byte-identical simulation outputs rest on this.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chwplan.engine import Cohort, SimulationConfig, capacity_sweep, simulate
 from chwplan.model import (
     ParamArrays,
     PatientParams,
@@ -32,7 +34,6 @@ from chwplan.policy import (
     POLICY_KINDS,
     PolicySpec,
     RolloutSummary,
-    RolloutTable,
     interest_set,
     rollout_cohort,
     rollout_single,
@@ -234,14 +235,14 @@ def test_benefits_equal_the_closed_form_up_to_the_sign_of_a_zero(patient):
     assert benefit(state, prm, int(visit)) == (b1 if visit else b0)
 
 
-def _visits_alone(states, params, C, kind, periods):
+def _visits_alone(states, params, C, kind, periods, delta):
     """One row's visit set, each ranked member rolled out on its own."""
     members = np.flatnonzero(single_patient_action(states, params)).tolist()
     if len(members) <= C:
         return set(members)
     alone = {}
     for i in members:
-        rs = rollout_cohort(states.take([i]), params.take([i]), periods, DELTA)
+        rs = rollout_cohort(states.take([i]), params.take([i]), periods, delta)
         alone[i] = RolloutSummary(int(rs.v_tilde[0]), int(rs.visits[0]))
     if kind == "ea_desc_vtg":
         ranked = sorted(members, key=lambda i: (-alone[i].v_tilde, i))
@@ -251,75 +252,115 @@ def _visits_alone(states, params, C, kind, periods):
     return set(ranked[:C])
 
 
-def _start(states, i, periods):
-    """The exact start of member i: index, periods and state bits."""
-    bits = np.array([states.b[i], states.s[i], states.theta[i]]).view(np.int64)
-    return (i, periods, *bits.tolist(), int(states.z_prev[i]))
+def _start(states, i, delta):
+    """The exact start of member i: index, state bits, z_prev and delta."""
+    bits = np.array([states.b[i], states.s[i], states.theta[i], delta]).view(np.int64)
+    return (i, *bits.tolist(), int(states.z_prev[i]))
 
 
-# rows mixed patient by patient from a small pool of cohort states, so
-# rows share some patients' exact states and not others'
-table_st = st.integers(1, 8).flatmap(lambda n: st.tuples(
+# capacity levels whose rows are mixed patient by patient from a small pool
+# of cohort states, so rows share some patients' exact states and not
+# others'; and value-to-go policies at one of two thresholds
+VTG_KINDS = ("ea_desc_vtg", "ea_desc_vtg_per_visit")
+shared_st = st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.lists(params_st, min_size=n, max_size=n),
     st.lists(st.lists(state_st, min_size=n, max_size=n), min_size=1, max_size=3),
     st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=n, max_size=n),
                        st.integers(0, n)), min_size=1, max_size=6),
-    st.lists(st.integers(0, 10), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(VTG_KINDS), st.sampled_from((DELTA, 1.0))),
+             min_size=1, max_size=3),
+    st.integers(0, 10),
 ))
 
 
 @pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
-@given(case=table_st)
+@given(case=shared_st)
 @settings(max_examples=100, deadline=None)
-def test_shared_rollout_table_ranks_as_members_rolled_out_alone(case):
-    params, pool, rows, periods_seq = case
+def test_shared_rollouts_rank_as_members_rolled_out_alone(case):
+    params, pool, levels, policies, periods = case
     params = ParamArrays.of(params)
     states = _stacked([[pool[pick % len(pool)][j] for j, pick in enumerate(picks)]
-                       for picks, _ in rows])
-    C = np.array([c for _, c in rows])
-    table, seen = RolloutTable(), set()
-    for periods in periods_seq:
-        for kind in ("ea_desc_vtg", "ea_desc_vtg_per_visit"):
-            got = visit_mask(states, params, C, PolicySpec(kind, DELTA), periods, table)
-            starts = set()
-            for k in range(len(rows)):
-                row = StateArrays(*(a[k] for a in states))
-                assert set(np.flatnonzero(got.mask[k]).tolist()) == _visits_alone(
-                    row, params, int(C[k]), kind, periods), (kind, k)
-                if got.members[k] > C[k]:
-                    starts |= {_start(row, int(i), periods)
-                               for i in np.flatnonzero(single_patient_action(row, params))}
-            # the table ran each start it had not seen exactly once
-            assert got.rollouts_run.sum() == len(starts - seen)
-            seen |= starts
+                       for picks, _ in levels])
+    C = np.array([c for _, c in levels])
+    specs = [PolicySpec(kind, delta) for kind, delta in policies]
+    got = visit_mask(states, params, C, specs, periods, np.tile(np.arange(len(C)), len(specs)))
+    first_row = {}
+    for r, (spec, k) in enumerate((spec, k) for spec in specs for k in range(len(C))):
+        level = StateArrays(*(a[k] for a in states))
+        assert set(np.flatnonzero(got.mask[got.row[r]]).tolist()) == _visits_alone(
+            level, params, int(C[k]), spec.kind, periods, spec.delta), (spec, k)
+        if got.members[r] > C[k]:
+            for i in np.flatnonzero(single_patient_action(level, params)):
+                first_row.setdefault(_start(level, int(i), spec.delta), r)
+    # the call ran each distinct start once, counted in the first row holding it
+    assert got.rollouts_run.tolist() == np.bincount(
+        list(first_row.values()), minlength=len(specs) * len(C)).tolist()
 
 
-def test_rollout_table_keeps_signed_zeros_apart():
-    # three pairs of starts that differ only in the sign of one zero
+def test_rollout_starts_keep_signed_zeros_apart():
+    # three patients, each in three rows: the second row differs from the
+    # first only in the sign of one zero per patient, the third equals the first
     prm = PatientParams(p=0.5, mu=1.0, alpha=1.0, beta=0.5, lam=0.5,
                         gamma=0.5, rho=0.5, s_base=0.5, theta_base=0.5)
-    pairs = [dict(b=z, s=0.1, theta=0.1) for z in (0.0, -0.0)]
-    pairs += [dict(b=1.0, s=z, theta=0.1) for z in (0.0, -0.0)]
-    pairs += [dict(b=2.0, s=0.1, theta=z) for z in (0.0, -0.0)]
-    states = StateArrays.of([PatientState(z_prev=0, **f) for f in pairs])
-    params = ParamArrays.of([prm])
-    col = np.zeros(len(pairs), dtype=int)
-    table = RolloutTable()
-    rs, ran = table.lookup(states, params, col, 4, DELTA)
-    assert sorted(ran.tolist()) == list(range(len(pairs)))
-    for i in range(len(pairs)):
-        alone = rollout_cohort(states.take([i]), params, 4, DELTA)
-        assert (rs.v_tilde[i], rs.visits[i]) == (alone.v_tilde[0], alone.visits[0])
-    again, ran = table.lookup(states, params, col, 4, DELTA)
-    assert len(ran) == 0
-    assert again.v_tilde.tolist() == rs.v_tilde.tolist()
-    assert again.visits.tolist() == rs.visits.tolist()
-
-    # two capacity rows differing only in the sign of patient 0's theta:
-    # the second row reruns patient 0 and shares patient 1
+    rows = [[PatientState(b=z, s=0.1, theta=0.1, z_prev=0),
+             PatientState(b=1.0, s=z, theta=0.1, z_prev=0),
+             PatientState(b=2.0, s=0.1, theta=z, z_prev=0)] for z in (0.0, -0.0, 0.0)]
+    params = ParamArrays.of([prm] * 3)
+    got = visit_mask(_stacked(rows), params, np.zeros(3, dtype=int),
+                     PolicySpec("ea_desc_vtg", DELTA), 4)
+    assert got.rolled_out.tolist() == [3, 3, 3]
+    assert got.rollouts_run.tolist() == [3, 3, 0]
+    # two rows differing only in the sign of patient 0's theta: the second
+    # row reruns patient 0 and shares patient 1, whose rollouts tie, so both
+    # rows keep patient 0
     rows = [[PatientState(b=1.0, s=0.0, theta=z, z_prev=0),
              PatientState(b=2.0, s=0.0, theta=0.5, z_prev=0)] for z in (0.0, -0.0)]
-    got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]), 0,
+    got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]), np.array([1, 1]),
                      PolicySpec("ea_desc_vtg", DELTA), 4)
     assert got.rolled_out.tolist() == [2, 2]
     assert got.rollouts_run.tolist() == [2, 1]
+    for k, row in enumerate(rows):
+        assert set(np.flatnonzero(got.mask[got.row[k]]).tolist()) == _visits_alone(
+            StateArrays.of(row), ParamArrays.of([prm, prm]), 1, "ea_desc_vtg", 4, DELTA)
+
+
+# a sweep over every kind at once, each with its own threshold; fractions
+# that round to C = 0 or C = n on these small cohorts, some repeated
+sweep_st = st.tuples(
+    st.lists(st.tuples(params_st, state_st), min_size=1, max_size=6),
+    st.permutations(POLICY_KINDS),
+    st.lists(st.sampled_from((DELTA, 1.0, 2.5)), min_size=8, max_size=8),
+    st.lists(st.sampled_from((0.01, 0.2, 0.34, 0.5, 0.75, 1.0)), min_size=1, max_size=4),
+    st.integers(1, 6),
+    st.integers(1, 2),
+    st.sampled_from((0.0, 0.3)),
+)
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(case=sweep_st)
+@settings(max_examples=40, deadline=None)
+def test_sweep_rows_equal_one_spec_simulations(case):
+    patients, kinds, deltas, fractions, horizon, reps, sigma_xi = case
+    cohort = Cohort(params=tuple(p for p, _ in patients),
+                    initial_states=tuple(s for _, s in patients))
+    config = SimulationConfig(horizon=horizon, capacity_fractions=tuple(sorted(fractions)),
+                              replications=reps, base_seed=3, sigma_xi=sigma_xi)
+    specs = [PolicySpec(kind, delta) for kind, delta in zip(kinds, deltas)]
+    swept = capacity_sweep(lambda seed: cohort, specs, config)
+    per_spec = [r for spec in specs for r in capacity_sweep(lambda seed: cohort, [spec], config)]
+    alone = {(spec.kind, f, rep): simulate(cohort, spec, config, f, rep)
+             for spec in specs for f in config.capacity_fractions for rep in range(reps)}
+
+    def outputs(r):
+        return dataclasses.replace(r, rollouts_run=0, rollout_steps_run=0)
+
+    for r in swept:
+        assert outputs(r) == outputs(alone[r.policy_kind, r.capacity_fraction, r.replication])
+    for key in ("rollouts_run", "rollout_steps_run"):
+        assert (sum(getattr(r, key) for r in swept) <= sum(getattr(r, key) for r in per_spec)
+                <= sum(getattr(r, key) for r in alone.values()))
+    assert all(r.periods_stepped == horizon for r in alone.values())
+    # the first row steps every period; later rows step only what is new
+    stepped = [r.periods_stepped for r in swept]
+    assert max(stepped) == horizon and sum(stepped) <= len(swept) * horizon

@@ -35,6 +35,19 @@ GOLDEN = {
 }
 
 
+# The manifest's work counts for the same runs: the selection and rollout
+# work, and the row-periods of the sweep against those it decided and
+# stepped itself (the rest repeat an earlier row's decision in an equal state)
+GOLDEN_WORK = {
+    "scenario3": {"interest_set_members": 7200, "members_ranked_by_rollout": 2400,
+                  "rollout_member_steps": 25200, "rollout_steps_run": 7820,
+                  "rollouts_run": 752, "row_periods": 960, "row_periods_stepped": 680},
+    "scenario1": {"interest_set_members": 8640, "members_ranked_by_rollout": 2880,
+                  "rollout_member_steps": 30240, "rollout_steps_run": 9080,
+                  "rollouts_run": 872, "row_periods": 960, "row_periods_stepped": 680},
+}
+
+
 def _cell_rows(path, policy, pct):
     with open(path, newline="", encoding="utf-8") as fh:
         return [row[2:] for row in csv.reader(fh)
@@ -59,6 +72,8 @@ def test_simulate_outputs_match_golden_digests(scenario, tmp_path):
     for name, digest in GOLDEN[scenario].items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == digest, f"{scenario} {name}"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["work"] == GOLDEN_WORK[scenario]
 
 
 # A 20-period noisy history fitted on the default 400-cell grid, and a
