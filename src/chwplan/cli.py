@@ -13,7 +13,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,18 +275,17 @@ def _representative_pct(pcts: Sequence[float], target: float = 20.0) -> float:
     return min(sorted(set(pcts)), key=lambda p: (abs(p - target), p))
 
 
-def _share_series(rows: List[dict], policy: str, pct: float, population: int):
+def _share_series(rows: Dict[str, np.ndarray], policy: str, pct: float, population: int):
     """Per-period screening and enrollment shares, averaged over replications.
 
     A period that was idle in every replication has no screening share.
     """
-    cell = sorted((r for r in rows
-                   if r["policy"] == policy and r["capacity_pct"] == pct),
-                  key=lambda r: (r["replication"], r["period"]))
-    reps = len({r["replication"] for r in cell})
+    at = np.flatnonzero((rows["policy"] == policy) & (rows["capacity_pct"] == pct))
+    at = at[np.lexsort((rows["period"][at], rows["replication"][at]))]
+    reps = len(np.unique(rows["replication"][at]))
 
     def table(key):
-        return np.array([r[key] for r in cell]).reshape(reps, -1)
+        return rows[key][at].reshape(reps, -1)
 
     screening, enrollment = period_shares(
         table("screening_visits"), table("visits"), table("enrolled"), population)
@@ -309,7 +308,7 @@ def _cmd_report(args) -> int:
             raise ValueError(f"{res_dir}: missing {os.path.basename(p)}")
     rows = storage.read_results_csv(results_path)
     summary = storage.read_summary_csv(summary_path)
-    if not rows or not summary:
+    if not len(rows["policy"]) or not len(summary["policy"]):
         raise ValueError(f"{res_dir}: results are empty")
     config = manifest.get("config")
     population = config.get("population") if isinstance(config, dict) else None
@@ -321,25 +320,19 @@ def _cmd_report(args) -> int:
         raise ValueError(f"{os.path.join(res_dir, storage.MANIFEST_NAME)}: config.delta_mgdl"
                          f" must be a finite positive number, got {delta_mgdl!r}")
 
-    policies = sorted({r["policy"] for r in rows})
-    pcts = sorted({r["capacity_pct"] for r in rows})
+    policies = sorted(set(rows["policy"].tolist()))
+    pcts = sorted(set(rows["capacity_pct"].tolist()))
     detail_pct = _representative_pct(pcts)
 
     out_dir = args.out or os.path.join(res_dir, "charts")
     os.makedirs(out_dir, exist_ok=True)
     shares = {p: _share_series(rows, p, detail_pct, population) for p in policies}
 
-    ppc_series = {
-        p: [(s["capacity_pct"], s["ppc_mean"]) for s in summary
-            if s["policy"] == p]
-        for p in policies
-    }
-    ppc_bands = {
-        p: [(s["capacity_pct"], s["ppc_mean"] - s["ppc_ci_halfwidth"],
-             s["ppc_mean"] + s["ppc_ci_halfwidth"]) for s in summary
-            if s["policy"] == p]
-        for p in policies
-    }
+    cap, mean, half = summary["capacity_pct"], summary["ppc_mean"], summary["ppc_ci_halfwidth"]
+    in_policy = [(p, summary["policy"] == p) for p in policies]
+    ppc_series = {p: list(zip(cap[at].tolist(), mean[at].tolist())) for p, at in in_policy}
+    ppc_bands = {p: list(zip(cap[at].tolist(), (mean[at] - half[at]).tolist(),
+                             (mean[at] + half[at]).tolist())) for p, at in in_policy}
     charts.line_chart(
         os.path.join(out_dir, "ppc_vs_capacity.svg"),
         "Patient-periods in control vs capacity (95% CI)",
@@ -357,11 +350,9 @@ def _cmd_report(args) -> int:
         "period", "enrolled fraction of cohort",
         {p: enrollment for p, (_, enrollment) in shares.items()},
     )
-    box_stats = {
-        s["policy"]: (s["final_fbg_p25"], s["final_fbg_p50"],
-                      s["final_fbg_p75"], s["final_fbg_p90"])
-        for s in summary if s["capacity_pct"] == detail_pct
-    }
+    at = cap == detail_pct
+    box_stats = dict(zip(summary["policy"][at].tolist(), zip(*(
+        summary[f"final_fbg_p{q}"][at].tolist() for q in (25, 50, 75, 90)))))
     charts.box_chart(
         os.path.join(out_dir, "final_fbg.svg"),
         f"Final log-FBG quartiles (p90 whisker) at {_fmt_pct(detail_pct)}% capacity",

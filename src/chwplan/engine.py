@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .model import ParamArrays, PatientParams, PatientState, StateArrays, step_cohort
-from .policy import PolicySpec, visit_mask
+from .policy import PolicySpec, RuleTable, visit_mask
 
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
@@ -177,6 +177,7 @@ def _simulate_rows(
     states = StateArrays(*(a[None, :] for a in StateArrays.of(cohort.initial_states)))
     state = np.zeros(len(specs) * len(C), dtype=int)
     params = ParamArrays.of(cohort.params)
+    table = RuleTable(params)  # the rollouts' decisions, shared by every row and period
 
     # per-period counts, one column per row, and per-row work counts
     in_control, enrolled, visits_total, screening = (
@@ -185,7 +186,7 @@ def _simulate_rows(
 
     for t in range(1, n_periods + 1):
         remaining = n_periods - t + 1
-        visits = visit_mask(states, params, C, specs, remaining, state)
+        visits = visit_mask(states, params, C, specs, remaining, state, table)
         y, state = visits.mask, visits.row
         states = states.take(visits.state)
         screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)[state]

@@ -217,6 +217,11 @@ def benefit(state: State, params: Params, y: Num) -> Num:
     return np.where(y, b1, b0)[()]
 
 
+def floor_fbg(b: Num) -> Num:
+    """Log-FBG floored at 0 as PatientState floors it: np.where(b < 0.0, 0.0, b)."""
+    return np.where(b < 0.0, 0.0, b)
+
+
 def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
     """Enrollment indicator (z_prev OR y) * 1[B >= 0], as an int (or int array).
 
@@ -234,14 +239,14 @@ def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = N
     The provider's y precedes the patient's z within the period; the benefit
     is evaluated at the current (s, theta). B is benefit(state, params, y)
     and carried is carried_adverse(s) when the caller already has them.
-    Log-FBG is clamped at 0, exactly as PatientState does on construction.
+    Log-FBG is clamped at 0 by floor_fbg.
     """
     if B is None:
         B = benefit(state, params, y)
     z = enroll_decision(state.z_prev, y, B)
     yz = y & z
     b = step_fbg(state, params, y, z, xi, yz)
-    return (np.where(b < 0.0, 0.0, b), step_adverse(state.s, params, y, z, yz, carried),
+    return (floor_fbg(b), step_adverse(state.s, params, y, z, yz, carried),
             step_perception(state.theta, params, y, z, yz), z)
 
 

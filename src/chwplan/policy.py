@@ -12,6 +12,7 @@ visit_mask decides every (policy, capacity) row of one cohort at once.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -25,7 +26,9 @@ from .model import (
     StateArrays,
     benefits,
     carried_adverse,
+    floor_fbg,
     step_cohort,
+    step_fbg,
 )
 
 EA_KINDS = ("ea_asc_fbg", "ea_desc_fbg", "ea_desc_vtg", "ea_desc_vtg_per_visit")
@@ -105,20 +108,82 @@ def interest_set(states: CohortStates, params: CohortParams) -> Set[int]:
     return set(np.flatnonzero(single_patient_action(states, params)).tolist())
 
 
+class RuleTable:
+    """The single-patient rule's decisions in each state a cohort's rollouts
+    have reached. They never read log-FBG b, so a rollout walks a chain of
+    nodes, one per distinct (patient, s bits, theta bits, z_prev), and
+    advances only b. A node's y, z, y & z and successor come from one
+    step_cohort, batched over the nodes a walk step first reaches: a walk
+    of H steps expands at most H levels. delta does not enter the rule, so
+    one table serves every threshold.
+    """
+
+    def __init__(self, params: ParamArrays):
+        self.params = params  # the cohort's, indexed by patient
+        self.keys = np.zeros((0, 4), dtype=np.int64)  # patient, s bits, theta bits, z_prev
+        self.rule = np.zeros((0, 4), dtype=int)  # y, z, y & z, successor; -1s unexpanded
+        self._index = {}
+
+    def _find(self, patient, s, theta, z_prev) -> np.ndarray:
+        """Each state's node, adding the ones not seen before unexpanded."""
+        keys = np.column_stack((patient, s.view(np.int64), theta.view(np.int64), z_prev))
+        index, known = self._index, len(self._index)
+        node = np.array([index.setdefault(k, len(index)) for k in
+                         keys.view(np.dtype((np.void, 32))).ravel().tolist()], dtype=np.intp)
+        if len(index) > known:  # new nodes have the largest ids
+            at = np.unique(node, return_index=True)[1][known - len(index):]
+            self.keys = np.concatenate((self.keys, keys[at]))
+            self.rule = np.concatenate((self.rule, np.full((len(at), 4), -1)))
+        return node
+
+    def _expand(self, node: np.ndarray) -> None:
+        """Step distinct unexpanded nodes once under the rule."""
+        patient, s, theta, z_prev = self.keys[node].T
+        states = StateArrays(np.zeros(len(node)), s.view(float), theta.view(float), z_prev)
+        params = self.params.take(patient)
+        carried = carried_adverse(states.s, params.gamma, params.s_base)
+        b0, b1 = benefits(states, params, carried)
+        y = _visit_pays(z_prev, b0, b1)
+        nxt, z = step_cohort(states, params, y, 0.0, np.where(y, b1, b0), carried)
+        self.rule[node] = np.column_stack((y, z, y & z, self._find(patient, nxt.s, nxt.theta, z)))
+
+    def rollout(self, patient: np.ndarray, states: StateArrays, periods_remaining: int,
+                delta) -> RolloutSummary:
+        """rollout_cohort of the given patients of the cohort from states:
+        each step gathers the nodes' y, z and y & z and advances b alone."""
+        if periods_remaining < 0:
+            raise ValueError("periods_remaining must be >= 0")
+        params = self.params.take(patient)
+        node = self._find(patient, states.s, states.theta, states.z_prev)
+        fbg = SimpleNamespace(b=states.b)  # all step_fbg reads of a state
+        visits, b = [], []  # per step
+        for _ in range(periods_remaining):
+            rule = self.rule.take(node, 0)
+            if np.minimum.reduce(rule, None, initial=0) < 0:  # an unexpanded row is all -1
+                self._expand(np.unique(node[rule[:, 3] < 0]))
+                rule = self.rule.take(node, 0)
+            y, z, yz, node = rule.T
+            fbg.b = floor_fbg(step_fbg(fbg, params, y, z, 0.0, yz))
+            visits.append(y)
+            b.append(fbg.b)
+        shape = (periods_remaining, len(patient))
+        return RolloutSummary(v_tilde=np.count_nonzero(np.reshape(b, shape) <= delta, axis=0),
+                              visits=np.reshape(visits, shape).sum(axis=0))
+
+
 def rollout_cohort(
     states: StateArrays,
     params: ParamArrays,
     periods_remaining: int,
     delta: float,
 ) -> RolloutSummary:
-    """Noise-free forward simulation under the single-patient rule.
+    """Noise-free forward simulation under the single-patient rule, as a
+    walk over a fresh RuleTable.
 
     Every patient of the cohort is rolled out independently and all at
-    once, one array step per remaining period; each step evaluates the
-    carried adversity and the benefits once, and the action and the
-    transition share them. A patient's result depends only on its own
-    state, constants, periods_remaining and delta, which is what lets
-    visit_mask run each distinct start once.
+    once, one array step per remaining period. A patient's result depends
+    only on its own state, constants, periods_remaining and delta, which
+    is what lets visit_mask run each distinct start once.
 
     Args:
         states: current (pre-decision) patient states.
@@ -133,18 +198,7 @@ def rollout_cohort(
         post-transition in-control periods and visits over the window.
         periods_remaining=0 yields zeros.
     """
-    if periods_remaining < 0:
-        raise ValueError("periods_remaining must be >= 0")
-    v_tilde = np.zeros(len(states.b), dtype=int)
-    visits = np.zeros(len(states.b), dtype=int)
-    for _ in range(periods_remaining):
-        carried = carried_adverse(states.s, params.gamma, params.s_base)
-        b0, b1 = benefits(states, params, carried)
-        y = _visit_pays(states.z_prev, b0, b1)
-        states, _ = step_cohort(states, params, y, 0.0, np.where(y, b1, b0), carried)
-        visits += y
-        v_tilde += states.b <= delta
-    return RolloutSummary(v_tilde=v_tilde, visits=visits)
+    return RuleTable(params).rollout(np.arange(len(states.b)), states, periods_remaining, delta)
 
 
 def rollout_single(
@@ -220,6 +274,7 @@ def visit_mask(
     spec: Union[PolicySpec, Sequence[PolicySpec]],
     periods_remaining: int,
     state: Optional[np.ndarray] = None,
+    table: Optional[RuleTable] = None,
 ) -> Visits:
     """Pick this period's visits for R rows of one cohort at once.
 
@@ -237,7 +292,8 @@ def visit_mask(
     (state, class) is decided once, in the order of the first row holding
     it. The key is log-FBG or its negation, or a rollout summary: every
     distinct start (patient, state bits, delta) of the call's members is
-    rolled out once, in one batch.
+    rolled out once, in one walk over table (the RuleTable of params; a
+    fresh one if None).
     """
     specs = (spec,) if isinstance(spec, PolicySpec) else tuple(spec)
     n = states.b.shape[1]
@@ -279,8 +335,8 @@ def visit_mask(
         start = states.take((state[by], col))
         ran, same = _distinct(col, start.b.view(np.int64), start.s.view(np.int64),
                               start.theta.view(np.int64), start.z_prev, delta[by].view(np.int64))
-        rs = rollout_cohort(start.take(ran), params.take(col[ran]), periods_remaining,
-                            delta[by[ran]])
+        table = RuleTable(params) if table is None else table
+        rs = table.rollout(col[ran], start.take(ran), periods_remaining, delta[by[ran]])
         rollouts_run = np.bincount(by[ran], minlength=len(kind))
         per_visit = kind[by] == POLICY_KINDS.index("ea_desc_vtg_per_visit")
         sort_key[i, col] = np.where(per_visit, _value_per_visit_key(rs)[same], -rs.v_tilde[same])

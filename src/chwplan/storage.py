@@ -15,6 +15,8 @@ import os
 from dataclasses import MISSING, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .clustering import FEATURE_NAMES, first_unusable_row
 from .engine import RunResult, SummaryRow
@@ -231,20 +233,24 @@ def write_results_csv(path: str, results: Sequence[RunResult]) -> None:
     write_table(path, RESULTS_COLUMNS, rows)
 
 
-def _read_records(path: str, columns: Sequence[str], types) -> List[dict]:
-    """A table's rows as dicts keyed by columns, each field parsed by the
-    matching entry of types; a row with an unparsable field is named."""
-    records = []
-    for rownum, row in _read_csv(path, columns):
-        try:
-            records.append({c: t(v) for c, t, v in zip(columns, types, row)})
-        except ValueError as exc:
-            raise ValueError(f"{path} row {rownum}: {exc}")
-    return records
+def _read_columns(path: str, columns: Sequence[str], types) -> Dict[str, np.ndarray]:
+    """A table as one array per column, each field parsed by the matching
+    entry of types; the first row with an unparsable field is named."""
+    numbered = _read_csv(path, columns)
+    fields = list(zip(*(row for _, row in numbered))) or [()] * len(columns)
+    try:
+        return {c: np.array(list(map(t, f)), dtype=t) for c, t, f in zip(columns, types, fields)}
+    except ValueError:
+        for rownum, row in numbered:
+            try:
+                [t(v) for t, v in zip(types, row)]
+            except ValueError as exc:
+                raise ValueError(f"{path} row {rownum}: {exc}")
+        raise
 
 
-def read_results_csv(path: str) -> List[dict]:
-    return _read_records(path, RESULTS_COLUMNS, (str, float) + (int,) * 6)
+def read_results_csv(path: str) -> Dict[str, np.ndarray]:
+    return _read_columns(path, RESULTS_COLUMNS, (str, float) + (int,) * 6)
 
 
 def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
@@ -257,8 +263,8 @@ def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
     write_table(path, SUMMARY_COLUMNS, table)
 
 
-def read_summary_csv(path: str) -> List[dict]:
-    return _read_records(path, SUMMARY_COLUMNS, (str,) + (float,) * 7)
+def read_summary_csv(path: str) -> Dict[str, np.ndarray]:
+    return _read_columns(path, SUMMARY_COLUMNS, (str,) + (float,) * 7)
 
 
 def write_estimates_csv(path: str, estimates: Sequence[Tuple[str, EstimationResult]]) -> None:

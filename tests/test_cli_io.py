@@ -12,6 +12,7 @@ import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from chwplan import charts, clustering, estimation, qp, storage
@@ -139,20 +140,20 @@ class TestTables:
                    _run_result("asc_fbg", 0.1, 0)]
         path = tmp_path / "results.csv"
         storage.write_results_csv(str(path), results)
-        rows = storage.read_results_csv(str(path))
-        keys = [(r["policy"], r["capacity_pct"], r["replication"], r["period"])
-                for r in rows]
+        columns = storage.read_results_csv(str(path))
+        keys = list(zip(*(columns[c].tolist()
+                          for c in ("policy", "capacity_pct", "replication", "period"))))
         assert keys == sorted(keys)
         assert keys[0] == ("asc_fbg", 10.0, 0, 1)
-        assert len(rows) == 6  # three runs x two periods
+        assert len(keys) == 6  # three runs x two periods
 
     def test_results_periods_are_one_based(self, tmp_path):
         path = tmp_path / "results.csv"
         storage.write_results_csv(str(path), [_run_result("asc_fbg", 0.05, 0)])
-        rows = storage.read_results_csv(str(path))
-        assert [r["period"] for r in rows] == [1, 2]
-        assert rows[0]["in_control"] == 1 and rows[1]["in_control"] == 2
-        assert rows[0]["visits"] == 2 and rows[0]["screening_visits"] == 1
+        columns = storage.read_results_csv(str(path))
+        assert columns["period"].tolist() == [1, 2]
+        assert columns["in_control"].tolist() == [1, 2]
+        assert columns["visits"][0] == 2 and columns["screening_visits"][0] == 1
 
     def test_cohort_floats_round_trip_exactly(self, tmp_path):
         # awkward binary floats: repr() emits the shortest exact form
@@ -209,11 +210,11 @@ class TestTables:
                          final_fbg_percentiles=(4.1, 4.5, 4.9, 5.2))
         path = tmp_path / "summary.csv"
         storage.write_summary_csv(str(path), [row])
-        (back,) = storage.read_summary_csv(str(path))
-        assert back["policy"] == "ea_desc_vtg"
-        assert back["capacity_pct"] == 15.0
-        assert back["ppc_mean"] == 1.0 / 3.0  # exact, not approximate
-        assert back["final_fbg_p90"] == 5.2
+        back = storage.read_summary_csv(str(path))
+        assert back["policy"].tolist() == ["ea_desc_vtg"]
+        assert back["capacity_pct"].tolist() == [15.0]
+        assert back["ppc_mean"].tolist() == [1.0 / 3.0]  # exact, not approximate
+        assert back["final_fbg_p90"].tolist() == [5.2]
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +419,11 @@ class TestCliSimulate:
         out = tmp_path / "run"
         assert main(SIM_ARGS + ["--out", str(out)]) == 0
         assert "8 result cells" in capsys.readouterr().out
-        rows = storage.read_results_csv(str(out / "results.csv"))
-        assert len(rows) == 2 * 2 * 2 * 8  # policies x caps x reps x periods
+        columns = storage.read_results_csv(str(out / "results.csv"))
+        # policies x caps x reps x periods
+        assert all(len(v) == 2 * 2 * 2 * 8 for v in columns.values())
         summary = storage.read_summary_csv(str(out / "summary.csv"))
-        assert len(summary) == 4
+        assert all(len(v) == 4 for v in summary.values())
         manifest = storage.read_manifest(str(out))
         assert manifest["command"] == "simulate"
         assert manifest["base_seed"] == 3
@@ -603,13 +605,15 @@ class TestCliPipelines:
     def test_report_share_series_skips_idle_replications(self):
         # period 1: replication 1 is idle, so the mean is replication 0's
         # share alone; period 2: idle in both, so no screening share
-        def row(rep, period, visits, screening, enrolled):
-            return {"policy": "asc_fbg", "capacity_pct": 20.0, "replication": rep,
-                    "period": period, "in_control": 0, "enrolled": enrolled,
-                    "visits": visits, "screening_visits": screening}
-        rows = [row(1, 2, 0, 0, 4), row(0, 1, 2, 1, 1), row(1, 1, 0, 0, 2),
-                row(0, 2, 0, 0, 3)]
-        screening, enrollment = _share_series(rows, "asc_fbg", 20.0, 4)
+        # results.csv's columns, rows out of order; the last two rows are
+        # another policy's and another capacity's
+        names = ("policy", "capacity_pct", "replication", "period", "visits",
+                 "screening_visits", "enrolled")
+        rows = [("asc_fbg", 20.0, 1, 2, 0, 0, 4), ("asc_fbg", 20.0, 0, 1, 2, 1, 1),
+                ("asc_fbg", 20.0, 1, 1, 0, 0, 2), ("asc_fbg", 20.0, 0, 2, 0, 0, 3),
+                ("desc_fbg", 20.0, 0, 1, 4, 4, 4), ("asc_fbg", 10.0, 0, 1, 4, 4, 4)]
+        columns = {c: np.array(v) for c, v in zip(names, zip(*rows))}
+        screening, enrollment = _share_series(columns, "asc_fbg", 20.0, 4)
         assert screening[0] == (1.0, 0.5)
         assert screening[1][0] == 2.0 and math.isnan(screening[1][1])
         assert enrollment == [(1.0, 0.375), (2.0, 0.875)]

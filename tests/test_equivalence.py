@@ -6,7 +6,9 @@ single_patient_action and a per-patient rollout loop give for each patient
 on its own; each row of a batched visit_mask (one row per capacity
 level) must be what a one-row call on that row alone decides; and the
 rollouts one call shares among its rows and policies must rank exactly as
-a rollout of each member on its own.
+a rollout of each member on its own; and rollouts walked over one RuleTable
+shared by many calls must count exactly what fresh tables and the
+reference rollout count.
 Byte-identical simulation outputs rest on this.
 """
 
@@ -34,12 +36,16 @@ from chwplan.policy import (
     POLICY_KINDS,
     PolicySpec,
     RolloutSummary,
+    RuleTable,
     interest_set,
     rollout_cohort,
     rollout_single,
     single_patient_action,
     visit_mask,
 )
+
+from _reference import Params as RefParams
+from _reference import rollout as reference_rollout
 
 DELTA = math.log(125.0)
 
@@ -364,3 +370,121 @@ def test_sweep_rows_equal_one_spec_simulations(case):
     # the first row steps every period; later rows step only what is new
     stepped = [r.periods_stepped for r in swept]
     assert max(stepped) == horizon and sum(stepped) <= len(swept) * horizon
+
+
+# rollouts over one RuleTable of a cohort: starts (patient, b, s, theta,
+# z_prev) drawn from a small pool, so that they repeat within and across
+# calls, with both signed zeros of s and theta and theta on its floor;
+# then calls, each a list of (pool pick, delta) and a horizon
+zero_st = st.sampled_from((0.0, -0.0))
+start_st = st.tuples(st.one_of(zero_st, st.floats(0.0, 10.0, **unit)),
+                     st.one_of(zero_st, st.floats(0.0, 5.0, **unit)),
+                     st.one_of(zero_st, st.floats(0.0, 5.0, **unit)),
+                     st.integers(0, 1))
+calls_st = st.lists(st.tuples(
+    st.lists(st.tuples(st.integers(0, 99), st.sampled_from((DELTA, 1.0, 2.5))),
+             min_size=1, max_size=8),
+    st.integers(0, 60)), min_size=1, max_size=5)
+
+
+def _table_case(params=params_st):
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(params, min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), start_st), min_size=1, max_size=6),
+        calls_st))
+
+
+def _starts(pool, picks):
+    """The patients and StateArrays of the picked pool starts."""
+    members = [pool[k % len(pool)] for k in picks]
+    return (np.array([i for i, _ in members], dtype=np.intp),
+            StateArrays.of([PatientState(*start) for _, start in members]))
+
+
+def _counts(rs):
+    return rs.v_tilde.tolist(), rs.visits.tolist()
+
+
+def _assert_as_reference(rs, params, patient, states, periods, delta):
+    for j, i in enumerate(patient.tolist()):
+        ref = RefParams(*(getattr(params[i], f) for f in RefParams._fields))
+        assert (rs.v_tilde[j], rs.visits[j]) == reference_rollout(
+            ref, states.b[j], states.s[j], states.theta[j], int(states.z_prev[j]),
+            periods, delta[j]), j
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(case=_table_case())
+@settings(max_examples=100, deadline=None)
+def test_shared_rule_table_rolls_out_as_fresh_tables_and_the_reference(case):
+    params, pool, calls = case
+    cohort = ParamArrays.of(params)
+    table = RuleTable(cohort)
+    for picks, periods in calls:
+        patient, states = _starts(pool, [k for k, _ in picks])
+        delta = np.array([d for _, d in picks])
+        shared = table.rollout(patient, states, periods, delta)
+        assert _counts(shared) == _counts(
+            rollout_cohort(states, cohort.take(patient), periods, delta))
+        _assert_as_reference(shared, params, patient, states, periods, delta)
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(case=_table_case(), b=st.lists(st.floats(0.0, 10.0, **unit), min_size=8, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_starts_differing_only_in_b_share_every_node(case, b):
+    params, pool, calls = case
+    cohort = ParamArrays.of(params)
+    picks, periods = calls[0]
+    patient, states = _starts(pool, [k for k, _ in picks])
+    table = RuleTable(cohort)
+    table.rollout(patient, states, periods, DELTA)
+    nodes, rule = len(table.keys), table.rule.copy()
+    moved = states._replace(b=np.array(b[:len(patient)]))
+    got = table.rollout(patient, moved, periods, DELTA)
+    assert len(table.keys) == nodes and table.rule.tolist() == rule.tolist()
+    assert _counts(got) == _counts(rollout_cohort(moved, cohort.take(patient), periods, DELTA))
+
+
+@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
+@given(case=_table_case(params_st.map(
+    lambda prm: dataclasses.replace(prm, gamma=0.99, rho=0.99))))
+@settings(max_examples=100, deadline=None)
+def test_rollout_expands_no_more_levels_than_its_horizon(case):
+    # with gamma and rho near 1, a walk keeps reaching new states for
+    # thousands of steps: only the 3 levels a 3-step walk reads are expanded
+    params, pool, calls = case
+    patient, states = _starts(pool, [k for k, _ in calls[0][0]])
+    table = RuleTable(ParamArrays.of(params))
+    got = table.rollout(patient, states, 3, np.full(len(patient), DELTA))
+    bits = np.column_stack((states.s, states.theta)).view(np.int64)
+    starts = set(zip(patient.tolist(), map(tuple, bits.tolist()), states.z_prev.tolist()))
+    assert np.count_nonzero(table.rule[:, 3] >= 0) <= 3 * len(starts)
+    assert len(table.keys) <= 4 * len(starts)
+    _assert_as_reference(got, params, patient, states, 3, np.full(len(patient), DELTA))
+
+
+def test_rule_table_expands_each_level_once():
+    prm = PatientParams(p=0.5, mu=1.0, alpha=1.0, beta=0.5, lam=0.5,
+                        gamma=0.99, rho=0.99, s_base=0.5, theta_base=0.5)
+    table = RuleTable(ParamArrays.of([prm]))
+    start = StateArrays.of([PatientState(b=5.0, s=0.1, theta=0.1, z_prev=1)])
+    for periods in (3, 60, 60):
+        rs = table.rollout(np.array([0]), start, periods, DELTA)
+        assert (int(rs.v_tilde[0]), int(rs.visits[0])) == _scalar_rollout(
+            PatientState(b=5.0, s=0.1, theta=0.1, z_prev=1), prm, periods, DELTA)
+        # every step reached a new state: one node per level, expanded once
+        assert np.count_nonzero(table.rule[:, 3] >= 0) == periods
+        assert len(table.keys) == periods + 1
+
+
+def test_rule_table_walk_floors_log_fbg():
+    # two visits pull b below 0 and the floor holds it at 0; without the
+    # floor the patient would stay in control for 9 of 12 periods, not 3
+    prm = PatientParams(p=0.6, mu=1.5, alpha=1.2, beta=0.9, lam=0.4,
+                        gamma=0.5, rho=0.5, s_base=1.8, theta_base=2.3)
+    start = PatientState(b=0.5, s=1.8, theta=0.0, z_prev=0)
+    ref = RefParams(*(getattr(prm, f) for f in RefParams._fields))
+    assert reference_rollout(ref, 0.5, 1.8, 0.0, 0, 12, 1.0) == (3, 2)
+    rs = RuleTable(ParamArrays.of([prm])).rollout(np.array([0]), StateArrays.of([start]), 12, 1.0)
+    assert (int(rs.v_tilde[0]), int(rs.visits[0])) == (3, 2)
