@@ -275,17 +275,26 @@ def _representative_pct(pcts: Sequence[float], target: float = 20.0) -> float:
     return min(sorted(set(pcts)), key=lambda p: (abs(p - target), p))
 
 
-def _share_series(rows: Dict[str, np.ndarray], policy: str, pct: float, population: int):
+def _share_series(rows: Dict[str, np.ndarray], policy: str, pct: float, population: int,
+                  path: str):
     """Per-period screening and enrollment shares, averaged over replications.
 
     A period that was idle in every replication has no screening share.
+    Every replication of the cell must hold each of its periods once.
     """
     at = np.flatnonzero((rows["policy"] == policy) & (rows["capacity_pct"] == pct))
     at = at[np.lexsort((rows["period"][at], rows["replication"][at]))]
-    reps = len(np.unique(rows["replication"][at]))
+    cell = f"{path}: policy {policy} at {_fmt_pct(pct)}% capacity"
+    if not len(at):
+        raise ValueError(f"{cell} has no rows")
+    rep, period = rows["replication"][at], rows["period"][at]
+    reps = np.unique(rep).tolist()
+    for r in reps:
+        if not np.array_equal(period[rep == r], np.unique(period)):
+            raise ValueError(f"{cell}: replication {r} does not hold each period of the cell once")
 
     def table(key):
-        return rows[key][at].reshape(reps, -1)
+        return rows[key][at].reshape(len(reps), -1)
 
     screening, enrollment = period_shares(
         table("screening_visits"), table("visits"), table("enrolled"), population)
@@ -324,15 +333,22 @@ def _cmd_report(args) -> int:
     pcts = sorted(set(rows["capacity_pct"].tolist()))
     detail_pct = _representative_pct(pcts)
 
-    out_dir = args.out or os.path.join(res_dir, "charts")
-    os.makedirs(out_dir, exist_ok=True)
-    shares = {p: _share_series(rows, p, detail_pct, population) for p in policies}
-
+    shares = {p: _share_series(rows, p, detail_pct, population, results_path) for p in policies}
     cap, mean, half = summary["capacity_pct"], summary["ppc_mean"], summary["ppc_ci_halfwidth"]
     in_policy = [(p, summary["policy"] == p) for p in policies]
     ppc_series = {p: list(zip(cap[at].tolist(), mean[at].tolist())) for p, at in in_policy}
     ppc_bands = {p: list(zip(cap[at].tolist(), (mean[at] - half[at]).tolist(),
                              (mean[at] + half[at]).tolist())) for p, at in in_policy}
+    at = cap == detail_pct
+    for p, of_policy in in_policy:
+        if np.count_nonzero(at & of_policy) != 1:
+            raise ValueError(f"{summary_path}: policy {p} at {_fmt_pct(detail_pct)}% capacity"
+                             " needs exactly one row")
+    box_stats = dict(zip(summary["policy"][at].tolist(), zip(*(
+        summary[f"final_fbg_p{q}"][at].tolist() for q in (25, 50, 75, 90)))))
+
+    out_dir = args.out or os.path.join(res_dir, "charts")
+    os.makedirs(out_dir, exist_ok=True)
     charts.line_chart(
         os.path.join(out_dir, "ppc_vs_capacity.svg"),
         "Patient-periods in control vs capacity (95% CI)",
@@ -350,9 +366,6 @@ def _cmd_report(args) -> int:
         "period", "enrolled fraction of cohort",
         {p: enrollment for p, (_, enrollment) in shares.items()},
     )
-    at = cap == detail_pct
-    box_stats = dict(zip(summary["policy"][at].tolist(), zip(*(
-        summary[f"final_fbg_p{q}"][at].tolist() for q in (25, 50, 75, 90)))))
     charts.box_chart(
         os.path.join(out_dir, "final_fbg.svg"),
         f"Final log-FBG quartiles (p90 whisker) at {_fmt_pct(detail_pct)}% capacity",

@@ -195,7 +195,7 @@ def _simulate_rows(
                  visits.rollouts_run, visits.rollouts_run * remaining,
                  np.bincount(visits.first, minlength=len(state)))
 
-        states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit, visits.carried)
+        states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit)
         in_control[t - 1] = np.count_nonzero(states.b[state] <= delta, axis=1)
         enrolled[t - 1] = np.count_nonzero(z, axis=1)[state]
 

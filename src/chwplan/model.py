@@ -174,15 +174,14 @@ def carried_adverse(s: Num, gamma: Num, s_base: Num) -> Num:
     return gamma * (s - s_base) + s_base
 
 
-def step_adverse(s: Num, params: Params, y: Num, z: Num, yz: Optional[Num] = None,
-                 carried: Optional[Num] = None) -> Num:
+def step_adverse(s: Num, params: Params, y: Num, z: Num, yz: Optional[Num] = None) -> Num:
     """Next adverse-factor level: z*carried_adverse(s) + beta*y*z.
 
     Deviations from the enrolled steady state s_base decay geometrically at
-    rate gamma; each visit adds beta. Unenrolled patients carry none. yz
-    and carried are y*z and carried_adverse(s) when the caller has them.
+    rate gamma; each visit adds beta. Unenrolled patients carry none. yz is
+    y*z when the caller has it.
     """
-    carried = carried_adverse(s, params.gamma, params.s_base) if carried is None else carried
+    carried = carried_adverse(s, params.gamma, params.s_base)
     return z * carried + params.beta * (y * z if yz is None else yz)
 
 
@@ -199,15 +198,14 @@ def step_perception(theta: Num, params: Params, y: Num, z: Num, yz: Optional[Num
     return np.where(raw > 0.0, raw, 0.0)
 
 
-def benefits(state: State, params: Params, carried: Optional[Num] = None) -> Tuple[Num, Num]:
+def benefits(state: State, params: Params) -> Tuple[Num, Num]:
     """Net benefit of enrolling this period without and with a visit: (b0, b1).
 
-    Closed form: b0 = mu - theta*carried_adverse(s) (carried, if given)
-    and b1 = b0 + (alpha - theta*beta). Deterministic: the FBG disturbance
+    Closed form: b0 = mu - theta*carried_adverse(s) and
+    b1 = b0 + (alpha - theta*beta). Deterministic: the FBG disturbance
     cancels out of the comparison.
     """
-    carried = carried_adverse(state.s, params.gamma, params.s_base) if carried is None else carried
-    base = params.mu - state.theta * carried
+    base = params.mu - state.theta * carried_adverse(state.s, params.gamma, params.s_base)
     return base, base + (params.alpha - state.theta * params.beta)
 
 
@@ -232,21 +230,19 @@ def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
     return (z_prev | y) & (B >= 0.0)
 
 
-def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = None,
-             carried: Optional[Num] = None):
+def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = None):
     """One period on a patient or a cohort: (b, s, theta, z) after it.
 
     The provider's y precedes the patient's z within the period; the benefit
     is evaluated at the current (s, theta). B is benefit(state, params, y)
-    and carried is carried_adverse(s) when the caller already has them.
-    Log-FBG is clamped at 0 by floor_fbg.
+    when the caller already has it. Log-FBG is clamped at 0 by floor_fbg.
     """
     if B is None:
         B = benefit(state, params, y)
     z = enroll_decision(state.z_prev, y, B)
     yz = y & z
     b = step_fbg(state, params, y, z, xi, yz)
-    return (floor_fbg(b), step_adverse(state.s, params, y, z, yz, carried),
+    return (floor_fbg(b), step_adverse(state.s, params, y, z, yz),
             step_perception(state.theta, params, y, z, yz), z)
 
 
@@ -263,16 +259,13 @@ def step_patient(
     return PatientState(b=float(b), s=float(s), theta=float(theta), z_prev=z), z
 
 
-def step_cohort(
-    state: StateArrays, params: ParamArrays, y: np.ndarray, xi: Num,
-    B: Optional[np.ndarray] = None, carried: Optional[np.ndarray] = None,
-) -> Tuple[StateArrays, np.ndarray]:
+def step_cohort(state: StateArrays, params: ParamArrays, y: np.ndarray, xi: Num,
+                B: Optional[np.ndarray] = None) -> Tuple[StateArrays, np.ndarray]:
     """step_patient for every patient of a cohort at once.
 
     y is the visit mask (bool or 0/1 per patient) and xi the noise draw per
     patient (or one scalar for all); B, if given, is the benefit at y
-    (np.where(y, b1, b0) of benefits) and carried the carried_adverse of
-    s. Returns the next states and z.
+    (np.where(y, b1, b0) of benefits). Returns the next states and z.
     """
-    nxt = StateArrays(*_advance(state, params, y, xi, B, carried))
+    nxt = StateArrays(*_advance(state, params, y, xi, B))
     return nxt, nxt.z_prev

@@ -6,14 +6,15 @@ cohort to the "patients of interest" (those the single-patient rule would
 visit), then breaks capacity ties with one of four rankings. Naive
 baselines rank everyone with no filtering.
 
-The cohort functions take the cohort as struct-of-arrays (StateArrays,
-ParamArrays) or as aligned sequences of PatientState/PatientParams;
-visit_mask decides every (policy, capacity) row of one cohort at once.
+interest_set and select_visits take one cohort as aligned sequences of
+PatientState/PatientParams. single_patient_action, RuleTable and
+visit_mask take struct-of-arrays (StateArrays, ParamArrays); visit_mask
+decides every (policy, capacity) row of one cohort at once.
 """
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .model import (
     State,
     StateArrays,
     benefits,
-    carried_adverse,
     floor_fbg,
     step_cohort,
     step_fbg,
@@ -85,24 +85,16 @@ def _visit_pays(z_prev, b0, b1):
     return (b1 >= 0.0) & ((b0 < 0.0) | (z_prev == 0) | (b1 > b0))
 
 
-CohortStates = Union[StateArrays, Sequence[PatientState]]
-CohortParams = Union[ParamArrays, Sequence[PatientParams]]
-
-
 def _as_arrays(
-    states: CohortStates, params: CohortParams
+    states: Sequence[PatientState], params: Sequence[PatientParams]
 ) -> Tuple[StateArrays, ParamArrays]:
-    """The cohort as struct-of-arrays, converting dataclass sequences."""
-    if not isinstance(states, StateArrays):
-        states, params = StateArrays.of(states), ParamArrays.of(params)
-    if len(states.b) != len(params.p):
-        raise ValueError(
-            f"states/params misaligned: {len(states.b)} states vs {len(params.p)} params"
-        )
-    return states, params
+    """A cohort's aligned sequences as struct-of-arrays."""
+    if len(states) != len(params):
+        raise ValueError(f"states/params misaligned: {len(states)} states vs {len(params)} params")
+    return StateArrays.of(states), ParamArrays.of(params)
 
 
-def interest_set(states: CohortStates, params: CohortParams) -> Set[int]:
+def interest_set(states: Sequence[PatientState], params: Sequence[PatientParams]) -> Set[int]:
     """Indices of patients the single-patient rule would visit right now."""
     states, params = _as_arrays(states, params)
     return set(np.flatnonzero(single_patient_action(states, params)).tolist())
@@ -141,16 +133,26 @@ class RuleTable:
         patient, s, theta, z_prev = self.keys[node].T
         states = StateArrays(np.zeros(len(node)), s.view(float), theta.view(float), z_prev)
         params = self.params.take(patient)
-        carried = carried_adverse(states.s, params.gamma, params.s_base)
-        b0, b1 = benefits(states, params, carried)
+        b0, b1 = benefits(states, params)
         y = _visit_pays(z_prev, b0, b1)
-        nxt, z = step_cohort(states, params, y, 0.0, np.where(y, b1, b0), carried)
+        nxt, z = step_cohort(states, params, y, 0.0, np.where(y, b1, b0))
         self.rule[node] = np.column_stack((y, z, y & z, self._find(patient, nxt.s, nxt.theta, z)))
 
     def rollout(self, patient: np.ndarray, states: StateArrays, periods_remaining: int,
                 delta) -> RolloutSummary:
-        """rollout_cohort of the given patients of the cohort from states:
-        each step gathers the nodes' y, z and y & z and advances b alone."""
+        """Noise-free forward simulation under the single-patient rule.
+
+        Start i is patient[i] of the cohort in the pre-decision state
+        states[i]; periods_remaining counts the decisions left, the current
+        period's included, and delta is the in-control threshold on log-FBG
+        (one, or one per start). Returns a RolloutSummary of int arrays: each
+        start's post-transition in-control periods and visits over the
+        window, zeros when periods_remaining = 0. All starts step at once,
+        each step gathering the nodes' y, z and y & z and advancing b alone.
+        A start's result depends only on its own (patient, state, delta) and
+        periods_remaining, which is what lets visit_mask run each distinct
+        start once.
+        """
         if periods_remaining < 0:
             raise ValueError("periods_remaining must be >= 0")
         params = self.params.take(patient)
@@ -171,45 +173,11 @@ class RuleTable:
                               visits=np.reshape(visits, shape).sum(axis=0))
 
 
-def rollout_cohort(
-    states: StateArrays,
-    params: ParamArrays,
-    periods_remaining: int,
-    delta: float,
-) -> RolloutSummary:
-    """Noise-free forward simulation under the single-patient rule, as a
-    walk over a fresh RuleTable.
-
-    Every patient of the cohort is rolled out independently and all at
-    once, one array step per remaining period. A patient's result depends
-    only on its own state, constants, periods_remaining and delta, which
-    is what lets visit_mask run each distinct start once.
-
-    Args:
-        states: current (pre-decision) patient states.
-        params: patient constants.
-        periods_remaining: number of decisions left, counting the current
-            period's.
-        delta: in-control threshold on log-FBG, one for all patients or
-            one per patient.
-
-    Returns:
-        RolloutSummary of int arrays counting each patient's
-        post-transition in-control periods and visits over the window.
-        periods_remaining=0 yields zeros.
-    """
-    return RuleTable(params).rollout(np.arange(len(states.b)), states, periods_remaining, delta)
-
-
-def rollout_single(
-    state: PatientState,
-    params: PatientParams,
-    periods_remaining: int,
-    delta: float,
-) -> RolloutSummary:
-    """rollout_cohort for one patient, with int counts."""
-    rs = rollout_cohort(StateArrays.of([state]), ParamArrays.of([params]),
-                        periods_remaining, delta)
+def rollout_single(state: PatientState, params: PatientParams, periods_remaining: int,
+                   delta: float) -> RolloutSummary:
+    """RuleTable.rollout for one patient, with int counts."""
+    rs = RuleTable(ParamArrays.of([params])).rollout(
+        np.zeros(1, dtype=np.intp), StateArrays.of([state]), periods_remaining, delta)
     return RolloutSummary(v_tilde=int(rs.v_tilde[0]), visits=int(rs.visits[0]))
 
 
@@ -254,7 +222,6 @@ class Visits(NamedTuple):
     row: np.ndarray           # (R,) each row's decision: row r visits mask[row[r]]
     first: np.ndarray         # (J,) the first row holding each decision, ascending
     benefit: np.ndarray       # (J, n) benefit at the mask, as step_cohort's B
-    carried: np.ndarray       # (J, n) carried_adverse of s, as step_cohort's carried
     members: np.ndarray       # (R,) interest-set size; 0 for baselines
     rolled_out: np.ndarray    # (R,) members ranked by a value-to-go rollout
     rollouts_run: np.ndarray  # (R,) rollouts run, each in the first row holding its start
@@ -271,7 +238,7 @@ def visit_mask(
     states: StateArrays,
     params: ParamArrays,
     C,
-    spec: Union[PolicySpec, Sequence[PolicySpec]],
+    specs: Sequence[PolicySpec],
     periods_remaining: int,
     state: Optional[np.ndarray] = None,
     table: Optional[RuleTable] = None,
@@ -279,10 +246,10 @@ def visit_mask(
     """Pick this period's visits for R rows of one cohort at once.
 
     states holds G states of the cohort ((G, n) arrays), params its shared
-    (n,) constants. The rows are the (policy, capacity) pairs of spec (one
-    PolicySpec or several) and C (one int or one per level), policy-major;
-    row r is in state state[r] (default r). Each row's mask is what a
-    one-row call on its state alone returns.
+    (n,) constants. The rows are the (policy, capacity) pairs of specs and
+    C (one int or one per level), policy-major; row r is in state state[r]
+    (default r). Each row's mask is what a one-row call on its state alone
+    returns.
 
     Every kind keeps the C best of its candidates: the interest set (ea_*
     kinds) or the whole cohort (baselines; visit_no_one and visit_everyone
@@ -295,7 +262,6 @@ def visit_mask(
     rolled out once, in one walk over table (the RuleTable of params; a
     fresh one if None).
     """
-    specs = (spec,) if isinstance(spec, PolicySpec) else tuple(spec)
     n = states.b.shape[1]
     C = np.atleast_1d(C)
     if (C < 0).any():
@@ -307,8 +273,7 @@ def visit_mask(
     cap[kind == POLICY_KINDS.index("visit_everyone")] = n
     state = np.arange(len(kind)) if state is None else state
 
-    carried = carried_adverse(states.s, params.gamma, params.s_base)
-    b0, b1 = benefits(states, params, carried)
+    b0, b1 = benefits(states, params)
     interest = _visit_pays(states.z_prev, b0, b1)
     filtered = _FILTERED[kind]
     candidates = np.where(filtered, np.count_nonzero(interest, axis=1)[state], n)
@@ -341,20 +306,14 @@ def visit_mask(
         per_visit = kind[by] == POLICY_KINDS.index("ea_desc_vtg_per_visit")
         sort_key[i, col] = np.where(per_visit, _value_per_visit_key(rs)[same], -rs.v_tilde[same])
     mask[row[over]] = _smallest(sort_key, cap[over])
-    return Visits(mask, at, row, first, np.where(mask, b1[at], b0[at]), carried[at],
-                  np.where(filtered, candidates, 0), np.where(vtg, candidates, 0),
-                  rollouts_run)
+    return Visits(mask, at, row, first, np.where(mask, b1[at], b0[at]),
+                  np.where(filtered, candidates, 0), np.where(vtg, candidates, 0), rollouts_run)
 
 
-def select_visits(
-    states: CohortStates,
-    params: CohortParams,
-    C: int,
-    spec: PolicySpec,
-    periods_remaining: int,
-) -> Set[int]:
+def select_visits(states: Sequence[PatientState], params: Sequence[PatientParams], C: int,
+                  spec: PolicySpec, periods_remaining: int) -> Set[int]:
     """Pick this period's visit set for one cohort: visit_mask on one row."""
     states, params = _as_arrays(states, params)
     one = StateArrays(*(a[None, :] for a in states))
-    mask = visit_mask(one, params, C, spec, periods_remaining).mask[0]
+    mask = visit_mask(one, params, C, (spec,), periods_remaining).mask[0]
     return set(np.flatnonzero(mask).tolist())

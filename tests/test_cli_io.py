@@ -613,7 +613,7 @@ class TestCliPipelines:
                 ("asc_fbg", 20.0, 1, 1, 0, 0, 2), ("asc_fbg", 20.0, 0, 2, 0, 0, 3),
                 ("desc_fbg", 20.0, 0, 1, 4, 4, 4), ("asc_fbg", 10.0, 0, 1, 4, 4, 4)]
         columns = {c: np.array(v) for c, v in zip(names, zip(*rows))}
-        screening, enrollment = _share_series(columns, "asc_fbg", 20.0, 4)
+        screening, enrollment = _share_series(columns, "asc_fbg", 20.0, 4, "results.csv")
         assert screening[0] == (1.0, 0.5)
         assert screening[1][0] == 2.0 and math.isnan(screening[1][1])
         assert enrollment == [(1.0, 0.375), (2.0, 0.875)]
@@ -752,8 +752,17 @@ class TestCliErrors:
          "asc_fbg,10.0,0\n", "results.csv row 3: expected 8 fields, got 3"),
         ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,x,0,2,1\n",
          "results.csv row 2: invalid literal"),
+        ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,1,0,2,1\n"
+         "asc_fbg,10.0,0,2,1,0,2,1\ndesc_fbg,20.0,0,1,1,0,2,1\n",
+         "results.csv: policy asc_fbg at 20% capacity has no rows"),
+        ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,1,0,2,1\n"
+         "asc_fbg,10.0,0,2,1,0,2,1\nasc_fbg,10.0,1,1,1,0,2,1\n",
+         "results.csv: policy asc_fbg at 10% capacity: replication 1 does not hold each"
+         " period of the cell once"),
         ("summary.csv", ",".join(storage.SUMMARY_COLUMNS) + "\nasc_fbg,10.0\n",
          "summary.csv row 2: expected 8 fields, got 2"),
+        ("summary.csv", ",".join(storage.SUMMARY_COLUMNS) + "\nasc_fbg,20.0,0.5,0.1,4,4,5,5\n",
+         "summary.csv: policy asc_fbg at 10% capacity needs exactly one row"),
         ("summary.csv", None, "missing summary.csv"),
         ("manifest.json", "[1, 2]\n", "manifest.json: expected a JSON object"),
         ("manifest.json", '{"config": {"population": 0}}', "lacks a usable population"),
@@ -771,7 +780,8 @@ class TestCliErrors:
          "config.delta_mgdl must be a finite positive number, got '125'"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": true}}',
          "config.delta_mgdl must be a finite positive number, got True"),
-    ], ids=["results-short-row", "results-bad-int", "summary-short-row",
+    ], ids=["results-short-row", "results-bad-int", "results-detail-cell-empty",
+            "results-replication-lacks-period", "summary-short-row", "summary-detail-row-missing",
             "summary-missing", "manifest-not-object", "manifest-zero-population",
             "manifest-config-not-object", "manifest-bool-population", "delta-negative", "delta-zero", "delta-nan",
             "delta-inf", "delta-string", "delta-bool"])

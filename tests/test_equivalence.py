@@ -38,7 +38,6 @@ from chwplan.policy import (
     RolloutSummary,
     RuleTable,
     interest_set,
-    rollout_cohort,
     rollout_single,
     single_patient_action,
     visit_mask,
@@ -88,12 +87,17 @@ def _stacked(rows):
 
 def _assert_rows_independent(params, rows, C, periods):
     states = _stacked(rows)
+    xi = np.random.default_rng(0).normal(0.0, 0.5, len(params.p))
     for kind in POLICY_KINDS:
-        spec = PolicySpec(kind, DELTA)
+        spec = (PolicySpec(kind, DELTA),)
         batched = visit_mask(states, params, C, spec, periods)
-        if batched.benefit is not None:  # step_cohort's B, computed once
-            expected = benefit(states, params, batched.mask)
-            assert batched.benefit.tobytes() == expected.tobytes(), kind
+        # step_cohort's B, computed once per decision, steps as its own benefit
+        decided = states.take(batched.state)
+        assert batched.benefit.tobytes() == benefit(decided, params, batched.mask).tobytes(), kind
+        stepped = [[a.tobytes() for a in (*nxt, z)] for nxt, z in (
+            step_cohort(decided, params, batched.mask, xi, batched.benefit),
+            step_cohort(decided, params, batched.mask, xi))]
+        assert stepped[0] == stepped[1], kind
         for k, row in enumerate(rows):
             alone = visit_mask(_stacked([row]), params, C[k:k + 1], spec, periods)
             assert batched.mask[k].tolist() == alone.mask[0].tolist(), (kind, k)
@@ -147,7 +151,8 @@ def test_action_mask_equals_per_patient_actions(cohort):
     mask = single_patient_action(states, params)
     expected = [bool(single_patient_action(s, p)) for p, s, _, _ in cohort]
     assert mask.tolist() == expected
-    assert interest_set(states, params) == {i for i, v in enumerate(expected) if v}
+    assert interest_set([s for _, s, _, _ in cohort], [p for p, _, _, _ in cohort]) == {
+        i for i, v in enumerate(expected) if v}
 
 
 @pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
@@ -155,7 +160,7 @@ def test_action_mask_equals_per_patient_actions(cohort):
 @settings(max_examples=100, deadline=None)
 def test_batched_rollout_equals_per_patient_rollouts(cohort, periods):
     states, params = _arrays(cohort)
-    batched = rollout_cohort(states, params, periods, DELTA)
+    batched = RuleTable(params).rollout(np.arange(len(cohort)), states, periods, DELTA)
     for i, (prm, state, _, _) in enumerate(cohort):
         single = rollout_single(state, prm, periods, DELTA)
         assert (batched.v_tilde[i], batched.visits[i]) == (single.v_tilde, single.visits)
@@ -170,7 +175,8 @@ def test_every_interest_set_member_rolls_out_a_visit(cohort, periods):
     # a member, so the value-per-visit key never sees zero visits
     states, params = _arrays(cohort)
     members = single_patient_action(states, params)
-    assert (rollout_cohort(states, params, periods, DELTA).visits[members] >= 1).all()
+    rs = RuleTable(params).rollout(np.arange(len(cohort)), states, periods, DELTA)
+    assert (rs.visits[members] >= 1).all()
 
 
 def test_clamps_fire_and_match_in_the_array_step():
@@ -248,7 +254,7 @@ def _visits_alone(states, params, C, kind, periods, delta):
         return set(members)
     alone = {}
     for i in members:
-        rs = rollout_cohort(states.take([i]), params.take([i]), periods, delta)
+        rs = RuleTable(params).rollout(np.array([i]), states.take([i]), periods, delta)
         alone[i] = RolloutSummary(int(rs.v_tilde[0]), int(rs.visits[0]))
     if kind == "ea_desc_vtg":
         ranked = sorted(members, key=lambda i: (-alone[i].v_tilde, i))
@@ -313,7 +319,7 @@ def test_rollout_starts_keep_signed_zeros_apart():
              PatientState(b=2.0, s=0.1, theta=z, z_prev=0)] for z in (0.0, -0.0, 0.0)]
     params = ParamArrays.of([prm] * 3)
     got = visit_mask(_stacked(rows), params, np.zeros(3, dtype=int),
-                     PolicySpec("ea_desc_vtg", DELTA), 4)
+                     (PolicySpec("ea_desc_vtg", DELTA),), 4)
     assert got.rolled_out.tolist() == [3, 3, 3]
     assert got.rollouts_run.tolist() == [3, 3, 0]
     # two rows differing only in the sign of patient 0's theta: the second
@@ -322,7 +328,7 @@ def test_rollout_starts_keep_signed_zeros_apart():
     rows = [[PatientState(b=1.0, s=0.0, theta=z, z_prev=0),
              PatientState(b=2.0, s=0.0, theta=0.5, z_prev=0)] for z in (0.0, -0.0)]
     got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]), np.array([1, 1]),
-                     PolicySpec("ea_desc_vtg", DELTA), 4)
+                     (PolicySpec("ea_desc_vtg", DELTA),), 4)
     assert got.rolled_out.tolist() == [2, 2]
     assert got.rollouts_run.tolist() == [2, 1]
     for k, row in enumerate(rows):
@@ -425,7 +431,7 @@ def test_shared_rule_table_rolls_out_as_fresh_tables_and_the_reference(case):
         delta = np.array([d for _, d in picks])
         shared = table.rollout(patient, states, periods, delta)
         assert _counts(shared) == _counts(
-            rollout_cohort(states, cohort.take(patient), periods, delta))
+            RuleTable(cohort).rollout(patient, states, periods, delta))
         _assert_as_reference(shared, params, patient, states, periods, delta)
 
 
@@ -443,7 +449,7 @@ def test_starts_differing_only_in_b_share_every_node(case, b):
     moved = states._replace(b=np.array(b[:len(patient)]))
     got = table.rollout(patient, moved, periods, DELTA)
     assert len(table.keys) == nodes and table.rule.tolist() == rule.tolist()
-    assert _counts(got) == _counts(rollout_cohort(moved, cohort.take(patient), periods, DELTA))
+    assert _counts(got) == _counts(RuleTable(cohort).rollout(patient, moved, periods, DELTA))
 
 
 @pytest.mark.filterwarnings("ignore:intervention cannot offset progression")

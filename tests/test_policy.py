@@ -157,9 +157,12 @@ def test_interest_set_mixed_cohort_only_group_b():
     assert interest_set(states, params) == {1, 3}
 
 
-def test_interest_set_length_mismatch_is_an_error():
+@pytest.mark.parametrize("pick", [
+    interest_set, lambda states, params: select_visits(states, params, 1, PolicySpec(
+        "ea_desc_vtg", DELTA), 10)], ids=["interest_set", "select_visits"])
+def test_length_mismatch_is_an_error(pick):
     with pytest.raises(ValueError, match="misaligned"):
-        interest_set([fresh(5.0, GROUP_A)], [GROUP_A, GROUP_B])
+        pick([fresh(5.0, GROUP_A)], [GROUP_A, GROUP_B])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 tests/_reference.py restates PAPER.md's model, visit rule and rollout in
 plain Python, one patient at a time, with no chwplan code. step_cohort,
-single_patient_action and rollout_cohort must match it for every patient,
+single_patient_action and RuleTable.rollout must match it for every patient,
 exactly: floats are compared with ==. visit_mask must keep, row by row,
 the C best candidates that a plain sorted() over the reference picks.
 
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chwplan.model import ParamArrays, StateArrays, step_cohort
-from chwplan.policy import EA_KINDS, PolicySpec, rollout_cohort, single_patient_action, visit_mask
+from chwplan.policy import EA_KINDS, PolicySpec, RuleTable, single_patient_action, visit_mask
 
 from _reference import Params, rollout, step, visit_pays
 
@@ -76,9 +76,9 @@ def test_single_patient_action_matches_the_reference_rule(cohort):
 
 @given(cohort=cohort_st, periods=st.integers(0, 15))
 @settings(max_examples=100, deadline=None)
-def test_rollout_cohort_matches_the_reference_rollout(cohort, periods):
+def test_rule_table_rollout_matches_the_reference_rollout(cohort, periods):
     states, params = _arrays(cohort)
-    rs = rollout_cohort(states, params, periods, DELTA)
+    rs = RuleTable(params).rollout(np.arange(len(cohort)), states, periods, DELTA)
     for i, (prm, state, _, _) in enumerate(cohort):
         assert (rs.v_tilde[i], rs.visits[i]) == rollout(prm, *state, periods, DELTA), i
 
@@ -118,7 +118,7 @@ def test_visit_mask_keeps_the_reference_c_best(case):
                            for j in range(4)))
     C = np.array([c for _, c in rows])
     for kind in RANKED_KINDS:
-        mask = visit_mask(states, arrays, C, PolicySpec(kind, DELTA), periods).mask
+        mask = visit_mask(states, arrays, C, (PolicySpec(kind, DELTA),), periods).mask
         for k, (row, c) in enumerate(rows):
             assert (set(np.flatnonzero(mask[k]).tolist())
                     == _reference_visits(kind, params, row, c, periods)), (kind, k)
