@@ -22,10 +22,12 @@ from .clustering import cluster_params
 from .engine import WORK, SimulationConfig, capacity_sweep, period_shares, summarize
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
 from .policy import POLICY_KINDS, PolicySpec
-from .scenarios import SamplingError, sample_cohort
+from .scenarios import SamplingError, ScenarioSpec, sample_cohort
 
 OUT_DIR_ENV = "CHWPLAN_OUT"
 DEFAULT_OUT_DIR = "chwplan-out"
+DEFAULT_DELTA_MGDL = 125.0
+_GRIDS = ("grid_s_base", "grid_beta", "grid_gamma", "grid_rho")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,8 +38,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_out_dir(flag_value: Optional[str]) -> str:
-    return flag_value or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
+def _out_dir(flag_value: Optional[str]) -> str:
+    """The output directory, made if it does not exist."""
+    out_dir = flag_value or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def _parse_capacities(text: str) -> Tuple[float, ...]:
@@ -110,14 +115,25 @@ def _constants(module, *names: str) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    start = time.perf_counter()
+def _load_scenario(args) -> Tuple[ScenarioSpec, List[str]]:
+    """--scenario with --population applied, and the input file, if any,
+    to digest into the manifest."""
     spec, spec_path = storage.load_scenario(args.scenario)
     if args.population is not None:
         spec = replace(spec, population=args.population)
+    return spec, [spec_path] if spec_path else []
+
+
+def _cmd_simulate(args) -> int:
+    start = time.perf_counter()
+    spec, inputs = _load_scenario(args)
     kinds = _parse_policies(args.policies)
+    if not 1.0 < args.delta_mgdl < math.inf:
+        raise ValueError(f"--delta-mgdl must be a finite number above 1 mg/dL,"
+                         f" got {args.delta_mgdl!r}")
     policies = [PolicySpec(kind=k, delta=math.log(args.delta_mgdl)) for k in kinds]
-    fractions = _parse_capacities(args.capacities)
+    fractions = (SimulationConfig.capacity_fractions if args.capacities is None
+                 else _parse_capacities(args.capacities))
     config = SimulationConfig(
         horizon=args.horizon,
         capacity_fractions=fractions,
@@ -130,8 +146,7 @@ def _cmd_simulate(args) -> int:
         return sample_cohort(spec, seed).cohort
 
     results = capacity_sweep(generator, policies, config)
-    out_dir = _resolve_out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     storage.write_results_csv(os.path.join(out_dir, "results.csv"), results)
     storage.write_summary_csv(os.path.join(out_dir, "summary.csv"),
                               summarize(results))
@@ -150,7 +165,7 @@ def _cmd_simulate(args) -> int:
     work["row_periods_stepped"] = work.pop("periods_stepped")
     storage.write_manifest(
         out_dir, "simulate", manifest_config, args.seed,
-        [spec_path] if spec_path else [], ["results.csv", "summary.csv"],
+        inputs, ["results.csv", "summary.csv"],
         time.perf_counter() - start, work=work,
     )
     print(f"simulate: {len(results)} result cells"
@@ -164,17 +179,11 @@ def _cmd_estimate(args) -> int:
     histories = storage.ingest_histories(args.histories)
     if not histories:
         raise ValueError(f"{args.histories}: no visit records")
-    config = EstimationConfig(
-        grid_s_base=_parse_float_list(args.grid_s_base, "--grid-s-base"),
-        grid_beta=_parse_float_list(args.grid_beta, "--grid-beta"),
-        grid_gamma=_parse_float_list(args.grid_gamma, "--grid-gamma"),
-        grid_rho=_parse_float_list(args.grid_rho, "--grid-rho"),
-        sigma_eps=args.sigma_eps,
-        sigma_xi=args.sigma_xi,
-    )
+    grids = {name: _parse_float_list(getattr(args, name), "--" + name.replace("_", "-"))
+             for name in _GRIDS if getattr(args, name) is not None}
+    config = EstimationConfig(**grids, sigma_eps=args.sigma_eps, sigma_xi=args.sigma_xi)
     estimates = [(h.patient_id, estimate_patient(h, config)) for h in histories]
-    out_dir = _resolve_out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     storage.write_estimates_csv(os.path.join(out_dir, "estimates.csv"),
                                 estimates)
     manifest_config = {
@@ -220,8 +229,7 @@ def _cmd_cluster(args) -> int:
     # one fit per k: --k's is the elbow's when the sweep covers it
     fits = {k: cluster_params(rows, k, seed=args.seed) for k in sorted({args.k, *ks})}
     result = fits[args.k]
-    out_dir = _resolve_out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     outputs = ["centroids.csv", "assignments.csv"]
     storage.write_table(
         os.path.join(out_dir, "centroids.csv"),
@@ -252,11 +260,9 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_scenario_gen(args) -> int:
     start = time.perf_counter()
-    spec, spec_path = storage.load_scenario(args.scenario)
-    if args.population is not None:
-        spec = replace(spec, population=args.population)
+    spec, inputs = _load_scenario(args)
     sampled = sample_cohort(spec, args.seed)
-    out_file = args.out or os.path.join(_resolve_out_dir(None), "cohort.csv")
+    out_file = args.out or os.path.join(_out_dir(None), "cohort.csv")
     out_dir = os.path.dirname(out_file) or "."
     os.makedirs(out_dir, exist_ok=True)
     storage.write_cohort_csv(out_file, sampled)
@@ -264,7 +270,7 @@ def _cmd_scenario_gen(args) -> int:
         out_dir, "scenario-gen",
         {"scenario": storage.scenario_to_dict(spec),
          "population": spec.population},
-        args.seed, [spec_path] if spec_path else [],
+        args.seed, inputs,
         [os.path.basename(out_file)], time.perf_counter() - start,
     )
     print(f"scenario-gen: {len(sampled)} patients -> {out_file}")
@@ -323,7 +329,7 @@ def _cmd_report(args) -> int:
     population = config.get("population") if isinstance(config, dict) else None
     if isinstance(population, bool) or not isinstance(population, int) or population < 1:
         raise ValueError(f"{res_dir}: manifest lacks a usable population")
-    delta_mgdl = config.get("delta_mgdl", 125.0)
+    delta_mgdl = config.get("delta_mgdl", DEFAULT_DELTA_MGDL)
     if (isinstance(delta_mgdl, bool) or not isinstance(delta_mgdl, (int, float))
             or not 0 < delta_mgdl < math.inf):
         raise ValueError(f"{os.path.join(res_dir, storage.MANIFEST_NAME)}: config.delta_mgdl"
@@ -347,8 +353,7 @@ def _cmd_report(args) -> int:
     box_stats = dict(zip(summary["policy"][at].tolist(), zip(*(
         summary[f"final_fbg_p{q}"][at].tolist() for q in (25, 50, 75, 90)))))
 
-    out_dir = args.out or os.path.join(res_dir, "charts")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out or os.path.join(res_dir, "charts"))
     charts.line_chart(
         os.path.join(out_dir, "ppc_vs_capacity.svg"),
         "Patient-periods in control vs capacity (95% CI)",
@@ -403,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="builtin scenario name or JSON file")
     sim.add_argument("--policies", required=True,
                      help=f"comma list from: {', '.join(POLICY_KINDS)}")
-    sim.add_argument("--capacities", default="5:100:5",
-                     help="percent range lo:hi:step or comma list"
-                          " (default 5:100:5)")
-    sim.add_argument("--reps", type=int, default=10)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--horizon", type=int, default=60)
+    pcts = (_fmt_pct(storage.capacity_pct(f)) for f in SimulationConfig.capacity_fractions)
+    sim.add_argument("--capacities", help="percent range lo:hi:step or comma list"
+                                          f" (default {','.join(pcts)})")
+    sim.add_argument("--reps", type=int, default=SimulationConfig.replications)
+    sim.add_argument("--seed", type=int, default=SimulationConfig.base_seed)
+    sim.add_argument("--horizon", type=int, default=SimulationConfig.horizon)
     sim.add_argument("--population", type=int, default=None,
                      help="override the scenario's population")
     sim.add_argument("--sigma-xi", type=float, default=SimulationConfig.sigma_xi)
-    sim.add_argument("--delta-mgdl", type=float, default=125.0,
+    sim.add_argument("--delta-mgdl", type=float, default=DEFAULT_DELTA_MGDL,
                      help="in-control FBG threshold in mg/dL")
     sim.add_argument("--out", default=None,
                      help=f"output directory (default ${OUT_DIR_ENV}"
@@ -424,12 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--histories", required=True,
                      help="CSV: patient_id,period,visited,enrolled,fbg_mgdl")
     est.add_argument("--out", default=None)
-    est.add_argument("--sigma-eps", type=float, default=0.1)
-    est.add_argument("--sigma-xi", type=float, default=0.1)
-    est.add_argument("--grid-s-base", default="0,1,2,3")
-    est.add_argument("--grid-beta", default="0,1,2,3")
-    est.add_argument("--grid-gamma", default="0.2,0.5,0.8,0.9,0.99")
-    est.add_argument("--grid-rho", default="0.2,0.5,0.8,0.9,0.99")
+    est.add_argument("--sigma-eps", type=float, default=EstimationConfig.sigma_eps)
+    est.add_argument("--sigma-xi", type=float, default=EstimationConfig.sigma_xi)
+    for name in _GRIDS:
+        est.add_argument("--" + name.replace("_", "-"))
     est.set_defaults(func=_cmd_estimate)
 
     clu = sub.add_parser("cluster", help="k-means over fitted parameters")

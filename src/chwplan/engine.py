@@ -12,7 +12,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import ParamArrays, PatientParams, PatientState, StateArrays, step_cohort
+from .model import (ParamArrays, PatientParams, PatientState, StateArrays, _require_finite,
+                    step_cohort)
 from .policy import PolicySpec, RuleTable, visit_mask
 
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -59,6 +60,7 @@ class SimulationConfig:
                 raise ValueError(f"capacity fraction {f} outside (0, 1]")
         if list(self.capacity_fractions) != sorted(self.capacity_fractions):
             raise ValueError("capacity fractions must be sorted ascending")
+        _require_finite(self, ("sigma_xi",))
         if self.sigma_xi < 0:
             raise ValueError("noise standard deviation must be >= 0")
 

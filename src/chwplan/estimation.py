@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import PatientParams, carried_adverse, step_adverse
+from .model import PatientParams, _require_finite, carried_adverse, step_adverse
 from .qp import QP_TOLERANCE, QPResult, solve_qp, solve_qps
 
 Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
@@ -132,8 +132,9 @@ class EstimationConfig:
         for g in self.grid_gamma + self.grid_rho:
             if not (0.0 < g < 1.0):
                 raise ValueError(f"decay grid value {g} outside (0, 1)")
-        if min(self.grid_s_base + self.grid_beta) < 0:
-            raise ValueError("s_base/beta grid values must be >= 0")
+        if not all(0 <= v < math.inf for v in self.grid_s_base + self.grid_beta):
+            raise ValueError("s_base/beta grid values must be finite and >= 0")
+        _require_finite(self, ("sigma_eps", "sigma_xi"))
         if self.sigma_eps <= 0 or self.sigma_xi <= 0:
             raise ValueError("noise scales must be positive")
 

@@ -25,6 +25,7 @@ from .model import (
     PatientState,
     State,
     StateArrays,
+    _require_finite,
     benefits,
     floor_fbg,
     step_cohort,
@@ -50,6 +51,7 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
+        _require_finite(self, ("delta",))
         if not self.delta > 0:
             raise ValueError(f"PolicySpec.delta must be > 0, got {self.delta}")
 

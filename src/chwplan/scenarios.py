@@ -73,8 +73,8 @@ class ScenarioSpec:
         if not self.groups:
             raise ValueError("scenario must have at least one group")
         weights = [w for _, w in self.groups]
-        if any(w < 0 for w in weights):
-            raise ValueError("group weights must be >= 0")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError("group weights must be finite and >= 0")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"group weights must sum to 1 (got {sum(weights)!r})")
         if self.population < 1:

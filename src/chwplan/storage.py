@@ -52,26 +52,39 @@ def write_table(path: str, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: str, expected_header: Sequence[str]) -> List[Tuple[int, List[str]]]:
-    """The nonblank rows under the expected header, each with its 1-based
-    row number in the file; a row with another number of fields is named."""
+def _rows(path: str) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
+    """A CSV file's stripped header and its nonblank rows, each with its
+    1-based row number in the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file (missing header row)")
-        if [h.strip() for h in header] != list(expected_header):
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)},"
-                f" got {','.join(header)}"
-            )
-        numbered = [(rownum, row) for rownum, row in enumerate(reader, 2) if row]
+        return header, [(rownum, row) for rownum, row in enumerate(reader, 2) if row]
+
+
+def _read_csv(path: str, expected_header: Sequence[str]) -> List[Tuple[int, List[str]]]:
+    """The numbered rows under the expected header; a row with another
+    number of fields is named."""
+    header, numbered = _rows(path)
+    if header != list(expected_header):
+        raise ValueError(f"{path}: expected header {','.join(expected_header)},"
+                         f" got {','.join(header)}")
     for rownum, row in numbered:
         if len(row) != len(expected_header):
             raise ValueError(f"{path} row {rownum}: expected"
                              f" {len(expected_header)} fields, got {len(row)}")
     return numbered
+
+
+def _read_json(path: str):
+    """A JSON file's value; a decode error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})")
 
 
 def sha256_file(path: str) -> str:
@@ -97,7 +110,6 @@ def ingest_histories(path: str) -> List[VisitHistory]:
     log-FBG) although the model floors the latent log-FBG at 0.
     """
     per_patient: Dict[str, Dict[int, Tuple[int, int, Optional[float]]]] = {}
-    order: List[str] = []
     for rownum, row in _read_csv(path, HISTORY_COLUMNS):
         pid, period_s, visited_s, enrolled_s, fbg_s = (f.strip() for f in row)
         if not pid:
@@ -121,33 +133,24 @@ def ingest_histories(path: str) -> List[VisitHistory]:
             if not (math.isfinite(fbg) and fbg > 0.0):
                 raise ValueError(
                     f"{path} row {rownum}: FBG {fbg_s} mg/dL is negative or zero, or not finite")
-        if pid not in per_patient:
-            per_patient[pid] = {}
-            order.append(pid)
-        if period in per_patient[pid]:
+        periods = per_patient.setdefault(pid, {})
+        if period in periods:
             raise ValueError(
                 f"{path} row {rownum}: duplicate period {period}"
                 f" for patient {pid!r}"
             )
-        per_patient[pid][period] = (int(visited_s), int(enrolled_s), fbg)
+        periods[period] = (int(visited_s), int(enrolled_s), fbg)
 
     histories: List[VisitHistory] = []
-    for pid in order:
-        periods = per_patient[pid]
-        horizon = max(periods) + 1
+    for pid, periods in per_patient.items():  # in order of first appearance
         visited, enrolled, observations = [], [], {}
-        z_carry = 0
-        for t in range(horizon):
-            if t in periods:
-                y, z, fbg = periods[t]
-                visited.append(y)
-                enrolled.append(z)
-                z_carry = z
-                if fbg is not None:
-                    observations[t] = math.log(fbg)
-            else:
-                visited.append(0)
-                enrolled.append(z_carry)
+        z = 0
+        for t in range(max(periods) + 1):
+            y, z, fbg = periods.get(t, (0, z, None))
+            visited.append(y)
+            enrolled.append(z)
+            if fbg is not None:
+                observations[t] = math.log(fbg)
         try:
             histories.append(VisitHistory(
                 visited=tuple(visited), enrolled=tuple(enrolled),
@@ -180,33 +183,24 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
     present (row numbers otherwise). A row that clustering.first_unusable_row
     rejects is named here, with the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, numbered = _rows(path)
+    missing = [c for c in FEATURE_NAMES if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+    idx = [header.index(c) for c in FEATURE_NAMES]
+    id_idx = header.index("patient_id") if "patient_id" in header else None
+    ids, rows = [], []
+    for rownum, row in numbered:
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file (missing header row)")
-        missing = [c for c in FEATURE_NAMES if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
-        idx = {c: header.index(c) for c in FEATURE_NAMES}
-        id_idx = header.index("patient_id") if "patient_id" in header else None
-        ids, rows, rownums = [], [], []
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            rownum = i + 2
-            try:
-                rows.append(tuple(float(row[idx[c]]) for c in FEATURE_NAMES))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path} row {rownum}: malformed feature row")
-            ids.append(row[id_idx] if id_idx is not None else f"row{rownum}")
-            rownums.append(rownum)
+            rows.append(tuple(float(row[i]) for i in idx))
+        except (ValueError, IndexError):
+            raise ValueError(f"{path} row {rownum}: malformed feature row")
+        ids.append(row[id_idx] if id_idx is not None else f"row{rownum}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     bad = first_unusable_row(rows)
     if bad >= 0:
-        raise ValueError(f"{path} row {rownums[bad]}: features non-finite or too large"
+        raise ValueError(f"{path} row {numbered[bad][0]}: features non-finite or too large"
                          " to cluster (squared distances would overflow)")
     return ids, rows
 
@@ -280,15 +274,6 @@ def write_estimates_csv(path: str, estimates: Sequence[Tuple[str, EstimationResu
 # scenario files
 # ---------------------------------------------------------------------------
 
-def _group_to_dict(group: GroupSpec, weight: float) -> dict:
-    return {
-        "name": group.name,
-        "weight": weight,
-        "centroid": dict(zip(FEATURE_NAMES, group.centroid)),
-        "sd": dict(zip(FEATURE_NAMES, group.sd)),
-    }
-
-
 # ScenarioSpec's optional settings: population, gamma, rho, initial FBG
 _SCENARIO_SETTINGS = tuple(f.name for f in fields(ScenarioSpec)
                            if f.default is not MISSING)
@@ -297,7 +282,9 @@ _SCENARIO_SETTINGS = tuple(f.name for f in fields(ScenarioSpec)
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return {"name": spec.name,
             **{key: getattr(spec, key) for key in _SCENARIO_SETTINGS},
-            "groups": [_group_to_dict(g, w) for g, w in spec.groups]}
+            "groups": [{"name": g.name, "weight": w,
+                        "centroid": dict(zip(FEATURE_NAMES, g.centroid)),
+                        "sd": dict(zip(FEATURE_NAMES, g.sd))} for g, w in spec.groups]}
 
 
 def _number(value, where: str, key: str, kind=(int, float), noun="a number"):
@@ -376,12 +363,7 @@ def load_scenario(name_or_path: str) -> Tuple[ScenarioSpec, Optional[str]]:
             f"unknown scenario {name_or_path!r}: not a builtin"
             f" ({', '.join(sorted(builtins))}) and not a readable file"
         )
-    with open(name_or_path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{name_or_path}: invalid JSON ({exc})")
-    return scenario_from_dict(data, where=name_or_path), name_or_path
+    return scenario_from_dict(_read_json(name_or_path), where=name_or_path), name_or_path
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +401,7 @@ def read_manifest(directory: str) -> dict:
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         raise ValueError(f"{directory}: no {MANIFEST_NAME} found")
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(path)
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return manifest

@@ -734,11 +734,15 @@ class TestCliErrors:
          "group weights must sum to 1"),
         ({"groups": [{"name": "a", "weight": 1.0, "centroid": {**CENTROID, "p": -1.0}}]},
          "group 'a': centroid means must be >= 0"),
+        ({"groups": [{"name": "a", "weight": NAN, "centroid": CENTROID}]},
+         "group weights must be finite and >= 0"),
+        ({"groups": [{"name": "a", "weight": math.inf, "centroid": CENTROID}]},
+         "group weights must be finite and >= 0"),
     ], ids=["not-object", "no-groups", "group-not-object", "group-no-name",
             "group-no-weight", "population-string", "population-float",
             "gamma-null", "rho-bool", "weight-list", "weight-bool", "centroid-string",
             "sd-list", "gamma-zero", "population-zero", "weights-not-one",
-            "centroid-negative"])
+            "centroid-negative", "weight-nan", "weight-inf"])
     def test_malformed_scenario_file_exits_one(self, tmp_path, capsys, data, fragment):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
@@ -765,6 +769,7 @@ class TestCliErrors:
          "summary.csv: policy asc_fbg at 10% capacity needs exactly one row"),
         ("summary.csv", None, "missing summary.csv"),
         ("manifest.json", "[1, 2]\n", "manifest.json: expected a JSON object"),
+        ("manifest.json", "{not json", "manifest.json: invalid JSON"),
         ("manifest.json", '{"config": {"population": 0}}', "lacks a usable population"),
         ("manifest.json", '{"config": 5}', "lacks a usable population"),
         ("manifest.json", '{"config": {"population": true}}', "lacks a usable population"),
@@ -782,7 +787,8 @@ class TestCliErrors:
          "config.delta_mgdl must be a finite positive number, got True"),
     ], ids=["results-short-row", "results-bad-int", "results-detail-cell-empty",
             "results-replication-lacks-period", "summary-short-row", "summary-detail-row-missing",
-            "summary-missing", "manifest-not-object", "manifest-zero-population",
+            "summary-missing", "manifest-not-object", "manifest-invalid-json",
+            "manifest-zero-population",
             "manifest-config-not-object", "manifest-bool-population", "delta-negative", "delta-zero", "delta-nan",
             "delta-inf", "delta-string", "delta-bool"])
     def test_report_on_malformed_results_exits_one(self, tmp_path, capsys, name, text,
@@ -804,6 +810,34 @@ class TestCliErrors:
         assert main(["report", "--results", str(out)]) == 1
         assert fragment in capsys.readouterr().err
         assert not (out / "charts").exists()  # rejected before writing anything
+
+    @pytest.mark.parametrize("args,fragment", [
+        (["simulate", "--sigma-xi", "nan"], "SimulationConfig.sigma_xi must be finite, got nan"),
+        (["simulate", "--sigma-xi", "inf"], "SimulationConfig.sigma_xi must be finite, got inf"),
+        (["simulate", "--delta-mgdl", "inf"], "--delta-mgdl must be a finite number above 1 mg/dL"),
+        (["simulate", "--delta-mgdl", "nan"], "--delta-mgdl must be a finite number above 1 mg/dL"),
+        (["simulate", "--delta-mgdl", "0"], "--delta-mgdl must be a finite number above 1 mg/dL"),
+        (["simulate", "--delta-mgdl", "0.5"], "--delta-mgdl must be a finite number above 1 mg/dL"),
+        (["estimate", "--sigma-eps", "inf"], "EstimationConfig.sigma_eps must be finite, got inf"),
+        (["estimate", "--sigma-eps", "nan"], "EstimationConfig.sigma_eps must be finite, got nan"),
+        (["estimate", "--sigma-xi", "nan"], "EstimationConfig.sigma_xi must be finite, got nan"),
+        (["estimate", "--grid-beta", "0,inf"], "s_base/beta grid values must be finite and >= 0"),
+    ], ids=["sim-sigma-xi-nan", "sim-sigma-xi-inf", "sim-delta-inf", "sim-delta-nan",
+            "sim-delta-zero", "sim-delta-below-one", "est-sigma-eps-inf", "est-sigma-eps-nan",
+            "est-sigma-xi-nan", "est-grid-beta-inf"])
+    def test_non_finite_numbers_exit_one_naming_the_field_or_flag(self, tmp_path, capsys,
+                                                                 args, fragment):
+        # nan passes every comparison-based range check and inf most of them,
+        # so each is refused by name before any output is written
+        path = write_history_csv(tmp_path / "h.csv", ["p1,0,1,1,130", "p1,1,0,1,125"])
+        command = {"simulate": ["--scenario", "scenario3", "--population", "5",
+                                "--policies", "asc_fbg", "--capacities", "20",
+                                "--reps", "1", "--horizon", "2"],
+                   "estimate": ["--histories", path]}[args[0]]
+        out = tmp_path / "out"
+        assert main(args[:1] + command + args[1:] + ["--out", str(out)]) == 1
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_on_missing_directory_exits_one(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "void")]) == 1

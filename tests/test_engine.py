@@ -85,6 +85,9 @@ def test_config_validation():
         quiet_config(capacity_fractions=(0.0,))
     with pytest.raises(ValueError):
         quiet_config(sigma_xi=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="SimulationConfig.sigma_xi must be finite"):
+            quiet_config(sigma_xi=bad)
 
 
 def test_cohort_validation():

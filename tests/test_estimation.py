@@ -294,6 +294,20 @@ def test_intermittent_infeasibility_certified_over_the_interval(monkeypatch):
     assert float(active @ y) < 0.0
 
 
+def test_objective_ignores_theta_base_and_lam():
+    # theta_base and lam (the last two variables) enter only the cell
+    # constraints, never the likelihood, so any point of a cell's feasible
+    # segment in them is optimal: the values estimates.csv reports there
+    # are where the solver stopped
+    h, _ = reference_history()
+    T = h.length
+    P, q = est._objective(h, EstimationConfig())
+    assert not np.any(P[T + 3:]) and not np.any(P[:, T + 3:]) and not np.any(q[T + 3:])
+    assert np.any(P[T:T + 3]) and np.any(q[:T])
+    A, _, _ = est._constraints(h, TRUE_CELL)
+    assert np.all(np.any(A[:, T + 3:], axis=0))
+
+
 # ---------------------------------------------------------------------------
 # grid-search mechanics
 # ---------------------------------------------------------------------------
@@ -420,6 +434,14 @@ def test_config_validation():
         EstimationConfig(grid_beta=(-1.0,))
     with pytest.raises(ValueError, match="noise scales"):
         EstimationConfig(sigma_eps=0.0)
+    for bad in (math.nan, math.inf):
+        for name in ("sigma_eps", "sigma_xi"):
+            with pytest.raises(ValueError, match=f"EstimationConfig.{name} must be finite"):
+                EstimationConfig(**{name: bad})
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            EstimationConfig(grid_s_base=(0.0, bad))
+        with pytest.raises(ValueError, match="outside"):
+            EstimationConfig(grid_rho=(bad,))
 
 
 # ---------------------------------------------------------------------------

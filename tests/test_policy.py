@@ -39,6 +39,9 @@ def test_policy_spec_rejects_unknown_kind_and_bad_delta():
         PolicySpec(kind="visit_furiously", delta=DELTA)
     with pytest.raises(ValueError):
         PolicySpec(kind="asc_fbg", delta=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="PolicySpec.delta must be finite"):
+            PolicySpec(kind="asc_fbg", delta=bad)
 
 
 def test_policy_kind_enumeration_is_closed():

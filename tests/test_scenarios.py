@@ -112,6 +112,9 @@ def test_scenario_spec_validation():
         ScenarioSpec("s", ((g, 0.4), (g, 0.4)))
     with pytest.raises(ValueError, match=">= 0"):
         ScenarioSpec("s", ((g, 1.5), (g, -0.5)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="group weights must be finite"):
+            ScenarioSpec("s", ((g, bad), (g, 0.0)))
     with pytest.raises(ValueError, match="population"):
         ScenarioSpec("s", ((g, 1.0),), population=0)
     with pytest.raises(ValueError, match="gamma"):
