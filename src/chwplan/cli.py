@@ -214,6 +214,9 @@ def _cmd_estimate(args) -> int:
 def _cmd_cluster(args) -> int:
     start = time.perf_counter()
     ids, rows = storage.read_feature_table(args.params)
+    # every k is checked against the table before the first fit runs
+    if not 1 <= args.k <= len(rows):
+        raise ValueError(f"--k {args.k} must be between 1 and the number of rows ({len(rows)})")
     ks: List[int] = []
     if args.elbow:
         parts = args.elbow.split(":")
@@ -223,8 +226,9 @@ def _cmd_cluster(args) -> int:
             k_min, k_max = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"bad --elbow {args.elbow!r}; expected integers")
-        if not (1 <= k_min <= k_max):
-            raise ValueError(f"bad --elbow {args.elbow!r}; need 1 <= kmin <= kmax")
+        if not (1 <= k_min <= k_max <= len(rows)):
+            raise ValueError(f"bad --elbow {args.elbow!r}; need 1 <= kmin <= kmax"
+                             f" <= the number of rows ({len(rows)})")
         ks = list(range(k_min, k_max + 1))
     # one fit per k: --k's is the elbow's when the sweep covers it
     fits = {k: cluster_params(rows, k, seed=args.seed) for k in sorted({args.k, *ks})}

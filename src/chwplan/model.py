@@ -17,7 +17,6 @@ results per patient.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -71,14 +70,6 @@ class PatientParams:
             raise ValueError(f"PatientParams.gamma must be in (0, 1), got {self.gamma}")
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"PatientParams.rho must be in (0, 1), got {self.rho}")
-        if self.p >= self.mu + self.alpha:
-            # Enrollment plus a visit cannot hold the line against progression.
-            # Some published patient groups sit in this regime on purpose, so it
-            # is a warning rather than an error.
-            warnings.warn(
-                f"intervention cannot offset progression: p={self.p} >= mu+alpha={self.mu + self.alpha}",
-                stacklevel=3,
-            )
 
 
 @dataclass(frozen=True)

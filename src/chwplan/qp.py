@@ -26,13 +26,16 @@ variables and ~200 boxed or one-sided rows):
 
 One loop solves a stream of problems that share P and q (the estimator's
 grid cells: one history, one constraint set per byte-distinct cell). It
-runs a pool of
-POOL_WIDTH slots, each holding one problem's A, bounds, inverse and
-iterate, and steps every slot at once with stacked matrix-vector
-products. When a problem finishes, the next one loads into its slot;
-once the stream runs out, the last live slot moves into the freed one,
-so the tail steps only live problems. A slot holds only A, the bounds,
-the inverse and the iterate; A'A is recomputed on a rho rescale.
+runs a pool of POOL_WIDTH slots, each holding one problem's A, bounds,
+inverse and iterate in preallocated arrays, and steps the live slots,
+the first w, at once with stacked matrix-vector products. Every slot has
+one lifecycle. It loads: each free slot past the live ones reads the
+next problem of the stream, the first POOL_WIDTH problems included, so
+at most one unloaded problem is held at a time. It steps until its
+problem finishes. It retires: the last live slot moves into it and the
+pool shrinks by one, so once the stream runs out the tail steps only
+live problems. A slot holds only A, the bounds, the inverse and the
+iterate; A'A is recomputed on a rho rescale.
 
 The width is set by the cache: eight slots of the estimator's 185 x 65
 A and 65 x 65 inverse (1.0 MB) stay in a 2 MB per-core L2. On one
@@ -62,6 +65,7 @@ raises.
 """
 
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -167,133 +171,106 @@ def solve_qps(
     base = Ps + SIGMA * np.eye(n)
 
     pending = (_checked(n, *problem) for problem in constraints)
-    problem = next(pending, None)
-    if problem is None:
+    first = next(pending, None)
+    if first is None:
         return
-    # Slot s holds one problem. Vectors are (w, rows, 1) column stacks, so
-    # a stacked product A @ x is one matmul over all slots.
-    m = problem[0].shape[0]
-    A = np.empty((POOL_WIDTH, m, n))
-    l = np.empty((POOL_WIDTH, m, 1))
-    u = np.empty((POOL_WIDTH, m, 1))
-    inv = np.empty((POOL_WIDTH, n, n))
-    x = np.zeros((POOL_WIDTH, n, 1))
-    z = np.zeros((POOL_WIDTH, m, 1))
-    y = np.zeros((POOL_WIDTH, m, 1))
-    y_checked = np.zeros((POOL_WIDTH, m, 1))  # y at the slot's last check
-    rho = np.full(POOL_WIDTH, RHO_INITIAL)
-    k = np.zeros(POOL_WIDTH, dtype=np.int64)
-    index = np.zeros(POOL_WIDTH, dtype=np.int64)
-    loaded = 0
-    stepped = 0
+    m = first[0].shape[0]
+    pending = chain([first], pending)
+    del first  # once loaded, a problem is held by its slot alone
+    # Slot s holds one problem: A, l, u, the x-update's inverse, the iterate
+    # (x, z, y), y_checked (y at the slot's last check), rho, the slot's
+    # iteration count k and the problem's index in the stream. The live
+    # slots are the first w; vectors are (w, rows, 1) column stacks, so a
+    # stacked product A @ x is one matmul over all slots.
+    pool = [np.empty((POOL_WIDTH,) + shape) for shape in (
+        (m, n), (m, 1), (m, 1), (n, n), (n, 1), (m, 1), (m, 1), (m, 1), ())]
+    pool += [np.empty(POOL_WIDTH, dtype=np.int64) for _ in range(2)]
+    w = loaded = stepped = next_out = 0
     finished: Dict[int, QPResult] = {}
-    next_out = 0
+    while True:
+        # load: each free slot, past the live ones, takes the next problem
+        for A_s, l_s, u_s in islice(pending, POOL_WIDTH - w):
+            if A_s.shape[0] != m:
+                raise ValueError("every problem of a batch needs the same rows")
+            start = (A_s, l_s[:, None], u_s[:, None],  # A, l, u
+                     np.linalg.inv(base + RHO_INITIAL * (A_s.T @ A_s)),  # inv
+                     0.0, np.clip(A_s @ np.zeros(n), l_s, u_s)[:, None], 0.0,  # x, z, y
+                     0.0, RHO_INITIAL, 0, loaded)  # y_checked, rho, k, index
+            for slot_array, value in zip(pool, start):
+                slot_array[w] = value
+            w += 1
+            loaded += 1
+        while next_out in finished:
+            yield replace(finished.pop(next_out), pool_iterations=stepped)
+            next_out += 1
+        if not w:
+            return
+        A, l, u, inv, x, z, y, y_checked, rho, k, index = (a[:w] for a in pool)
+        At = A.transpose(0, 2, 1)
+        done = np.zeros(w, dtype=bool)
+        while not done.any():
+            k += 1
+            stepped += w
+            rho_col = rho[:, None, None]
+            rhs = SIGMA * x - qs + At @ (rho_col * z - y)
+            x_tilde = inv @ rhs
+            z_tilde = A @ x_tilde
 
-    def load(s, problem):
-        nonlocal loaded
-        A_s, l_s, u_s = problem
-        if A_s.shape[0] != m:
-            raise ValueError("every problem of a batch needs the same rows")
-        A[s], l[s, :, 0], u[s, :, 0] = A_s, l_s, u_s
-        inv[s] = np.linalg.inv(base + RHO_INITIAL * (A_s.T @ A_s))
-        x[s] = 0.0
-        z[s, :, 0] = np.clip(A_s @ np.zeros(n), l_s, u_s)
-        y[s] = 0.0
-        y_checked[s] = 0.0
-        rho[s] = RHO_INITIAL
-        k[s] = 0
-        index[s] = loaded
-        loaded += 1
+            # x, z and y are the pool's own slots, so they update in place
+            x[:] = RELAXATION * x_tilde + (1.0 - RELAXATION) * x
+            z_relaxed = RELAXATION * z_tilde + (1.0 - RELAXATION) * z
+            np.clip(z_relaxed + y / rho_col, l, u, out=z)
+            dy = rho_col * (z_relaxed - z)
+            y += dy
 
-    w = 0
-    while problem is not None:
-        load(w, problem)
-        w += 1
-        problem = next(pending, None) if w < POOL_WIDTH else None
-    A, l, u, inv = A[:w], l[:w], u[:w], inv[:w]
-    x, z, y, y_checked = x[:w], z[:w], y[:w], y_checked[:w]
-    rho, k, index = rho[:w], k[:w], index[:w]
-    At = A.transpose(0, 2, 1)
-    while w:
-        k += 1
-        stepped += w
-        rho_col = rho[:, None, None]
-        rhs = SIGMA * x - qs + At @ (rho_col * z - y)
-        x_tilde = inv @ rhs
-        z_tilde = A @ x_tilde
+            Ax = A @ x
+            Aty = At @ y
+            Psx = Ps @ x
+            r_prim = _absmax(Ax - z)
+            r_dual = _absmax(Psx + qs + Aty)
+            solved = np.maximum(r_prim, r_dual) <= QP_TOLERANCE
+            done = solved | (k >= MAX_ITERATIONS)
 
-        x = RELAXATION * x_tilde + (1.0 - RELAXATION) * x
-        z_relaxed = RELAXATION * z_tilde + (1.0 - RELAXATION) * z
-        z_new = np.clip(z_relaxed + y / rho_col, l, u)
-        dy = rho_col * (z_relaxed - z_new)
-        y = y + dy
-        z = z_new
+            # the certificate and rho adaptation, on the slots due this
+            # iteration; the certificate tests both the last step's and the
+            # whole interval's dual increment, since either can hold while
+            # the other does not, and a slot reports the step's when both do
+            infeasible = np.zeros(w, dtype=bool)
+            by_step = np.zeros(w, dtype=bool)
+            due = (k % CHECK_INTERVAL == 0) & ~solved
+            if m and due.any():
+                D = np.flatnonzero(due)
+                interval = y - y_checked
+                by_step[D] = _certifies_infeasibility(D, dy, At, l, u)
+                infeasible[D] = by_step[D] | _certifies_infeasibility(D, interval, At, l, u)
+                y_checked[D] = y[D]
+                done |= infeasible
+                R = D[~infeasible[D]]
+                if R.size:
+                    prim_ref = np.maximum(np.maximum(_absmax(Ax[R]), _absmax(z[R])), 1e-12)
+                    dual_ref = np.maximum(np.maximum(np.maximum(
+                        _absmax(Psx[R]), _absmax(Aty[R])), qs_norm), 1e-12)
+                    ratio = (r_prim[R] / prim_ref) / np.maximum(r_dual[R] / dual_ref, 1e-16)
+                    candidate = np.minimum(np.maximum(rho[R] * np.sqrt(ratio), 1e-6), 1e6)
+                    for s, new in zip(R, candidate):
+                        if new > 5.0 * rho[s] or new < rho[s] / 5.0:
+                            rho[s] = new
+                            inv[s] = np.linalg.inv(base + new * (A[s].T @ A[s]))
 
-        Ax = A @ x
-        Aty = At @ y
-        Psx = Ps @ x
-        r_prim = _absmax(Ax - z)
-        r_dual = _absmax(Psx + qs + Aty)
-        solved = np.maximum(r_prim, r_dual) <= QP_TOLERANCE
-        done = solved | (k >= MAX_ITERATIONS)
-
-        # the certificate and rho adaptation, on the slots due this iteration;
-        # the certificate tests both the last step's and the whole interval's
-        # dual increment, since either can hold while the other does not
-        infeasible = np.zeros(w, dtype=bool)
-        certificate = dy
-        due = (k % CHECK_INTERVAL == 0) & ~solved
-        if m and due.any():
-            D = np.flatnonzero(due)
-            interval = y - y_checked
-            by_step = _certifies_infeasibility(D, dy, At, l, u)
-            by_interval = _certifies_infeasibility(D, interval, At, l, u)
-            infeasible[D] = by_step | by_interval
-            only_interval = D[by_interval & ~by_step]
-            if only_interval.size:
-                certificate = dy.copy()
-                certificate[only_interval] = interval[only_interval]
-            y_checked[D] = y[D]
-            done |= infeasible
-            R = D[~infeasible[D]]
-            if R.size:
-                prim_ref = np.maximum(np.maximum(_absmax(Ax[R]), _absmax(z[R])), 1e-12)
-                dual_ref = np.maximum(np.maximum(np.maximum(
-                    _absmax(Psx[R]), _absmax(Aty[R])), qs_norm), 1e-12)
-                ratio = (r_prim[R] / prim_ref) / np.maximum(r_dual[R] / dual_ref, 1e-16)
-                candidate = np.minimum(np.maximum(rho[R] * np.sqrt(ratio), 1e-6), 1e6)
-                for s, new in zip(R, candidate):
-                    if new > 5.0 * rho[s] or new < rho[s] / 5.0:
-                        rho[s] = new
-                        inv[s] = np.linalg.inv(base + new * (A[s].T @ A[s]))
-
-        if not done.any():
-            continue
         for s in np.flatnonzero(done)[::-1]:
             it = int(k[s])
             if solved[s]:
                 result = QPResult("solved", x[s, :, 0].copy(), None, it)
             elif infeasible[s]:
-                d = certificate[s, :, 0]
+                d = (dy if by_step[s] else interval)[s, :, 0]
                 result = QPResult("primal_infeasible", None, d / np.max(np.abs(d)), it)
             else:
                 result = QPResult("nonconverged", None, None, it)
             finished[int(index[s])] = result
-            problem = next(pending, None)
-            if problem is not None:
-                load(s, problem)
-                continue
-            # the stream is spent: move the last live slot into this one
+            # retire: the last live slot moves into this one
             w -= 1
-            for arr in (A, l, u, inv, x, z, y, y_checked, rho, k, index):
-                arr[s] = arr[w]
-        A, l, u, inv = A[:w], l[:w], u[:w], inv[:w]
-        x, z, y, y_checked = x[:w], z[:w], y[:w], y_checked[:w]
-        rho, k, index = rho[:w], k[:w], index[:w]
-        At = A.transpose(0, 2, 1)
-        while next_out in finished:
-            yield replace(finished.pop(next_out), pool_iterations=stepped)
-            next_out += 1
+            for slot_array in pool:
+                slot_array[s] = slot_array[w]
 
 
 def solve_qp(P, q, A, l, u) -> QPResult:

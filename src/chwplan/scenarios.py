@@ -201,6 +201,8 @@ def sample_cohort(spec: ScenarioSpec, seed: int) -> SampledCohort:
             continue
         p0, mu0, alpha0 = group.centroid[0], group.centroid[1], group.centroid[2]
         if p0 >= mu0 + alpha0:
+            # the one report of this regime: some published patient groups
+            # sit in it on purpose, so it warns rather than raises
             warnings.warn(
                 f"group {group.name}: intervention cannot offset progression"
                 f" at the centroid (p={p0} >= mu+alpha={mu0 + alpha0})"
@@ -209,13 +211,9 @@ def sample_cohort(spec: ScenarioSpec, seed: int) -> SampledCohort:
             draws = [_truncated_normal(rng, m, s, 0.0)
                      for m, s in zip(group.centroid, group.sd)]
             p, mu, alpha, theta0, lam, s0, beta = draws
-            with warnings.catch_warnings():
-                # individual draws near the centroid re-trigger the
-                # effectiveness warning; one group-level report is enough
-                warnings.simplefilter("ignore", UserWarning)
-                pp = PatientParams(p=p, mu=mu, alpha=alpha, beta=beta, lam=lam,
-                                   gamma=spec.gamma, rho=spec.rho,
-                                   s_base=s0, theta_base=theta0)
+            pp = PatientParams(p=p, mu=mu, alpha=alpha, beta=beta, lam=lam,
+                               gamma=spec.gamma, rho=spec.rho,
+                               s_base=s0, theta_base=theta0)
             fbg = _truncated_normal(rng, spec.initial_fbg_mean_mgdl,
                                     spec.initial_fbg_sd_mgdl, 1.0)
             params.append(pp)

@@ -101,7 +101,6 @@ def rule_value(params, state, horizon):
     return value
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 def test_criterion_01_visit_rule_matches_exhaustive_optimum():
     started = time.perf_counter()
     assert {g.name: g.centroid for g in builtin_groups()} == ARCHETYPE_BOXES
@@ -125,7 +124,6 @@ def test_criterion_01_visit_rule_matches_exhaustive_optimum():
     print(f"criterion 01: 200/200 instances optimal in {elapsed:.1f}s")
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 def test_criterion_02_starting_enrolled_never_lowers_the_optimum():
     rng = np.random.default_rng(0)
     violations = []
@@ -147,7 +145,6 @@ def test_criterion_02_starting_enrolled_never_lowers_the_optimum():
     print("criterion 02: 200/200 instances monotone in prior enrollment")
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 def test_criterion_03_interest_set_restriction_is_lossless():
     started = time.perf_counter()
     rng = np.random.default_rng(0)

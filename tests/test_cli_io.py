@@ -643,7 +643,6 @@ class TestCliEstimate:
         header = (out / "estimates.csv").read_text().splitlines()[0]
         assert header == ",".join(storage.ESTIMATE_COLUMNS)
 
-    @pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
     def test_manifest_counts_reused_cells(self, tmp_path):
         # the console-script check's records: a and b stop at cell 0; c
         # declines the offer of its second visit, which its cells 0-24
@@ -858,13 +857,26 @@ class TestCliErrors:
         assert main(["estimate", "--histories", path, "--out", str(out)]) == 1
         assert "no visit records" in capsys.readouterr().err
 
-    def test_cluster_with_bad_elbow_exits_one(self, tmp_path, capsys):
+    def test_cluster_with_bad_elbow_exits_one(self, tmp_path, capsys, monkeypatch):
         cohort = tmp_path / "cohort.csv"
         assert main(["scenario-gen", "--scenario", "scenario3",
                      "--population", "4", "--out", str(cohort)]) == 0
-        assert main(["cluster", "--params", str(cohort), "--k", "2",
-                     "--elbow", "3", "--out", str(tmp_path / "c")]) == 1
-        assert "expected kmin:kmax" in capsys.readouterr().err
+        capsys.readouterr()
+        # a k beyond the table's 4 rows is refused, naming the flag, before
+        # any fit runs or the output directory is made
+        import chwplan.cli as cli_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(cli_mod, "cluster_params", no_fit)
+        for flags, fragment in ((["--k", "2", "--elbow", "3"], "expected kmin:kmax"),
+                                (["--k", "5"], "--k 5 must be between 1 and the number of rows (4)"),
+                                (["--k", "2", "--elbow", "1:5"],
+                                 "bad --elbow '1:5'; need 1 <= kmin <= kmax <= the number of rows (4)")):
+            out = tmp_path / "c"
+            assert main(["cluster", "--params", str(cohort), *flags, "--out", str(out)]) == 1
+            assert fragment in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cluster_on_overflowing_table_names_file_and_row(self, tmp_path, capsys):

@@ -16,7 +16,6 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,14 +135,12 @@ def _assert_step_matches(cohort):
         assert nxt.z_prev[i] == ref.z_prev
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(cohort=cohort_st)
 @settings(max_examples=150, deadline=None)
 def test_array_step_equals_per_patient_steps(cohort):
     _assert_step_matches(cohort)
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(cohort=cohort_st)
 @settings(max_examples=150, deadline=None)
 def test_action_mask_equals_per_patient_actions(cohort):
@@ -155,7 +152,6 @@ def test_action_mask_equals_per_patient_actions(cohort):
         i for i, v in enumerate(expected) if v}
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(cohort=cohort_st, periods=st.integers(0, 15))
 @settings(max_examples=100, deadline=None)
 def test_batched_rollout_equals_per_patient_rollouts(cohort, periods):
@@ -167,7 +163,6 @@ def test_batched_rollout_equals_per_patient_rollouts(cohort, periods):
         assert (single.v_tilde, single.visits) == _scalar_rollout(state, prm, periods, DELTA)
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(cohort=cohort_st, periods=st.integers(1, 15))
 @settings(max_examples=150, deadline=None)
 def test_every_interest_set_member_rolls_out_a_visit(cohort, periods):
@@ -201,7 +196,6 @@ def test_clamps_fire_and_match_in_the_array_step():
     _assert_step_matches(cohort)
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(case=rows_st)
 @settings(max_examples=150, deadline=None)
 def test_visit_mask_rows_equal_one_row_calls(case):
@@ -210,7 +204,6 @@ def test_visit_mask_rows_equal_one_row_calls(case):
                              np.array([c for _, c in rows]), periods)
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 def test_visit_mask_mixes_over_and_under_capacity_rows():
     # one call where some rows' interest sets exceed their capacity and
     # others' do not, so ranked and unranked rows share the flattened
@@ -233,7 +226,6 @@ def test_visit_mask_mixes_over_and_under_capacity_rows():
         _assert_rows_independent(params, rows, C, periods)
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(patient=patient_st)
 @settings(max_examples=150, deadline=None)
 def test_benefits_equal_the_closed_form_up_to_the_sign_of_a_zero(patient):
@@ -285,7 +277,6 @@ shared_st = st.integers(1, 8).flatmap(lambda n: st.tuples(
 ))
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(case=shared_st)
 @settings(max_examples=100, deadline=None)
 def test_shared_rollouts_rank_as_members_rolled_out_alone(case):
@@ -349,7 +340,6 @@ sweep_st = st.tuples(
 )
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(case=sweep_st)
 @settings(max_examples=40, deadline=None)
 def test_sweep_rows_equal_one_spec_simulations(case):
@@ -419,7 +409,6 @@ def _assert_as_reference(rs, params, patient, states, periods, delta):
             periods, delta[j]), j
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(case=_table_case())
 @settings(max_examples=100, deadline=None)
 def test_shared_rule_table_rolls_out_as_fresh_tables_and_the_reference(case):
@@ -435,7 +424,6 @@ def test_shared_rule_table_rolls_out_as_fresh_tables_and_the_reference(case):
         _assert_as_reference(shared, params, patient, states, periods, delta)
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(case=_table_case(), b=st.lists(st.floats(0.0, 10.0, **unit), min_size=8, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_starts_differing_only_in_b_share_every_node(case, b):
@@ -452,7 +440,6 @@ def test_starts_differing_only_in_b_share_every_node(case, b):
     assert _counts(got) == _counts(RuleTable(cohort).rollout(patient, moved, periods, DELTA))
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @given(case=_table_case(params_st.map(
     lambda prm: dataclasses.replace(prm, gamma=0.99, rho=0.99))))
 @settings(max_examples=100, deadline=None)

@@ -547,7 +547,6 @@ def _fit_or_none(h):
         return None
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @settings(max_examples=30, deadline=None)
 @given(records())
 def test_pruned_search_equals_full_search(h):
@@ -570,7 +569,6 @@ def _fields_but_work(sol):
     return repr(replace(sol, iterations=0, reused=False))
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 @settings(max_examples=30, deadline=None)
 @given(records())
 @example(DEGENERATE_RECORDS["never enrolled"])

@@ -140,7 +140,6 @@ FULL_GRID_WORK = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 def test_estimate_full_grid_with_reuse_matches_golden(tmp_path):
     rows = []
     for pid, (visited, readings) in FULL_GRID_RECORDS.items():

@@ -62,16 +62,16 @@ def test_params_reject_non_finite_fields(name, bad):
         make_params(**{name: bad})
 
 
-def test_params_warn_when_intervention_cannot_offset_progression():
-    with pytest.warns(UserWarning, match="cannot offset progression") as record:
-        make_params(p=7.5, mu=4.0, alpha=2.0)  # group-D-like regime
-    # the warning names the code that built the params, not dataclass internals
-    assert record[0].filename == __file__
-    # effective interventions construct silently
+def test_params_construct_silently_when_intervention_cannot_offset_progression():
+    # the regime is a scenario group's property, reported once where a
+    # cohort is sampled (test_scenarios), not once per patient: a fit or a
+    # draw in it, like an effective one, constructs without a warning
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        params = make_params(p=7.5, mu=4.0, alpha=2.0)  # group-D-like regime
         make_params(p=0.5, mu=1.0, alpha=1.0)
+    assert params.p >= params.mu + params.alpha
 
 
 def test_state_clamps_b_at_zero_but_rejects_negative_s_theta():
@@ -286,7 +286,6 @@ def test_perception_floor_activates_only_for_large_lam():
 # composition consistency
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 def test_step_patient_matches_manual_composition_on_random_inputs():
     rng = np.random.default_rng(20240817)
     for _ in range(1000):

@@ -197,7 +197,6 @@ def test_rollout_group_b_from_high_fbg_four_periods():
     assert rs == RolloutSummary(v_tilde=1, visits=4)
 
 
-@pytest.mark.filterwarnings("ignore:intervention cannot offset progression")
 def test_rollout_counts_bounded_by_window():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -179,11 +179,14 @@ def _mixed_batch():
     return P, q, problems
 
 
-def test_batch_matches_single_solves_in_input_order(monkeypatch):
-    # a 75-iteration budget leaves some equality problems unconverged
+@pytest.mark.parametrize("width", [1, 3, POOL_WIDTH])
+def test_batch_matches_single_solves_in_input_order(monkeypatch, width):
+    # a 75-iteration budget leaves some equality problems unconverged; each
+    # width loads, refills and retires slots at every position of its pool
     monkeypatch.setattr(qp, "MAX_ITERATIONS", 75)
+    monkeypatch.setattr(qp, "POOL_WIDTH", width)
     P, q, problems = _mixed_batch()
-    assert len(problems) > POOL_WIDTH
+    assert len(problems) > width
     results = list(solve_qps(P, q, iter(problems)))
     assert len(results) == len(problems)
     for (A, lo, hi), res in zip(problems, results):
