@@ -1,9 +1,10 @@
 """Command-line surface: simulate, estimate, cluster, scenario-gen, report.
 
 Thin orchestration over the library modules. All heavy lifting stays in
-those modules; this layer parses flags, resolves scenario names/files,
-writes tables + charts + a manifest per output directory, and maps
-failures to exit codes (0 success, 1 user error, 2 internal error).
+those modules; this layer parses flags and resolves scenario names/files.
+Each command writes its tables or charts and returns a _Run; main times
+it, writes the output directory's manifest, prints one summary line, and
+maps failures to exit codes (0 success, 1 user error, 2 internal error).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,18 @@ OUT_DIR_ENV = "CHWPLAN_OUT"
 DEFAULT_OUT_DIR = "chwplan-out"
 DEFAULT_DELTA_MGDL = 125.0
 _GRIDS = ("grid_s_base", "grid_beta", "grid_gamma", "grid_rho")
+
+
+class _Run(NamedTuple):
+    """What a command wrote: its manifest's fields and summary text."""
+
+    out_dir: str
+    config: dict
+    seed: int
+    inputs: List[str]
+    outputs: List[str]
+    summary: str
+    work: Optional[Dict[str, int]] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,12 +69,17 @@ def _parse_capacities(text: str) -> Tuple[float, ...]:
             lo, hi, step = (float(p) for p in parts)
         except ValueError:
             raise ValueError(f"bad capacity range {text!r}; expected numbers")
+        for name, value in (("lo", lo), ("hi", hi), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"bad capacity range {text!r}; {name} must be finite")
         if step <= 0 or lo > hi:
             raise ValueError(f"bad capacity range {text!r}; need lo <= hi, step > 0")
         pcts = []
         v = lo
         while v <= hi + 1e-9:
             pcts.append(round(v, 10))
+            if not 0.0 < pcts[-1] <= 100.0:
+                break  # rejected below, before the rest of the range is built
             v += step
     else:
         try:
@@ -99,8 +117,6 @@ def _parse_policies(text: str) -> List[str]:
             f"unknown policy {', '.join(map(repr, unknown))};"
             f" expected some of {', '.join(POLICY_KINDS)}"
         )
-    if len(set(kinds)) != len(kinds):
-        raise ValueError("duplicate policy names")
     return kinds
 
 
@@ -124,8 +140,7 @@ def _load_scenario(args) -> Tuple[ScenarioSpec, List[str]]:
     return spec, [spec_path] if spec_path else []
 
 
-def _cmd_simulate(args) -> int:
-    start = time.perf_counter()
+def _cmd_simulate(args) -> _Run:
     spec, inputs = _load_scenario(args)
     kinds = _parse_policies(args.policies)
     if not 1.0 < args.delta_mgdl < math.inf:
@@ -141,11 +156,7 @@ def _cmd_simulate(args) -> int:
         base_seed=args.seed,
         sigma_xi=args.sigma_xi,
     )
-
-    def generator(seed: int):
-        return sample_cohort(spec, seed).cohort
-
-    results = capacity_sweep(generator, policies, config)
+    results = capacity_sweep(lambda seed: sample_cohort(spec, seed).cohort, policies, config)
     out_dir = _out_dir(args.out)
     storage.write_results_csv(os.path.join(out_dir, "results.csv"), results)
     storage.write_summary_csv(os.path.join(out_dir, "summary.csv"),
@@ -163,19 +174,13 @@ def _cmd_simulate(args) -> int:
     work = {key: sum(getattr(r, key) for r in results) for key in WORK}
     work["row_periods"] = len(results) * config.horizon
     work["row_periods_stepped"] = work.pop("periods_stepped")
-    storage.write_manifest(
-        out_dir, "simulate", manifest_config, args.seed,
-        inputs, ["results.csv", "summary.csv"],
-        time.perf_counter() - start, work=work,
-    )
-    print(f"simulate: {len(results)} result cells"
-          f" ({len(kinds)} policies x {len(fractions)} capacities x"
-          f" {args.reps} replications) -> {out_dir}")
-    return 0
+    return _Run(out_dir, manifest_config, args.seed, inputs, ["results.csv", "summary.csv"],
+                f"{len(results)} result cells ({len(kinds)} policies x"
+                f" {len(fractions)} capacities x {args.reps} replications) -> {out_dir}",
+                work)
 
 
-def _cmd_estimate(args) -> int:
-    start = time.perf_counter()
+def _cmd_estimate(args) -> _Run:
     histories = storage.ingest_histories(args.histories)
     if not histories:
         raise ValueError(f"{args.histories}: no visit records")
@@ -203,16 +208,11 @@ def _cmd_estimate(args) -> int:
         "grid_cells_reused": sum(e.cells_reused for _, e in estimates),
         "qp_iterations": sum(e.qp_iterations for _, e in estimates),
     }
-    storage.write_manifest(
-        out_dir, "estimate", manifest_config, 0, [args.histories],
-        ["estimates.csv"], time.perf_counter() - start, work=work,
-    )
-    print(f"estimate: {len(estimates)} patients -> {out_dir}")
-    return 0
+    return _Run(out_dir, manifest_config, 0, [args.histories], ["estimates.csv"],
+                f"{len(estimates)} patients -> {out_dir}", work)
 
 
-def _cmd_cluster(args) -> int:
-    start = time.perf_counter()
+def _cmd_cluster(args) -> _Run:
     ids, rows = storage.read_feature_table(args.params)
     # every k is checked against the table before the first fit runs
     if not 1 <= args.k <= len(rows):
@@ -249,36 +249,28 @@ def _cmd_cluster(args) -> int:
         storage.write_table(os.path.join(out_dir, "elbow.csv"), ("k", "inertia"),
                             [(k, fits[k].inertia) for k in ks])
         outputs.append("elbow.csv")
-    storage.write_manifest(
-        out_dir, "cluster",
+    return _Run(
+        out_dir,
         {"params": args.params, "k": args.k,
          "elbow": [ks[0], ks[-1]] if ks else None,
          **_constants(clustering, "MAX_ITERATIONS", "TOLERANCE", "RESTARTS")},
-        args.seed, [args.params], outputs, time.perf_counter() - start,
-        work={"lloyd_iterations": sum(f.lloyd_iterations for f in fits.values()),
-              "restarts_run": clustering.RESTARTS * len(fits)},
+        args.seed, [args.params], outputs,
+        f"k={args.k} inertia={result.inertia!r} -> {out_dir}",
+        {"lloyd_iterations": sum(f.lloyd_iterations for f in fits.values()),
+         "restarts_run": clustering.RESTARTS * len(fits)},
     )
-    print(f"cluster: k={args.k} inertia={result.inertia!r} -> {out_dir}")
-    return 0
 
 
-def _cmd_scenario_gen(args) -> int:
-    start = time.perf_counter()
+def _cmd_scenario_gen(args) -> _Run:
     spec, inputs = _load_scenario(args)
     sampled = sample_cohort(spec, args.seed)
     out_file = args.out or os.path.join(_out_dir(None), "cohort.csv")
-    out_dir = os.path.dirname(out_file) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(os.path.dirname(out_file) or ".")
     storage.write_cohort_csv(out_file, sampled)
-    storage.write_manifest(
-        out_dir, "scenario-gen",
-        {"scenario": storage.scenario_to_dict(spec),
-         "population": spec.population},
-        args.seed, inputs,
-        [os.path.basename(out_file)], time.perf_counter() - start,
-    )
-    print(f"scenario-gen: {len(sampled)} patients -> {out_file}")
-    return 0
+    return _Run(out_dir, {"scenario": storage.scenario_to_dict(spec),
+                          "population": spec.population},
+                args.seed, inputs, [os.path.basename(out_file)],
+                f"{len(sampled)} patients -> {out_file}")
 
 
 def _representative_pct(pcts: Sequence[float], target: float = 20.0) -> float:
@@ -316,8 +308,7 @@ def _share_series(rows: Dict[str, np.ndarray], policy: str, pct: float, populati
             list(zip(periods, enrollment.mean(axis=0).tolist())))
 
 
-def _cmd_report(args) -> int:
-    start = time.perf_counter()
+def _cmd_report(args) -> _Run:
     res_dir = args.results
     manifest = storage.read_manifest(res_dir)
     results_path = os.path.join(res_dir, "results.csv")
@@ -384,13 +375,8 @@ def _cmd_report(args) -> int:
     )
     outputs = ["ppc_vs_capacity.svg", "screening_share.svg",
                "enrollment_share.svg", "final_fbg.svg"]
-    storage.write_manifest(
-        out_dir, "report",
-        {"results_dir": res_dir, "detail_capacity_pct": detail_pct},
-        0, [results_path, summary_path], outputs, time.perf_counter() - start,
-    )
-    print(f"report: {len(outputs)} charts -> {out_dir}")
-    return 0
+    return _Run(out_dir, {"results_dir": res_dir, "detail_capacity_pct": detail_pct},
+                0, [results_path, summary_path], outputs, f"{len(outputs)} charts -> {out_dir}")
 
 
 def _fmt_pct(v: float) -> str:
@@ -472,7 +458,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        start = time.perf_counter()
+        run = args.func(args)
+        storage.write_manifest(run.out_dir, args.command, run.config, run.seed, run.inputs,
+                               run.outputs, time.perf_counter() - start, work=run.work)
+        print(f"{args.command}: {run.summary}")
+        return 0
     except (ValueError, OSError, EstimationFailedError, SamplingError) as exc:
         print(f"chwplan {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -58,8 +58,8 @@ class SimulationConfig:
         for f in self.capacity_fractions:
             if not (0.0 < f <= 1.0):
                 raise ValueError(f"capacity fraction {f} outside (0, 1]")
-        if list(self.capacity_fractions) != sorted(self.capacity_fractions):
-            raise ValueError("capacity fractions must be sorted ascending")
+        if any(a >= b for a, b in zip(self.capacity_fractions, self.capacity_fractions[1:])):
+            raise ValueError("capacity fractions must be strictly ascending")
         _require_finite(self, ("sigma_xi",))
         if self.sigma_xi < 0:
             raise ValueError("noise standard deviation must be >= 0")
@@ -246,7 +246,12 @@ def capacity_sweep(
     (policy, capacity) rows of a replication run as one array simulation,
     which decides and steps each distinct row state once and rolls out
     each distinct start of the value-to-go rankings once per period.
+    Rows are labelled by policy kind, so each kind may appear once.
     """
+    kinds = [spec.kind for spec in specs]
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"policy kind {kind!r} given more than once")
     results: List[RunResult] = []
     for replication in range(config.replications):
         cohort = cohort_generator(cohort_stream_seed(config.base_seed, replication))

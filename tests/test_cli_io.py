@@ -388,12 +388,16 @@ class TestCapacityParsing:
         assert len(fractions) == 20
         assert fractions[0] == 0.05 and fractions[-1] == 1.0
         assert list(fractions) == sorted(fractions)
+        # a range may run past 100% as long as no value it holds does
+        assert _parse_capacities("5:102:5") == fractions
 
     def test_comma_list_sorted_ascending(self):
         assert _parse_capacities("20,5,10") == (0.05, 0.1, 0.2)
 
     @pytest.mark.parametrize("text", [
         "0,10", "110", "5:1:5", "5:100:0", "5:100", "a,b", "", "10,10", "a:b:c",
+        # non-finite bounds or steps, and a range far past 100%, fail at once
+        "5:1e7:5", "5:inf:5", "5:100:nan", "5:100:inf", "nan:100:5",
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ValueError):
@@ -682,6 +686,44 @@ class TestCliEstimate:
             prefix = module.__name__.rsplit(".", 1)[-1]
             for name in names:
                 assert config[f"{prefix}.{name}"] == getattr(module, name), name
+
+
+# each command's argv, given a directory of inputs (a simulate run, a
+# cohort table and visit histories) and the command's output directory
+COMMAND_ARGV = {
+    "scenario-gen": lambda inputs, out: ["scenario-gen", "--scenario", "scenario3",
+                                         "--population", "10", "--out", str(out / "cohort.csv")],
+    "simulate": lambda inputs, out: SIM_ARGS + ["--out", str(out)],
+    "report": lambda inputs, out: ["report", "--results", str(inputs / "sim"), "--out", str(out)],
+    "cluster": lambda inputs, out: ["cluster", "--params", str(inputs / "cohort.csv"),
+                                    "--k", "2", "--elbow", "1:3", "--out", str(out)],
+    "estimate": lambda inputs, out: ["estimate", "--histories", str(inputs / "hist.csv"),
+                                     "--out", str(out)],
+}
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("inputs")
+    assert main(SIM_ARGS + ["--out", str(inputs / "sim")]) == 0
+    assert main(COMMAND_ARGV["scenario-gen"](inputs, inputs)) == 0
+    write_history_csv(inputs / "hist.csv", ["a,0,1,1,180", "a,1,0,1,171", "a,3,1,1,150"])
+    return inputs
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGV))
+def test_manifest_records_what_each_command_wrote(command, command_inputs, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(COMMAND_ARGV[command](command_inputs, out)) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith(f"{command}: ") and stdout.count("\n") == 1
+    manifest = storage.read_manifest(str(out))
+    assert manifest["command"] == command
+    written = sorted(p.name for p in out.iterdir() if p.name != storage.MANIFEST_NAME)
+    assert sorted(manifest["outputs"]) == written
+    assert manifest["output_digests"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
 
 
 class TestCliErrors:

@@ -81,6 +81,8 @@ def test_config_validation():
         quiet_config(capacity_fractions=())
     with pytest.raises(ValueError):
         quiet_config(capacity_fractions=(0.5, 0.1))  # not ascending
+    with pytest.raises(ValueError, match="strictly ascending"):
+        quiet_config(capacity_fractions=(0.1, 0.1))  # two rows of one label
     with pytest.raises(ValueError):
         quiet_config(capacity_fractions=(0.0,))
     with pytest.raises(ValueError):
@@ -262,6 +264,13 @@ def test_sweep_shares_rollouts_across_policies_without_changing_rows():
     assert (sum(r.rollouts_run for r in both)
             < sum(r.rollouts_run for r in alone)
             <= sum(r.members_ranked_by_rollout for r in alone))
+
+
+def test_sweep_rejects_a_repeated_policy_kind():
+    # rows are labelled by kind: two thresholds of one kind would pool
+    specs = [PolicySpec("ea_desc_vtg", DELTA), PolicySpec("ea_desc_vtg", math.log(300.0))]
+    with pytest.raises(ValueError, match="'ea_desc_vtg'"):
+        capacity_sweep(lambda seed: fresh_cohort([5.0], GROUP_A), specs, quiet_config())
 
 
 def test_sweep_generator_receives_replication_keyed_seed():

@@ -328,7 +328,9 @@ def test_rollout_starts_keep_signed_zeros_apart():
 
 
 # a sweep over every kind at once, each with its own threshold; fractions
-# that round to C = 0 or C = n on these small cohorts, some repeated
+# that round to C = 0 or C = n on these small cohorts, deduplicated in the
+# test (a config takes each fraction once), while distinct fractions may
+# still round to one C
 sweep_st = st.tuples(
     st.lists(st.tuples(params_st, state_st), min_size=1, max_size=6),
     st.permutations(POLICY_KINDS),
@@ -346,7 +348,7 @@ def test_sweep_rows_equal_one_spec_simulations(case):
     patients, kinds, deltas, fractions, horizon, reps, sigma_xi = case
     cohort = Cohort(params=tuple(p for p, _ in patients),
                     initial_states=tuple(s for _, s in patients))
-    config = SimulationConfig(horizon=horizon, capacity_fractions=tuple(sorted(fractions)),
+    config = SimulationConfig(horizon=horizon, capacity_fractions=tuple(sorted(set(fractions))),
                               replications=reps, base_seed=3, sigma_xi=sigma_xi)
     specs = [PolicySpec(kind, delta) for kind, delta in zip(kinds, deltas)]
     swept = capacity_sweep(lambda seed: cohort, specs, config)
