@@ -76,9 +76,15 @@ def _parse_capacities(text: str) -> Tuple[float, ...]:
             raise ValueError(f"bad capacity range {text!r}; need lo <= hi, step > 0")
         pcts = []
         v = lo
-        while v <= hi + 1e-9:
-            pcts.append(round(v, 10))
-            if not 0.0 < pcts[-1] <= 100.0:
+        # the slack absorbs the running sum's rounding and stays under half a step
+        while v <= hi + min(1e-9, step / 2):
+            pct = round(v, 10)
+            if pcts and pct == pcts[-1]:
+                # a step that cannot advance v, or that rounds away: the range never ends
+                raise ValueError(f"bad capacity range {text!r}; step too fine to give"
+                                 f" distinct percents after {pct}")
+            pcts.append(pct)
+            if not 0.0 < pct <= 100.0:
                 break  # rejected below, before the rest of the range is built
             v += step
     else:
@@ -230,8 +236,10 @@ def _cmd_cluster(args) -> _Run:
             raise ValueError(f"bad --elbow {args.elbow!r}; need 1 <= kmin <= kmax"
                              f" <= the number of rows ({len(rows)})")
         ks = list(range(k_min, k_max + 1))
-    # one fit per k: --k's is the elbow's when the sweep covers it
-    fits = {k: cluster_params(rows, k, seed=args.seed) for k in sorted({args.k, *ks})}
+    # one fit per k (--k's is the elbow's when the sweep covers it), all
+    # from one converted table
+    table = clustering.feature_table(rows)
+    fits = {k: cluster_params(table, k, seed=args.seed) for k in sorted({args.k, *ks})}
     result = fits[args.k]
     out_dir = _out_dir(args.out)
     outputs = ["centroids.csv", "assignments.csv"]
@@ -257,7 +265,8 @@ def _cmd_cluster(args) -> _Run:
         args.seed, [args.params], outputs,
         f"k={args.k} inertia={result.inertia!r} -> {out_dir}",
         {"lloyd_iterations": sum(f.lloyd_iterations for f in fits.values()),
-         "restarts_run": clustering.RESTARTS * len(fits)},
+         "restarts_run": clustering.RESTARTS * len(fits),
+         "distance_rows": sum(f.distance_rows for f in fits.values())},
     )
 
 

@@ -403,6 +403,15 @@ class TestCapacityParsing:
         with pytest.raises(ValueError):
             _parse_capacities(text)
 
+    @pytest.mark.parametrize("text", ["5:100:1e-300", "5:100:1e-12", "5:100:1e-15"])
+    def test_step_too_fine_rejected_before_the_range_is_built(self, text):
+        # 5 + 1e-300 == 5, and 1e-12 or 1e-15 rounds away at ten decimals:
+        # each range would repeat 5% without end
+        with pytest.raises(ValueError, match=f"bad capacity range '{text}'; step too fine"):
+            _parse_capacities(text)
+        # a one-value range needs no step at all
+        assert _parse_capacities("5:5:1e-12") == (0.05,)
+
     def test_detail_capacity_closest_to_twenty_pct(self):
         assert _representative_pct([10.0, 20.0, 30.0]) == 20.0
         assert _representative_pct([5.0, 50.0]) == 5.0
@@ -555,6 +564,7 @@ class TestCliPipelines:
         assert work == {
             "lloyd_iterations": sum(f.lloyd_iterations for f in fits),
             "restarts_run": 4 * clustering.RESTARTS,
+            "distance_rows": sum(f.distance_rows for f in fits),
         }
         assert work["lloyd_iterations"] >= work["restarts_run"]
         for table in ("centroids.csv", "assignments.csv", "elbow.csv"):

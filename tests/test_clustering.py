@@ -1,6 +1,7 @@
 """Clustering tests: feature extraction, k-means recovery on separated
 blobs, elbow behavior, degenerate k choices, the within-run inertia
-monotonicity guarantee, the empty-cluster repair, and the batched Lloyd
+monotonicity guarantee, the empty-cluster repair, distance-row reuse, the
+feature-major seeding against the row-major form, and the batched Lloyd
 loop against a one-restart reference."""
 
 import warnings
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chwplan import clustering
@@ -238,6 +239,31 @@ def test_fewer_distinct_rows_than_k_converges_without_warnings():
 
 
 # ---------------------------------------------------------------------------
+# distance rows computed once per centroid value
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_unchanged_centroids_reuse_their_distance_rows(k):
+    # once a cluster's members settle its mean repeats bit for bit, so the
+    # fit computes fewer rows than one per centroid per pass
+    result = cluster_params(blob_table(), k=k, seed=7)
+    full = (result.lloyd_iterations + clustering.RESTARTS) * k
+    assert clustering.RESTARTS * k <= result.distance_rows < full
+
+
+def test_feature_table_is_converted_once_and_fits_alike():
+    table = blob_table(per_blob=4)
+    features = clustering.feature_table(table)
+    assert clustering.feature_table(features) is features
+    assert features.columns.shape == (7, 16)
+    assert np.array_equal(features.columns.T, np.asarray(table))
+    assert not features.columns.flags.writeable
+    for k in (1, 3):
+        assert cluster_params(features, k, seed=2) == cluster_params(table, k, seed=2)
+    assert elbow_curve(features, [1, 3], seed=2) == elbow_curve(table, [1, 3], seed=2)
+
+
+# ---------------------------------------------------------------------------
 # the batched Lloyd loop against one restart at a time
 # ---------------------------------------------------------------------------
 
@@ -286,7 +312,7 @@ def bits(values):
 
 
 def assert_matches_one_restart_each(points, starts):
-    centroids, assign, inertia, iterations = clustering._lloyd(points, starts)
+    centroids, assign, inertia, iterations, _ = clustering._lloyd(points, starts)
     for r, start in enumerate(starts):
         ref_c, ref_a, ref_i, ref_iterations = lloyd_one_restart(points, start)
         assert bits(centroids[r]) == bits(ref_c)  # signed zeros too
@@ -328,7 +354,8 @@ def test_batched_lloyd_matches_one_restart_at_a_time(case, max_iterations):
 def test_batched_restarts_stop_at_different_iterations():
     points = np.asarray(blob_table(per_blob=8, jitter=1.0, seed=12))
     rng = np.random.default_rng(0)
-    starts = np.stack([clustering._kmeanspp_init(points, 4, rng) for _ in range(10)])
+    features = np.ascontiguousarray(points.T)
+    starts = np.stack([clustering._kmeanspp_init(features, 4, rng) for _ in range(10)])
     iterations = assert_matches_one_restart_each(points, starts)
     assert len(set(iterations.tolist())) > 1
 
@@ -341,6 +368,70 @@ def test_k_equals_rows_with_duplicates_matches_one_restart_at_a_time():
     points = np.array([[0.0], [1.0], [1.0]])
     starts = points[np.array([[0, 1, 2], [0, 1, 1], [1, 2, 0]])]
     assert_matches_one_restart_each(points, starts)
-    centroids, _, inertia, iterations = clustering._lloyd(points, starts)
+    centroids, _, inertia, iterations, _ = clustering._lloyd(points, starts)
     assert np.isfinite(centroids).all()
     assert (inertia == 0.0).all() and (iterations <= 2).all()
+
+
+# ---------------------------------------------------------------------------
+# k-means++ seeding on the feature-major table against the row-major form
+# ---------------------------------------------------------------------------
+
+def kmeanspp_rows(points, k, rng):
+    """k-means++ on an (n, d) row-major table, distances summed along each
+    row: the form the feature-major seeding must match bit for bit."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+@st.composite
+def seeding_case(draw):
+    d = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.lists(feature_st, min_size=d, max_size=d),
+                         min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    points = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    return points, draw(st.integers(1, n))
+
+
+class RecordingRng:
+    """A Generator that records the probabilities of each choice it makes,
+    which are the seeding distances over their total."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.probabilities = []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.probabilities.append(bits(p))
+        return self.rng.choice(n, p=p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=seeding_case(), seed=st.integers(0, 2**32 - 1))
+# every row equal: each start after the first takes the total <= 0 branch
+@example(case=(np.array([[0.0, -0.0, 2.5]] * 4), 3), seed=0)
+def test_feature_major_seeding_matches_row_major(case, seed):
+    points, k = case
+    rng_rows, rng_features = RecordingRng(seed), RecordingRng(seed)
+    expected = kmeanspp_rows(points, k, rng_rows)
+    starts = clustering._kmeanspp_init(np.ascontiguousarray(points.T), k, rng_features)
+    assert bits(starts) == bits(expected)  # signed zeros too
+    # the same distances, bit for bit, and the same draws, so the next
+    # restart's starts match as well
+    assert rng_features.probabilities == rng_rows.probabilities
+    assert rng_features.rng.bit_generator.state == rng_rows.rng.bit_generator.state
