@@ -20,7 +20,8 @@ import numpy as np
 
 from . import charts, clustering, estimation, qp, storage
 from .clustering import cluster_params
-from .engine import WORK, SimulationConfig, capacity_sweep, period_shares, summarize
+from .engine import (WORK, SimulationConfig, capacity_pct, capacity_sweep, period_shares,
+                     summarize)
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
 from .policy import POLICY_KINDS, PolicySpec
 from .scenarios import SamplingError, ScenarioSpec, sample_cohort
@@ -28,6 +29,7 @@ from .scenarios import SamplingError, ScenarioSpec, sample_cohort
 OUT_DIR_ENV = "CHWPLAN_OUT"
 DEFAULT_OUT_DIR = "chwplan-out"
 DEFAULT_DELTA_MGDL = 125.0
+MAX_CAPACITY_RANGE = 10_000  # values a --capacities lo:hi:step may expand to
 _GRIDS = ("grid_s_base", "grid_beta", "grid_gamma", "grid_rho")
 
 
@@ -74,6 +76,12 @@ def _parse_capacities(text: str) -> Tuple[float, ...]:
                 raise ValueError(f"bad capacity range {text!r}; {name} must be finite")
         if step <= 0 or lo > hi:
             raise ValueError(f"bad capacity range {text!r}; need lo <= hi, step > 0")
+        # count the values, floor((min(hi, 100) - lo) / step) + 1, before
+        # building any: the expansion stops at its first value outside
+        # (0, 100], so a range starting outside builds only that one
+        if lo > 0.0 and (min(hi, 100.0) - lo) / step >= MAX_CAPACITY_RANGE:
+            raise ValueError(f"bad capacity range {text!r}; step too fine: more than"
+                             f" {MAX_CAPACITY_RANGE:,} values")
         pcts = []
         v = lo
         # the slack absorbs the running sum's rounding and stays under half a step
@@ -170,7 +178,7 @@ def _cmd_simulate(args) -> _Run:
     manifest_config = {
         "scenario": storage.scenario_to_dict(spec),
         "policies": kinds,
-        "capacity_pct": [storage.capacity_pct(f) for f in fractions],
+        "capacity_pct": [capacity_pct(f) for f in fractions],
         "replications": args.reps,
         "horizon": args.horizon,
         "sigma_xi": args.sigma_xi,
@@ -407,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="builtin scenario name or JSON file")
     sim.add_argument("--policies", required=True,
                      help=f"comma list from: {', '.join(POLICY_KINDS)}")
-    pcts = (_fmt_pct(storage.capacity_pct(f)) for f in SimulationConfig.capacity_fractions)
+    pcts = (_fmt_pct(capacity_pct(f)) for f in SimulationConfig.capacity_fractions)
     sim.add_argument("--capacities", help="percent range lo:hi:step or comma list"
                                           f" (default {','.join(pcts)})")
     sim.add_argument("--reps", type=int, default=SimulationConfig.replications)

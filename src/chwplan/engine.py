@@ -36,11 +36,17 @@ class Cohort:
         return len(self.params)
 
 
+def capacity_pct(fraction: float) -> float:
+    """A capacity fraction as the percent the CSVs and manifests record."""
+    return round(fraction * 100.0, 10)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """The sweep's shape and its noise; the in-control threshold is each
     PolicySpec's delta. sigma_xi is the sd of the Gaussian process noise
-    on log-FBG."""
+    on log-FBG. Each capacity fraction records its own capacity_pct, so
+    each (policy, percent, replication) labels one cell."""
 
     horizon: int = 60
     capacity_fractions: Tuple[float, ...] = DEFAULT_CAPACITY_FRACTIONS
@@ -58,8 +64,12 @@ class SimulationConfig:
         for f in self.capacity_fractions:
             if not (0.0 < f <= 1.0):
                 raise ValueError(f"capacity fraction {f} outside (0, 1]")
-        if any(a >= b for a, b in zip(self.capacity_fractions, self.capacity_fractions[1:])):
-            raise ValueError("capacity fractions must be strictly ascending")
+        for a, b in zip(self.capacity_fractions, self.capacity_fractions[1:]):
+            if a >= b:
+                raise ValueError("capacity fractions must be strictly ascending")
+            if capacity_pct(a) == capacity_pct(b):
+                raise ValueError(f"capacity fractions {a!r} and {b!r} both record"
+                                 f" {capacity_pct(a)!r}%")
         _require_finite(self, ("sigma_xi",))
         if self.sigma_xi < 0:
             raise ValueError("noise standard deviation must be >= 0")

@@ -156,7 +156,15 @@ def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num,
     may be any real — clamping to >= 0 happens in the period step. yz is
     y*z when the caller has it: coef*y*z equals coef*yz bit for bit.
     """
-    return state.b + params.p - params.mu * z - params.alpha * (y * z if yz is None else yz) + xi
+    return fbg_update(state.b, params.p, params.mu * z,
+                      params.alpha * (y * z if yz is None else yz), xi)
+
+
+def fbg_update(b: Num, p: Num, mu_z: Num, alpha_yz: Num, xi: Num) -> Num:
+    """step_fbg from its two products, mu_z = mu*z and alpha_yz = alpha*y*z:
+    b + p - mu_z - alpha_yz + xi, evaluated left to right. A caller that
+    holds the products for many periods forms them once."""
+    return b + p - mu_z - alpha_yz + xi
 
 
 def carried_adverse(s: Num, gamma: Num, s_base: Num) -> Num:

@@ -13,7 +13,6 @@ decides every (policy, capacity) row of one cohort at once.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -27,9 +26,9 @@ from .model import (
     StateArrays,
     _require_finite,
     benefits,
+    fbg_update,
     floor_fbg,
     step_cohort,
-    step_fbg,
 )
 
 EA_KINDS = ("ea_asc_fbg", "ea_desc_fbg", "ea_desc_vtg", "ea_desc_vtg_per_visit")
@@ -149,30 +148,30 @@ class RuleTable:
         period's included, and delta is the in-control threshold on log-FBG
         (one, or one per start). Returns a RolloutSummary of int arrays: each
         start's post-transition in-control periods and visits over the
-        window, zeros when periods_remaining = 0. All starts step at once,
-        each step gathering the nodes' y, z and y & z and advancing b alone.
+        window, zeros when periods_remaining = 0. All starts walk at once:
+        first the node path, one successor gather per step, then y, z and
+        y & z gathered for the whole path, and last b, advanced alone.
         A start's result depends only on its own (patient, state, delta) and
         periods_remaining, which is what lets visit_mask run each distinct
         start once.
         """
         if periods_remaining < 0:
             raise ValueError("periods_remaining must be >= 0")
-        params = self.params.take(patient)
         node = self._find(patient, states.s, states.theta, states.z_prev)
-        fbg = SimpleNamespace(b=states.b)  # all step_fbg reads of a state
-        visits, b = [], []  # per step
-        for _ in range(periods_remaining):
-            rule = self.rule.take(node, 0)
-            if np.minimum.reduce(rule, None, initial=0) < 0:  # an unexpanded row is all -1
-                self._expand(np.unique(node[rule[:, 3] < 0]))
-                rule = self.rule.take(node, 0)
-            y, z, yz, node = rule.T
-            fbg.b = floor_fbg(step_fbg(fbg, params, y, z, 0.0, yz))
-            visits.append(y)
-            b.append(fbg.b)
-        shape = (periods_remaining, len(patient))
-        return RolloutSummary(v_tilde=np.count_nonzero(np.reshape(b, shape) <= delta, axis=0),
-                              visits=np.reshape(visits, shape).sum(axis=0))
+        path = np.empty((periods_remaining, len(patient)), dtype=np.intp)  # each step's nodes
+        for h in range(periods_remaining):
+            path[h] = node
+            node = self.rule[:, 3].take(node)
+            if np.minimum.reduce(node, None, initial=0) < 0:  # an unexpanded row is all -1
+                self._expand(np.unique(path[h][node < 0]))
+                node = self.rule[:, 3].take(path[h])
+        y, z, yz, _ = np.moveaxis(self.rule.take(path, 0), 2, 0)
+        p, mu, alpha = (a.take(patient) for a in (self.params.p, self.params.mu, self.params.alpha))
+        mu_z, alpha_yz = mu * z, alpha * yz
+        b = np.empty(path.shape)  # each step's post-transition log-FBG
+        for h in range(periods_remaining):
+            b[h] = floor_fbg(fbg_update(b[h - 1] if h else states.b, p, mu_z[h], alpha_yz[h], 0.0))
+        return RolloutSummary(v_tilde=np.count_nonzero(b <= delta, axis=0), visits=y.sum(axis=0))
 
 
 def rollout_single(state: PatientState, params: PatientParams, periods_remaining: int,

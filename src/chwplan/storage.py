@@ -19,8 +19,9 @@ import numpy as np
 
 from . import __version__
 from .clustering import FEATURE_NAMES, first_unusable_row
-from .engine import RunResult, SummaryRow
+from .engine import RunResult, SummaryRow, capacity_pct
 from .estimation import EstimationResult, VisitHistory
+from .policy import POLICY_KINDS
 from .scenarios import (
     GroupSpec,
     SampledCohort,
@@ -43,39 +44,46 @@ ESTIMATE_COLUMNS = ("patient_id", "nll", "p", "mu", "alpha", "theta_base",
 MANIFEST_NAME = "manifest.json"
 
 
-def write_table(path: str, header: Sequence[str], rows) -> None:
+def write_table(path: str, header: Sequence[str], rows, lines: Sequence[str] = ()) -> None:
     """Write a CSV table losslessly: the csv module writes floats (numpy
-    floats too) with repr and every other value with str."""
+    floats too) with repr and every other value with str. lines, text
+    already in that form and "\n"-terminated, follow the rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(lines)
 
 
-def _rows(path: str) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
-    """A CSV file's stripped header and its nonblank rows, each with its
-    1-based row number in the file."""
+def _rows(path: str) -> Tuple[List[str], List[List[str]]]:
+    """A CSV file's stripped header and every row under it, a blank one as
+    [], so that rows[i] is row i + 2 of the file (see _numbered)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file (missing header row)")
-        return header, [(rownum, row) for rownum, row in enumerate(reader, 2) if row]
+        return header, list(reader)
 
 
-def _read_csv(path: str, expected_header: Sequence[str]) -> List[Tuple[int, List[str]]]:
-    """The numbered rows under the expected header; a row with another
-    number of fields is named."""
-    header, numbered = _rows(path)
+def _numbered(rows: List[List[str]]) -> List[Tuple[int, List[str]]]:
+    """_rows' nonblank rows, each with its 1-based row number in the file."""
+    return [(rownum, row) for rownum, row in enumerate(rows, 2) if row]
+
+
+def _read_csv(path: str, expected_header: Sequence[str]) -> List[List[str]]:
+    """_rows under the expected header; a row with another number of fields
+    is named."""
+    header, rows = _rows(path)
     if header != list(expected_header):
         raise ValueError(f"{path}: expected header {','.join(expected_header)},"
                          f" got {','.join(header)}")
-    for rownum, row in numbered:
-        if len(row) != len(expected_header):
+    for rownum, row in enumerate(rows, 2):
+        if row and len(row) != len(header):
             raise ValueError(f"{path} row {rownum}: expected"
-                             f" {len(expected_header)} fields, got {len(row)}")
-    return numbered
+                             f" {len(header)} fields, got {len(row)}")
+    return rows
 
 
 def _read_json(path: str):
@@ -110,7 +118,7 @@ def ingest_histories(path: str) -> List[VisitHistory]:
     log-FBG) although the model floors the latent log-FBG at 0.
     """
     per_patient: Dict[str, Dict[int, Tuple[int, int, Optional[float]]]] = {}
-    for rownum, row in _read_csv(path, HISTORY_COLUMNS):
+    for rownum, row in _numbered(_read_csv(path, HISTORY_COLUMNS)):
         pid, period_s, visited_s, enrolled_s, fbg_s = (f.strip() for f in row)
         if not pid:
             raise ValueError(f"{path} row {rownum}: empty patient_id")
@@ -183,7 +191,8 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
     present (row numbers otherwise). A row that clustering.first_unusable_row
     rejects is named here, with the file.
     """
-    header, numbered = _rows(path)
+    header, rows = _rows(path)
+    numbered = _numbered(rows)
     missing = [c for c in FEATURE_NAMES if c not in header]
     if missing:
         raise ValueError(f"{path}: missing columns {', '.join(missing)}")
@@ -209,33 +218,38 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
 # results and summary tables
 # ---------------------------------------------------------------------------
 
-def capacity_pct(fraction: float) -> float:
-    """A capacity fraction as the percent the CSVs and manifests record."""
-    return round(fraction * 100.0, 10)
-
-
 def write_results_csv(path: str, results: Sequence[RunResult]) -> None:
-    """One row per (policy, capacity, replication, period), sorted."""
-    rows = []
-    for r in results:
-        pct = capacity_pct(r.capacity_fraction)
-        for t in range(len(r.in_control)):
-            rows.append((r.policy_kind, pct, r.replication, t + 1,
-                         r.in_control[t], r.enrolled[t], r.visits_total[t],
-                         r.screening_visits[t]))
-    rows.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
-    write_table(path, RESULTS_COLUMNS, rows)
+    """One row per (policy, capacity, replication, period), sorted: each
+    cell's periods in order, as one block of lines formatted as write_table
+    formats them. A label no policy has, which might need quoting, and a
+    cell given twice, whose rows would interleave, are refused."""
+    cells = sorted((((r.policy_kind, capacity_pct(r.capacity_fraction), r.replication), r)
+                    for r in results), key=lambda cell: cell[0])
+    blocks = []
+    for i, ((kind, pct, replication), r) in enumerate(cells):
+        if kind not in POLICY_KINDS:
+            raise ValueError(f"unknown policy kind {kind!r}")
+        if i and cells[i - 1][0] == cells[i][0]:
+            raise ValueError(f"results hold policy {kind} at {pct!r}% capacity,"
+                             f" replication {replication} more than once")
+        prefix = f"{kind},{float(pct)!r},{replication},"  # a numpy float's repr names its type
+        blocks.append("".join(
+            f"{prefix}{t},{a},{b},{c},{d}\n" for t, a, b, c, d in
+            zip(range(1, len(r.in_control) + 1), r.in_control, r.enrolled, r.visits_total,
+                r.screening_visits)))
+    write_table(path, RESULTS_COLUMNS, (), blocks)
 
 
 def _read_columns(path: str, columns: Sequence[str], types) -> Dict[str, np.ndarray]:
     """A table as one array per column, each field parsed by the matching
-    entry of types; the first row with an unparsable field is named."""
-    numbered = _read_csv(path, columns)
-    fields = list(zip(*(row for _, row in numbered))) or [()] * len(columns)
+    entry of types (numpy calls it on each field); the first row with an
+    unparsable field is named."""
+    rows = _read_csv(path, columns)
+    fields = list(zip(*filter(None, rows))) or [()] * len(columns)
     try:
-        return {c: np.array(list(map(t, f)), dtype=t) for c, t, f in zip(columns, types, fields)}
+        return {c: np.array(f, dtype=t) for c, t, f in zip(columns, types, fields)}
     except ValueError:
-        for rownum, row in numbered:
+        for rownum, row in _numbered(rows):
             try:
                 [t(v) for t, v in zip(types, row)]
             except ValueError as exc:

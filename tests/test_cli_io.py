@@ -6,20 +6,27 @@ the subcommands end to end on tiny problems and check the exit-code
 contract (0 ok, 1 user error, 2 bug).
 """
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chwplan import charts, clustering, estimation, qp, storage
-from chwplan.cli import _parse_capacities, _representative_pct, _share_series, main
+from chwplan.cli import (MAX_CAPACITY_RANGE, _parse_capacities, _representative_pct,
+                         _share_series, main)
 from chwplan.clustering import FEATURE_NAMES, cluster_params
 from chwplan.engine import RunResult
 from chwplan.model import PatientParams
+from chwplan.policy import POLICY_KINDS
 from chwplan.scenarios import builtin_scenarios, default_sds
 
 from _synthetic import generate_history
@@ -146,6 +153,99 @@ class TestTables:
         assert keys == sorted(keys)
         assert keys[0] == ("asc_fbg", 10.0, 0, 1)
         assert len(keys) == 6  # three runs x two periods
+
+    @given(cells=st.lists(
+        st.tuples(st.sampled_from(POLICY_KINDS),
+                  st.sampled_from((0.05, 0.1, 0.123456789012, 0.3 + 1e-12, 1 / 3, 1.0)),
+                  st.integers(0, 3),
+                  st.lists(st.tuples(*[st.integers(0, 10**6)] * 4), min_size=1, max_size=4)),
+        max_size=12, unique_by=lambda cell: cell[:3]))
+    @settings(max_examples=60, deadline=None)
+    def test_results_bytes_equal_a_csv_writer_row_sort(self, cells):
+        results = [RunResult(policy_kind=kind, capacity_fraction=fraction, replication=rep,
+                             in_control=a, enrolled=b, visits_total=c, screening_visits=d,
+                             final_log_fbg=(4.0,), ppc_fraction=0.5)
+                   for kind, fraction, rep, periods in cells
+                   for a, b, c, d in [tuple(zip(*periods))]]
+        # the reference: every row as a tuple, key-sorted, through csv.writer
+        rows = sorted(((r.policy_kind, round(r.capacity_fraction * 100.0, 10), r.replication,
+                        t + 1, r.in_control[t], r.enrolled[t], r.visits_total[t],
+                        r.screening_visits[t])
+                       for r in results for t in range(len(r.in_control))),
+                      key=lambda row: row[:4])
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(storage.RESULTS_COLUMNS)
+        writer.writerows(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "results.csv")
+            storage.write_results_csv(path, results)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.getvalue().encode("utf-8")
+
+    def test_results_writer_refuses_unknown_labels_and_repeated_cells(self, tmp_path):
+        path = str(tmp_path / "results.csv")
+        with pytest.raises(ValueError, match="unknown policy kind 'a,b'"):
+            storage.write_results_csv(path, [_run_result("a,b", 0.1, 0)])
+        with pytest.raises(ValueError, match="policy asc_fbg at 10.0% capacity,"
+                                             " replication 0 more than once"):
+            storage.write_results_csv(path, [_run_result("asc_fbg", 0.1, 0),
+                                             _run_result("desc_fbg", 0.1, 0),
+                                             _run_result("asc_fbg", 0.1, 0, (3, 4))])
+
+    def _results_file(self, tmp_path, lines):
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(storage.RESULTS_COLUMNS) + "\n"
+                        + "".join(line + "\n" for line in lines), encoding="utf-8")
+        return str(path)
+
+    def test_results_reader_counts_blank_lines_in_row_numbers(self, tmp_path):
+        path = self._results_file(tmp_path, ["asc_fbg,10.0,0,1,1,0,2,1", "", "",
+                                             "asc_fbg,10.0,0,2,x,0,2,1"])
+        with pytest.raises(ValueError, match="results.csv row 5: invalid literal"):
+            storage.read_results_csv(path)
+        path = self._results_file(tmp_path, ["", "asc_fbg,10.0,0,1,1,0,2"])
+        with pytest.raises(ValueError, match="results.csv row 3: expected 8 fields, got 7"):
+            storage.read_results_csv(path)
+
+    def test_results_reader_parses_quoted_fields_as_the_csv_module(self, tmp_path):
+        lines = ['"asc_fbg",10.0,0,1,"1",0,2,1', '"a,""b""",1e1,0,2,1,0,2," 1 "']
+        columns = storage.read_results_csv(self._results_file(tmp_path, lines))
+        parsed = list(csv.reader(lines))
+        assert columns["policy"].tolist() == [row[0] for row in parsed] == ["asc_fbg", 'a,"b"']
+        assert columns["capacity_pct"].tolist() == [10.0, 10.0]
+        assert columns["screening_visits"].tolist() == [1, 1]
+
+    def test_results_reader_parses_numerals_as_int_and_float_do(self, tmp_path):
+        numerals = [" 7 ", "+1_000", "\u0661", "-0"]
+        lines = [f"asc_fbg,{v},0,1,{v},0,2,1" for v in numerals]
+        columns = storage.read_results_csv(self._results_file(tmp_path, lines))
+        assert columns["in_control"].tolist() == [int(v) for v in numerals] == [7, 1000, 1, 0]
+        assert columns["capacity_pct"].tolist() == [float(v) for v in numerals]
+        for bad in ("1.0", ""):
+            path = self._results_file(tmp_path, ["asc_fbg,10.0,0,1,1,0,2,1",
+                                                 f"asc_fbg,10.0,0,2,{bad},0,2,1"])
+            with pytest.raises(ValueError) as raised:
+                storage.read_results_csv(path)
+            with pytest.raises(ValueError) as expected:
+                int(bad)
+            assert str(raised.value) == f"{path} row 3: {expected.value}"
+
+    def test_results_reader_names_a_late_bad_row(self, tmp_path):
+        lines = [f"asc_fbg,10.0,0,{t},1,0,2,1" for t in range(1, 601)]
+        lines[-1] = "asc_fbg,10.0,0,600,1,0,2,one"
+        with pytest.raises(ValueError, match="row 601: invalid literal for int"):
+            storage.read_results_csv(self._results_file(tmp_path, lines))
+
+    def test_empty_tables_keep_their_column_types(self, tmp_path):
+        columns = storage.read_results_csv(self._results_file(tmp_path, []))
+        assert {c: a.dtype.str[1:] for c, a in columns.items()} == {
+            "policy": "U1", "capacity_pct": "f8", **{c: "i8" for c in storage.RESULTS_COLUMNS[2:]}}
+        assert all(a.shape == (0,) for a in columns.values())
+        path = tmp_path / "summary.csv"
+        path.write_text(",".join(storage.SUMMARY_COLUMNS) + "\n")
+        summary = storage.read_summary_csv(str(path))
+        assert [a.dtype.str[1:] for a in summary.values()] == ["U1"] + ["f8"] * 7
 
     def test_results_periods_are_one_based(self, tmp_path):
         path = tmp_path / "results.csv"
@@ -411,6 +511,18 @@ class TestCapacityParsing:
             _parse_capacities(text)
         # a one-value range needs no step at all
         assert _parse_capacities("5:5:1e-12") == (0.05,)
+
+    def test_range_of_distinct_values_counted_before_it_is_built(self):
+        # 9.5e10 distinct percents: refused by their count, not expanded
+        with pytest.raises(ValueError, match=f"'5:100:1e-9'; step too fine: more than"
+                                             f" {MAX_CAPACITY_RANGE:,} values"):
+            _parse_capacities("5:100:1e-9")
+        # the count runs to 100 at most, where the expansion stops anyway
+        assert len(_parse_capacities("0.01:100:0.01")) == MAX_CAPACITY_RANGE
+        with pytest.raises(ValueError, match="outside"):
+            _parse_capacities("0.01:1e9:0.01")
+        with pytest.raises(ValueError, match="step too fine: more than"):
+            _parse_capacities("0.01:100:0.0099")
 
     def test_detail_capacity_closest_to_twenty_pct(self):
         assert _representative_pct([10.0, 20.0, 30.0]) == 20.0

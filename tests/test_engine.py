@@ -83,6 +83,10 @@ def test_config_validation():
         quiet_config(capacity_fractions=(0.5, 0.1))  # not ascending
     with pytest.raises(ValueError, match="strictly ascending"):
         quiet_config(capacity_fractions=(0.1, 0.1))  # two rows of one label
+    # distinct fractions that record one percent would label two cells alike
+    with pytest.raises(ValueError, match=r"both record 10\.0%"):
+        quiet_config(capacity_fractions=(0.05, 0.1, 0.1 + 1e-13))
+    assert quiet_config(capacity_fractions=(0.1, 0.1 + 1e-11)).capacity_fractions[1] > 0.1
     with pytest.raises(ValueError):
         quiet_config(capacity_fractions=(0.0,))
     with pytest.raises(ValueError):
