@@ -76,24 +76,16 @@ def _parse_capacities(text: str) -> Tuple[float, ...]:
                 raise ValueError(f"bad capacity range {text!r}; {name} must be finite")
         if step <= 0 or lo > hi:
             raise ValueError(f"bad capacity range {text!r}; need lo <= hi, step > 0")
-        # count the values, floor((min(hi, 100) - lo) / step) + 1, before
-        # building any: the expansion stops at its first value outside
-        # (0, 100], so a range starting outside builds only that one
-        if lo > 0.0 and (min(hi, 100.0) - lo) / step >= MAX_CAPACITY_RANGE:
-            raise ValueError(f"bad capacity range {text!r}; step too fine: more than"
-                             f" {MAX_CAPACITY_RANGE:,} values")
         pcts = []
         v = lo
         # the slack absorbs the running sum's rounding and stays under half a step
         while v <= hi + min(1e-9, step / 2):
-            pct = round(v, 10)
-            if pcts and pct == pcts[-1]:
-                # a step that cannot advance v, or that rounds away: the range never ends
-                raise ValueError(f"bad capacity range {text!r}; step too fine to give"
-                                 f" distinct percents after {pct}")
-            pcts.append(pct)
-            if not 0.0 < pct <= 100.0:
+            pcts.append(round(v, 10))
+            if not 0.0 < pcts[-1] <= 100.0:
                 break  # rejected below, before the rest of the range is built
+            if len(pcts) > MAX_CAPACITY_RANGE:
+                raise ValueError(f"bad capacity range {text!r}; step too fine: more than"
+                                 f" {MAX_CAPACITY_RANGE:,} values")
             v += step
     else:
         try:
@@ -107,8 +99,15 @@ def _parse_capacities(text: str) -> Tuple[float, ...]:
             raise ValueError(f"capacity {pct}% outside (0, 100]")
     fractions = tuple(round(pct / 100.0, 12) for pct in pcts)
     if len(set(fractions)) != len(fractions):
-        raise ValueError("duplicate capacity values")
+        raise ValueError(f"duplicate capacity values in {text!r}")
     return tuple(sorted(fractions))
+
+
+def _seed(text: str) -> int:
+    """A --seed that numpy's generators take: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_float_list(text: str, flag: str) -> Tuple[float, ...]:
@@ -447,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="CSV with columns " + ",".join(clustering.FEATURE_NAMES))
     clu.add_argument("--k", type=int, required=True)
     clu.add_argument("--elbow", default=None, help="kmin:kmax inertia sweep")
-    clu.add_argument("--seed", type=int, default=0)
+    clu.add_argument("--seed", type=_seed, default=0)
     clu.add_argument("--out", default=None)
     clu.set_defaults(func=_cmd_cluster)
 
     gen = sub.add_parser("scenario-gen", help="sample a cohort parameter table")
     gen.add_argument("--scenario", required=True)
     gen.add_argument("--population", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", default=None, help="output CSV file")
     gen.set_defaults(func=_cmd_scenario_gen)
 
@@ -481,8 +480,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                run.outputs, time.perf_counter() - start, work=run.work)
         print(f"{args.command}: {run.summary}")
         return 0
-    except (ValueError, OSError, EstimationFailedError, SamplingError) as exc:
-        print(f"chwplan {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, EstimationFailedError, SamplingError, MemoryError) as exc:
+        note = "not enough memory: " if isinstance(exc, MemoryError) else ""
+        print(f"chwplan {args.command}: error: {note}{exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         return 1

@@ -7,7 +7,7 @@ numbers, and summarizes the result table.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -152,11 +152,7 @@ def noise_stream_seed(base_seed: int, replication: int) -> int:
 # ---------------------------------------------------------------------------
 
 def capacity_from_fraction(fraction: float, population: int) -> int:
-    """Visit budget from a capacity fraction, rounding half up."""
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError(f"fraction {fraction} outside (0, 1]")
-    if population < 1:
-        raise ValueError("population must be >= 1")
+    """Visit budget from a capacity fraction in (0, 1], rounding half up."""
     return int(math.floor(fraction * population + 0.5))
 
 
@@ -164,7 +160,6 @@ def _simulate_rows(
     cohort: Cohort,
     specs: Sequence[PolicySpec],
     config: SimulationConfig,
-    fractions: Sequence[float],
     replication: int,
 ) -> List[RunResult]:
     """Run every (policy, capacity) row of one cohort at once, policy-major.
@@ -179,7 +174,7 @@ def _simulate_rows(
     the threshold the policy plans with). Each row evolves exactly as it
     would alone.
     """
-    n_periods = config.horizon
+    n_periods, fractions = config.horizon, config.capacity_fractions
     population = len(cohort)
     C = np.array([capacity_from_fraction(f, population) for f in fractions])
     rng = np.random.Generator(np.random.PCG64(noise_stream_seed(config.base_seed, replication)))
@@ -240,7 +235,8 @@ def simulate(
     Fully deterministic given (cohort, spec, config, fraction,
     replication); the same as that row of a capacity sweep.
     """
-    return _simulate_rows(cohort, (spec,), config, (fraction,), replication)[0]
+    config = replace(config, capacity_fractions=(fraction,))
+    return _simulate_rows(cohort, (spec,), config, replication)[0]
 
 
 def capacity_sweep(
@@ -265,7 +261,7 @@ def capacity_sweep(
     results: List[RunResult] = []
     for replication in range(config.replications):
         cohort = cohort_generator(cohort_stream_seed(config.base_seed, replication))
-        results.extend(_simulate_rows(cohort, specs, config, config.capacity_fractions, replication))
+        results.extend(_simulate_rows(cohort, specs, config, replication))
     results.sort(key=lambda r: (r.policy_kind, r.capacity_fraction, r.replication))
     return results
 

@@ -512,17 +512,28 @@ class TestCapacityParsing:
         # a one-value range needs no step at all
         assert _parse_capacities("5:5:1e-12") == (0.05,)
 
-    def test_range_of_distinct_values_counted_before_it_is_built(self):
-        # 9.5e10 distinct percents: refused by their count, not expanded
+    def test_range_refused_once_it_holds_more_than_the_limit(self):
+        # 9.5e10 distinct percents: refused at the limit, not expanded
         with pytest.raises(ValueError, match=f"'5:100:1e-9'; step too fine: more than"
                                              f" {MAX_CAPACITY_RANGE:,} values"):
             _parse_capacities("5:100:1e-9")
-        # the count runs to 100 at most, where the expansion stops anyway
+        # the limit itself is allowed; a range past 100 stops at its first value outside
         assert len(_parse_capacities("0.01:100:0.01")) == MAX_CAPACITY_RANGE
         with pytest.raises(ValueError, match="outside"):
             _parse_capacities("0.01:1e9:0.01")
         with pytest.raises(ValueError, match="step too fine: more than"):
             _parse_capacities("0.01:100:0.0099")
+        # (99 - 1) / step is just under 10,000, but the slack admits a 10,001st value
+        with pytest.raises(ValueError, match="'1:99:0.0098000000000049'; step too fine: more"
+                                             f" than {MAX_CAPACITY_RANGE:,} values"):
+            _parse_capacities("1:99:0.0098000000000049")
+
+    @pytest.mark.parametrize("text", ["10,10", "5:5.00000000001:1e-12"])
+    def test_duplicate_message_names_the_flag_text(self, text):
+        # the range's step rounds away at ten decimals, so it repeats 5%
+        with pytest.raises(ValueError) as err:
+            _parse_capacities(text)
+        assert str(err.value) == f"duplicate capacity values in '{text}'"
 
     def test_detail_capacity_closest_to_twenty_pct(self):
         assert _representative_pct([10.0, 20.0, 30.0]) == 20.0
@@ -1051,6 +1062,28 @@ class TestCliErrors:
             assert main(["cluster", "--params", str(path), "--k", k,
                          "--out", str(tmp_path / "c")]) == 1
             assert f"{path} row 4: features non-finite or too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario-gen", "--scenario", "scenario3", "--seed", "-1"],
+        ["cluster", "--params", "t.csv", "--k", "1", "--seed", "-3"],
+    ])
+    def test_negative_seed_named_at_parse_time(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert (f"chwplan {argv[0]}: error: argument --seed: must be a non-negative integer,"
+                f" got '{argv[-1]}'") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        import chwplan.cli as cli_mod
+
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+
+        monkeypatch.setattr(cli_mod, "capacity_sweep", too_big)
+        assert main(SIM_ARGS + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == "chwplan simulate: error: not enough memory: Unable to allocate 14.9 GiB\n"
+        assert not (tmp_path / "x").exists()
 
     def test_internal_bug_exits_two(self, tmp_path, capsys, monkeypatch):
         import chwplan.cli as cli_mod

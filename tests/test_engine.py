@@ -64,12 +64,12 @@ def test_capacity_rounds_half_up():
 
 
 def test_capacity_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        capacity_from_fraction(0.0, 10)
-    with pytest.raises(ValueError):
-        capacity_from_fraction(1.5, 10)
-    with pytest.raises(ValueError):
-        capacity_from_fraction(0.5, 0)
+    # simulate checks its fraction as SimulationConfig checks a sweep's
+    cohort = fresh_cohort([4.0], GROUP_A)
+    spec = PolicySpec(kind="asc_fbg", delta=DELTA)
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match=f"capacity fraction {fraction} outside"):
+            simulate(cohort, spec, quiet_config(), fraction)
 
 
 def test_config_validation():
