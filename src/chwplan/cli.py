@@ -200,7 +200,12 @@ def _cmd_estimate(args) -> _Run:
     grids = {name: _parse_float_list(getattr(args, name), "--" + name.replace("_", "-"))
              for name in _GRIDS if getattr(args, name) is not None}
     config = EstimationConfig(**grids, sigma_eps=args.sigma_eps, sigma_xi=args.sigma_xi)
-    estimates = [(h.patient_id, estimate_patient(h, config)) for h in histories]
+    estimates = []
+    for h in histories:
+        try:
+            estimates.append((h.patient_id, estimate_patient(h, config)))
+        except MemoryError as exc:
+            raise MemoryError(f"{args.histories}: patient {h.patient_id!r}: {exc}") from exc
     out_dir = _out_dir(args.out)
     storage.write_estimates_csv(os.path.join(out_dir, "estimates.csv"),
                                 estimates)

@@ -283,17 +283,9 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
     for r in results:
         cells.setdefault((r.policy_kind, r.capacity_fraction), []).append(r)
 
-    groups = sorted(cells.items())
-    # one percentile call for all the cells that pool as many values
-    pooled = [np.concatenate([r.final_log_fbg for r in group]) for _, group in groups]
-    pcts: Dict[int, Tuple[float, ...]] = {}
-    for length in {len(values) for values in pooled}:
-        same = [i for i, values in enumerate(pooled) if len(values) == length]
-        q = np.percentile([pooled[i] for i in same], (25, 50, 75, 90), axis=1)
-        pcts.update(zip(same, map(tuple, q.T.tolist())))
-
     rows: List[SummaryRow] = []
-    for i, ((kind, fraction), group) in enumerate(groups):
+    for (kind, fraction), group in sorted(cells.items()):
+        pooled = np.concatenate([r.final_log_fbg for r in group])
         ppcs = np.array([r.ppc_fraction for r in group])
         half = 1.96 * ppcs.std(ddof=1) / math.sqrt(len(ppcs)) if len(ppcs) > 1 else 0.0
         rows.append(SummaryRow(
@@ -301,7 +293,7 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
             capacity_fraction=fraction,
             ppc_mean=float(ppcs.mean()),
             ppc_ci_halfwidth=float(half),
-            final_fbg_percentiles=pcts[i],
+            final_fbg_percentiles=tuple(np.percentile(pooled, (25, 50, 75, 90)).tolist()),
         ))
     return rows
 

@@ -24,7 +24,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import PatientParams, _require_finite, carried_adverse, step_adverse
-from .qp import QP_TOLERANCE, QPResult, solve_qp, solve_qps
+# unused: bench/test_bench.py wraps solve_qp and calls it as chwplan.estimation.solve_qp
+from .qp import QP_TOLERANCE, QPResult, solve_qp, solve_qps  # noqa: F401
 
 Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
 
@@ -101,7 +102,10 @@ class VisitHistory:
 
 
 # Box on the five fitted parameters, and the margin by which a declined
-# offer's benefit must fall below zero.
+# offer's benefit must fall below zero. The ADMM meets that row, like every
+# row, only to QP_TOLERANCE (1e-6), so that benefit can come back at about 0:
+# at 0 (patient b) and 7.9e-7 (c) on CI's console-script histories, in cells
+# with s_base = beta = 0, where the benefit mu + alpha*y cannot go negative.
 PARAM_UPPER_BOUND = 20.0
 STRICT_GAP = 1e-9
 # Relative slack under which two cells' objectives count as a numerical
@@ -145,10 +149,9 @@ class InnerSolution:
 
     status is the QP's: "solved", "primal_infeasible" or "nonconverged".
     Only solved cells carry a fit; the others have nll = +inf. iterations
-    counts ADMM slot-iterations: solve_inner's are the QP's own, and
-    solve_cells gives each cell those its pool stepped since the cell
-    before it. A reused cell's QP is byte-equal to an earlier cell's, whose
-    solution it carries with iterations = 0.
+    counts the ADMM slot-iterations the pool stepped since the cell before
+    (for a one-cell grid, the QP's own). A reused cell's QP is byte-equal
+    to an earlier cell's, whose solution it carries with iterations = 0.
     """
 
     status: str
@@ -253,7 +256,7 @@ def _objective(history: VisitHistory, config: EstimationConfig):
 
 
 def _box(history: VisitHistory):
-    """l and u of _constraints' leading rows, the ones no cell changes:
+    """l and u of _assemble's leading rows, the ones no cell changes:
     b_t >= 0 and the five parameters in [0, PARAM_UPPER_BOUND]."""
     T = history.length
     return np.zeros(T + 5), np.concatenate([np.full(T, math.inf),
@@ -316,13 +319,6 @@ def _assemble(history: VisitHistory, c, h, big_m):
     u = np.concatenate([hi, np.full(T, math.inf),
                         np.where(z == 1, big_m, np.where(offered, -STRICT_GAP, 0.0))])
     return A, l, u
-
-
-def _constraints(history: VisitHistory, cell: Cell):
-    """A, l, u of one grid cell's inner QP: _assemble of a one-cell
-    _cell_terms."""
-    c, h, big_m = _cell_terms(history, [cell[:3]], [cell[3]])
-    return _assemble(history, c[0], h[0], big_m[0, 0])
 
 
 def _box_qp(P, q, lo, hi):
@@ -500,11 +496,11 @@ def solve_inner(
     come back with the QP's status and nll = +inf. Declining
     while an offer stood is a strict preference, encoded as benefit <=
     -STRICT_GAP; without an offer only the weak bound benefit <= 0
-    applies. solve_cells fits many cells of one history at once.
+    applies. It is solve_cells on the one-cell grid.
     """
-    problem = _constraints(history, (s_base, beta, gamma, rho))
-    return _inner_solution(history, problem, config,
-                           solve_qp(*_objective(history, config), *problem))
+    one = replace(config, grid_s_base=(s_base,), grid_beta=(beta,),
+                  grid_gamma=(gamma,), grid_rho=(rho,))
+    return next(solve_cells(history, one))
 
 
 def grid_cells(config: EstimationConfig) -> List[Cell]:

@@ -202,9 +202,9 @@ def read_feature_table(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:
     for rownum, row in numbered:
         try:
             rows.append(tuple(float(row[i]) for i in idx))
+            ids.append(row[id_idx] if id_idx is not None else f"row{rownum}")
         except (ValueError, IndexError):
             raise ValueError(f"{path} row {rownum}: malformed feature row")
-        ids.append(row[id_idx] if id_idx is not None else f"row{rownum}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     bad = first_unusable_row(rows)

@@ -1085,6 +1085,36 @@ class TestCliErrors:
         assert err == "chwplan simulate: error: not enough memory: Unable to allocate 14.9 GiB\n"
         assert not (tmp_path / "x").exists()
 
+    def test_estimate_out_of_memory_names_file_and_patient(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import chwplan.cli as cli_mod
+        path = write_history_csv(tmp_path / "h.csv", ["a,0,1,1,130", "b,0,1,1,140"])
+        real = cli_mod.estimate_patient
+
+        def too_big_for_b(history, config):
+            if history.patient_id == "b":
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return real(history, config)
+
+        monkeypatch.setattr(cli_mod, "estimate_patient", too_big_for_b)
+        out = tmp_path / "est"
+        assert main(["estimate", "--histories", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"chwplan estimate: error: not enough memory: {path}: patient 'b':"
+            " Unable to allocate 7.28 TiB\n")
+        assert not out.exists()
+
+    def test_cluster_row_without_its_patient_id_names_file_and_row(self, tmp_path, capsys):
+        # patient_id is the last column, so a row one field short has every
+        # feature but no id
+        path = tmp_path / "short.csv"
+        path.write_text("p,mu,alpha,theta_base,lam,s_base,beta,patient_id\n"
+                        "1,1,1,1,1,1,1,a\n2,2,2,2,2,2,2\n")
+        out = tmp_path / "c"
+        assert main(["cluster", "--params", str(path), "--k", "1", "--out", str(out)]) == 1
+        assert f"{path} row 3: malformed feature row" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_internal_bug_exits_two(self, tmp_path, capsys, monkeypatch):
         import chwplan.cli as cli_mod
 

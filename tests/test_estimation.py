@@ -72,6 +72,12 @@ def relerr(have, want):
     return abs(have - want) / abs(want)
 
 
+def cell_constraints(h, cell):
+    # A, l, u of one grid cell's inner QP, assembled as solve_cells does
+    c, terms_h, big_m = est._cell_terms(h, [cell[:3]], [cell[3]])
+    return est._assemble(h, c[0], terms_h[0], big_m[0, 0])
+
+
 # ---------------------------------------------------------------------------
 # VisitHistory validation
 # ---------------------------------------------------------------------------
@@ -218,6 +224,9 @@ def test_inner_exact_on_noise_free_record():
     sol = solve_inner(h, *TRUE_CELL, small_config())
     assert sol.feasible
     assert sol.nll <= 1e-6
+    # a one-cell grid's pool steps only that cell's QP
+    P, q = est._objective(h, small_config())
+    assert sol.iterations == solve_qp(P, q, *cell_constraints(h, TRUE_CELL)).iterations
     assert sol.p == pytest.approx(TRUE.p, abs=1e-4)
     assert sol.mu == pytest.approx(TRUE.mu, abs=1e-4)
     assert sol.alpha == pytest.approx(TRUE.alpha, abs=1e-4)
@@ -256,10 +265,11 @@ def test_inner_solution_respects_benefit_signs():
 
 
 def test_inner_excludes_stalled_cell(monkeypatch):
-    def always_stalls(*args, **kwargs):
-        return QPResult("nonconverged", None, None, 17)
+    def always_stalls(P, q, constraints):
+        for _ in constraints:
+            yield QPResult("nonconverged", None, None, 17, pool_iterations=17)
 
-    monkeypatch.setattr(est, "solve_qp", always_stalls)
+    monkeypatch.setattr(est, "solve_qps", always_stalls)
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
     sol = solve_inner(h, 1.0, 0.0, 0.2, 0.2, EstimationConfig())
     assert not sol.feasible
@@ -281,7 +291,7 @@ def test_intermittent_infeasibility_certified_over_the_interval(monkeypatch):
                       4: 3.905185, 5: 2.623981, 6: 2.229287, 7: 0.66933,
                       8: 0.83149, 10: 0.880101, 13: 0.558384, 14: 0.362858})
     P, q = est._objective(h, EstimationConfig())
-    A, l, u = est._constraints(h, (0.0, 2.0, 0.2, 0.8))
+    A, l, u = cell_constraints(h, (0.0, 2.0, 0.2, 0.8))
     result = solve_qp(P, q, A, l, u)
     assert result.status == "primal_infeasible"
     assert result.iterations < MAX_ITERATIONS
@@ -304,7 +314,7 @@ def test_objective_ignores_theta_base_and_lam():
     P, q = est._objective(h, EstimationConfig())
     assert not np.any(P[T + 3:]) and not np.any(P[:, T + 3:]) and not np.any(q[T + 3:])
     assert np.any(P[T:T + 3]) and np.any(q[:T])
-    A, _, _ = est._constraints(h, TRUE_CELL)
+    A, _, _ = cell_constraints(h, TRUE_CELL)
     assert np.all(np.any(A[:, T + 3:], axis=0))
 
 
@@ -407,6 +417,8 @@ def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
                            grid_gamma=(0.2,), grid_rho=(0.2, 0.5))
     cells = est.grid_cells(cfg)
     assert estimate_patient(h, cfg).grid_cell == cells[0]
+    # solve_inner goes through solve_qps too, so the reference comes first
+    third_nll = solve_inner(h, *cells[2], cfg).nll
     real_solve_qps = est.solve_qps
 
     def first_two_fail(P, q, constraints, **kwargs):
@@ -422,7 +434,7 @@ def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
     # the third cell fits exactly, so the search stops there
     assert (result.cells_solved, result.cells_infeasible,
             result.cells_nonconverged, result.cells_pruned) == (1, 1, 1, 1)
-    assert result.nll == solve_inner(h, *cells[2], cfg).nll
+    assert result.nll == third_nll
 
 
 def test_config_validation():
@@ -617,7 +629,7 @@ def test_cell_terms_rows_equal_each_cell_alone(h, s_bases, betas, gammas, rhos):
 
 
 def _constraints_bytes(h, cell):
-    return b"".join(a.tobytes() for a in est._constraints(h, cell))
+    return b"".join(a.tobytes() for a in cell_constraints(h, cell))
 
 
 def test_pool_receives_each_distinct_qp_once_and_closes_on_stop(monkeypatch):
