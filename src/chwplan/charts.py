@@ -138,7 +138,7 @@ def line_chart(
     series maps a name to (x, y) points; bands optionally maps the same
     names to (x, low, high) triples drawn as a translucent ribbon.
     NaN y-values break the line rather than plotting. The y axis starts at
-    0, or lower if a value is negative.
+    0, or lower if a value is negative; with no y-value but NaN, it is [0, 1].
     """
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts if not math.isnan(y)]
@@ -146,11 +146,11 @@ def line_chart(
         for triples in bands.values():
             for _, lo, hi in triples:
                 ys.extend([lo, hi])
-    if not xs or not ys:
+    if not xs:
         raise ValueError("nothing to plot")
     canvas = _Canvas(title)
-    axes = _Axes(canvas, (min(xs), max(xs)), (min(0.0, min(ys)), max(ys)),
-                 x_label, y_label)
+    y_range = (min(0.0, min(ys, default=0.0)), max(ys, default=1.0))
+    axes = _Axes(canvas, (min(xs), max(xs)), y_range, x_label, y_label)
     names = list(series)
     for i, name in enumerate(names):
         color = PALETTE[i % len(PALETTE)]

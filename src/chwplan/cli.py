@@ -28,7 +28,6 @@ from .scenarios import SamplingError, ScenarioSpec, sample_cohort
 
 OUT_DIR_ENV = "CHWPLAN_OUT"
 DEFAULT_OUT_DIR = "chwplan-out"
-DEFAULT_DELTA_MGDL = 125.0
 MAX_CAPACITY_RANGE = 10_000  # values a --capacities lo:hi:step may expand to
 _GRIDS = ("grid_s_base", "grid_beta", "grid_gamma", "grid_rho")
 
@@ -156,10 +155,7 @@ def _load_scenario(args) -> Tuple[ScenarioSpec, List[str]]:
 def _cmd_simulate(args) -> _Run:
     spec, inputs = _load_scenario(args)
     kinds = _parse_policies(args.policies)
-    if not 1.0 < args.delta_mgdl < math.inf:
-        raise ValueError(f"--delta-mgdl must be a finite number above 1 mg/dL,"
-                         f" got {args.delta_mgdl!r}")
-    policies = [PolicySpec(kind=k, delta=math.log(args.delta_mgdl)) for k in kinds]
+    policies = [PolicySpec(kind=k) for k in kinds]
     fractions = (SimulationConfig.capacity_fractions if args.capacities is None
                  else _parse_capacities(args.capacities))
     config = SimulationConfig(
@@ -168,6 +164,7 @@ def _cmd_simulate(args) -> _Run:
         replications=args.reps,
         base_seed=args.seed,
         sigma_xi=args.sigma_xi,
+        delta_mgdl=args.delta_mgdl,
     )
     results = capacity_sweep(lambda seed: sample_cohort(spec, seed).cohort, policies, config)
     out_dir = _out_dir(args.out)
@@ -181,7 +178,7 @@ def _cmd_simulate(args) -> _Run:
         "replications": args.reps,
         "horizon": args.horizon,
         "sigma_xi": args.sigma_xi,
-        "delta_mgdl": args.delta_mgdl,
+        "delta_mgdl": config.delta_mgdl,
         "population": spec.population,
     }
     work = {key: sum(getattr(r, key) for r in results) for key in WORK}
@@ -345,11 +342,12 @@ def _cmd_report(args) -> _Run:
     population = config.get("population") if isinstance(config, dict) else None
     if isinstance(population, bool) or not isinstance(population, int) or population < 1:
         raise ValueError(f"{res_dir}: manifest lacks a usable population")
-    delta_mgdl = config.get("delta_mgdl", DEFAULT_DELTA_MGDL)
-    if (isinstance(delta_mgdl, bool) or not isinstance(delta_mgdl, (int, float))
-            or not 0 < delta_mgdl < math.inf):
+    delta_mgdl = config.get("delta_mgdl", SimulationConfig.delta_mgdl)
+    try:  # the check simulate made of the threshold it ran with
+        SimulationConfig(delta_mgdl=delta_mgdl)
+    except (TypeError, ValueError):
         raise ValueError(f"{os.path.join(res_dir, storage.MANIFEST_NAME)}: config.delta_mgdl"
-                         f" must be a finite positive number, got {delta_mgdl!r}")
+                         f" must be a finite number above 1 mg/dL, got {delta_mgdl!r}")
 
     policies = sorted(set(rows["policy"].tolist()))
     pcts = sorted(set(rows["capacity_pct"].tolist()))
@@ -428,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--population", type=int, default=None,
                      help="override the scenario's population")
     sim.add_argument("--sigma-xi", type=float, default=SimulationConfig.sigma_xi)
-    sim.add_argument("--delta-mgdl", type=float, default=DEFAULT_DELTA_MGDL,
+    sim.add_argument("--delta-mgdl", type=float, default=SimulationConfig.delta_mgdl,
                      help="in-control FBG threshold in mg/dL")
     sim.add_argument("--out", default=None,
                      help=f"output directory (default ${OUT_DIR_ENV}"

@@ -43,16 +43,17 @@ def capacity_pct(fraction: float) -> float:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """The sweep's shape and its noise; the in-control threshold is each
-    PolicySpec's delta. sigma_xi is the sd of the Gaussian process noise
-    on log-FBG. Each capacity fraction records its own capacity_pct, so
-    each (policy, percent, replication) labels one cell."""
+    """The sweep's shape, its noise and its one in-control threshold: sigma_xi
+    is the sd of the Gaussian process noise on log-FBG, and rows count, and
+    rollouts plan, at b <= log(delta_mgdl). Each capacity fraction records its
+    own capacity_pct, so each (policy, percent, replication) labels one cell."""
 
     horizon: int = 60
     capacity_fractions: Tuple[float, ...] = DEFAULT_CAPACITY_FRACTIONS
     replications: int = 10
     base_seed: int = 0
     sigma_xi: float = 0.05
+    delta_mgdl: float = 125.0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -73,6 +74,9 @@ class SimulationConfig:
         _require_finite(self, ("sigma_xi",))
         if self.sigma_xi < 0:
             raise ValueError("noise standard deviation must be >= 0")
+        if not 1.0 < self.delta_mgdl < math.inf:
+            raise ValueError(f"SimulationConfig.delta_mgdl must be a finite number above"
+                             f" 1 mg/dL, got {self.delta_mgdl!r}")
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,8 @@ def _simulate_rows(
     into them. Per period visit_mask decides each distinct (state, class)
     once (at most C visits per row; a visit to an unenrolled patient is a
     screening visit), each decision steps its state, and metrics are taken
-    on the post-transition states (in control: b <= the row's spec.delta,
-    the threshold the policy plans with). Each row evolves exactly as it
+    on the post-transition states (in control: b <= log config.delta_mgdl,
+    the threshold the policies plan with). Each row evolves exactly as it
     would alone.
     """
     n_periods, fractions = config.horizon, config.capacity_fractions
@@ -179,7 +183,7 @@ def _simulate_rows(
     C = np.array([capacity_from_fraction(f, population) for f in fractions])
     rng = np.random.Generator(np.random.PCG64(noise_stream_seed(config.base_seed, replication)))
     xi = rng.normal(0.0, config.sigma_xi, size=(n_periods, population))
-    delta = np.repeat([spec.delta for spec in specs], len(C))[:, None]
+    delta = math.log(config.delta_mgdl)
 
     states = StateArrays(*(a[None, :] for a in StateArrays.of(cohort.initial_states)))
     state = np.zeros(len(specs) * len(C), dtype=int)
@@ -193,7 +197,7 @@ def _simulate_rows(
 
     for t in range(1, n_periods + 1):
         remaining = n_periods - t + 1
-        visits = visit_mask(states, params, C, specs, remaining, state, table)
+        visits = visit_mask(states, params, C, specs, remaining, delta, state, table)
         y, state = visits.mask, visits.row
         states = states.take(visits.state)
         screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)[state]
@@ -203,7 +207,7 @@ def _simulate_rows(
                  np.bincount(visits.first, minlength=len(state)))
 
         states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit)
-        in_control[t - 1] = np.count_nonzero(states.b[state] <= delta, axis=1)
+        in_control[t - 1] = np.count_nonzero(states.b <= delta, axis=1)[state]
         enrolled[t - 1] = np.count_nonzero(z, axis=1)[state]
 
     return [

@@ -139,8 +139,18 @@ class EstimationConfig:
         if not all(0 <= v < math.inf for v in self.grid_s_base + self.grid_beta):
             raise ValueError("s_base/beta grid values must be finite and >= 0")
         _require_finite(self, ("sigma_eps", "sigma_xi"))
-        if self.sigma_eps <= 0 or self.sigma_xi <= 0:
-            raise ValueError("noise scales must be positive")
+        for name, weight in (("sigma_eps", "w_eps"), ("sigma_xi", "w_xi")):
+            try:  # sigma**2 may overflow or reach 0
+                usable = getattr(self, name) > 0 and getattr(self, weight) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                usable = False
+            if not usable:
+                raise ValueError(f"EstimationConfig.{name}: noise scales must be positive with a"
+                                 f" finite weight 1/{name}**2, got {getattr(self, name)!r}")
+
+    # the nll's weights of a squared observation residual and log-FBG innovation
+    w_eps = property(lambda self: 1.0 / self.sigma_eps**2)
+    w_xi = property(lambda self: 1.0 / self.sigma_xi**2)
 
 
 @dataclass(frozen=True)
@@ -236,14 +246,12 @@ def _objective(history: VisitHistory, config: EstimationConfig):
     T = history.length
     n = T + 5
     ip, imu, ial = T, T + 1, T + 2
-    w_eps = 1.0 / config.sigma_eps**2
-    w_xi = 1.0 / config.sigma_xi**2
 
     P = np.zeros((n, n))
     q = np.zeros(n)
     for t, val in history.observations:
-        P[t, t] += w_eps
-        q[t] -= w_eps * val
+        P[t, t] += config.w_eps
+        q[t] -= config.w_eps * val
     for t in range(T - 1):
         d = np.zeros(n)
         d[t + 1] = 1.0
@@ -251,7 +259,7 @@ def _objective(history: VisitHistory, config: EstimationConfig):
         d[ip] = -1.0
         d[imu] = float(z[t])
         d[ial] = float(y[t] * z[t])
-        P += w_xi * np.outer(d, d)
+        P += config.w_xi * np.outer(d, d)
     return P, q
 
 
@@ -283,6 +291,9 @@ def _cell_terms(history: VisitHistory, triples: Sequence[Tuple[float, float, flo
     g = carried_adverse(s, gamma, s_base)
     ub = PARAM_UPPER_BOUND
     theta_max = ub * (1.0 + np.max(np.abs(c), axis=1))
+    # finite on purpose: qp._certifies_infeasibility never certifies through an infinite
+    # bound, and a contradictory cell's Farkas direction is nonzero on these rows, so with
+    # big_m = inf it runs all qp.MAX_ITERATIONS and ends nonconverged, not infeasible
     big_m = 2.0 * (ub + ub + (np.max(g, axis=1, keepdims=True) + beta) * theta_max)
     return c, g + beta * np.array(history.visited), big_m
 
@@ -408,8 +419,7 @@ def relaxed_lower_bound(history: VisitHistory, config: EstimationConfig) -> floa
     P, q = _objective(history, config)
     lo, hi = _box(history)
     T, n = history.length, q.shape[0]
-    w_eps = 1.0 / config.sigma_eps**2
-    w_xi = 1.0 / config.sigma_xi**2
+    w_eps, w_xi = config.w_eps, config.w_xi
     values = np.array([val for _, val in history.observations])
     const = 0.5 * w_eps * float(values @ values)
 
@@ -469,11 +479,8 @@ def _inner_solution(
     xi = tuple(
         b[t + 1] - b[t] - p + mu * z[t] + alpha * y[t] * z[t] for t in range(T - 1)
     )
-    w_eps = 1.0 / config.sigma_eps**2
-    w_xi = 1.0 / config.sigma_xi**2
-    obs = history.observed_map
-    nll = 0.5 * w_eps * sum((b[t] - val) ** 2 for t, val in obs.items())
-    nll += 0.5 * w_xi * sum(v**2 for v in xi)
+    nll = 0.5 * config.w_eps * sum((b[t] - val) ** 2 for t, val in history.observations)
+    nll += 0.5 * config.w_xi * sum(v**2 for v in xi)
     return InnerSolution("solved", nll, p, mu, alpha, theta_base, lam, b, xi,
                          result.iterations)
 

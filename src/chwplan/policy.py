@@ -24,7 +24,6 @@ from .model import (
     PatientState,
     State,
     StateArrays,
-    _require_finite,
     benefits,
     fbg_update,
     floor_fbg,
@@ -38,21 +37,14 @@ POLICY_KINDS = BASELINE_KINDS + EA_KINDS
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Which rule picks the <=C patients to visit each period.
-
-    delta is the in-control threshold on log-FBG, used by the
-    rollout-based rankings.
-    """
+    """Which rule picks the <=C patients to visit each period. The
+    rollout-based rankings plan with the sweep's in-control threshold."""
 
     kind: str
-    delta: float
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        _require_finite(self, ("delta",))
-        if not self.delta > 0:
-            raise ValueError(f"PolicySpec.delta must be > 0, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -140,20 +132,20 @@ class RuleTable:
         self.rule[node] = np.column_stack((y, z, y & z, self._find(patient, nxt.s, nxt.theta, z)))
 
     def rollout(self, patient: np.ndarray, states: StateArrays, periods_remaining: int,
-                delta) -> RolloutSummary:
+                delta: float) -> RolloutSummary:
         """Noise-free forward simulation under the single-patient rule.
 
         Start i is patient[i] of the cohort in the pre-decision state
         states[i]; periods_remaining counts the decisions left, the current
         period's included, and delta is the in-control threshold on log-FBG
-        (one, or one per start). Returns a RolloutSummary of int arrays: each
+        shared by every start. Returns a RolloutSummary of int arrays: each
         start's post-transition in-control periods and visits over the
         window, zeros when periods_remaining = 0. All starts walk at once:
         first the node path, one successor gather per step, then y, z and
         y & z gathered for the whole path, and last b, advanced alone.
-        A start's result depends only on its own (patient, state, delta) and
-        periods_remaining, which is what lets visit_mask run each distinct
-        start once.
+        A start's result depends only on its own (patient, state),
+        periods_remaining and delta, which is what lets visit_mask run each
+        distinct start once.
         """
         if periods_remaining < 0:
             raise ValueError("periods_remaining must be >= 0")
@@ -241,6 +233,7 @@ def visit_mask(
     C,
     specs: Sequence[PolicySpec],
     periods_remaining: int,
+    delta: float,
     state: Optional[np.ndarray] = None,
     table: Optional[RuleTable] = None,
 ) -> Visits:
@@ -258,17 +251,16 @@ def visit_mask(
     every candidate (at most C of them), or the C smallest keys (+inf off
     the candidates, ties to the lower index) of its kind. Each distinct
     (state, class) is decided once, in the order of the first row holding
-    it. The key is log-FBG or its negation, or a rollout summary: every
-    distinct start (patient, state bits, delta) of the call's members is
-    rolled out once, in one walk over table (the RuleTable of params; a
-    fresh one if None).
+    it. The key is log-FBG or its negation, or a rollout summary at the
+    in-control threshold delta (on log-FBG): every distinct start
+    (patient, state bits) of the call's members is rolled out once, in one
+    walk over table (the RuleTable of params; a fresh one if None).
     """
     n = states.b.shape[1]
     C = np.atleast_1d(C)
     if (C < 0).any():
         raise ValueError("capacity must be >= 0")
     kind = np.repeat([POLICY_KINDS.index(s.kind) for s in specs], len(C))
-    delta = np.repeat([float(s.delta) for s in specs], len(C))
     cap = np.tile(C, len(specs))
     cap[kind == POLICY_KINDS.index("visit_no_one")] = 0
     cap[kind == POLICY_KINDS.index("visit_everyone")] = n
@@ -281,11 +273,9 @@ def visit_mask(
     ranked = candidates > cap
     vtg = ranked & _VTG[kind]
     # a row's decision: its state and class, which is every candidate (-1
-    # the cohort, -2 the interest set) or the C best by its kind (and by its
-    # policy's delta, for the rollout kinds)
+    # the cohort, -2 the interest set) or the C best by its kind
     first, inverse = _distinct(state, np.where(ranked, kind, -1 - filtered),
-                               np.where(ranked, cap, 0),
-                               np.where(vtg, np.arange(len(kind)) // len(C), 0))
+                               np.where(ranked, cap, 0))
     order = np.argsort(first)
     row, first = np.argsort(order)[inverse], first[order]
     at = state[first]
@@ -300,9 +290,9 @@ def visit_mask(
         by = over[i]  # the row each value-to-go member is ranked for
         start = states.take((state[by], col))
         ran, same = _distinct(col, start.b.view(np.int64), start.s.view(np.int64),
-                              start.theta.view(np.int64), start.z_prev, delta[by].view(np.int64))
+                              start.theta.view(np.int64), start.z_prev)
         table = RuleTable(params) if table is None else table
-        rs = table.rollout(col[ran], start.take(ran), periods_remaining, delta[by[ran]])
+        rs = table.rollout(col[ran], start.take(ran), periods_remaining, delta)
         rollouts_run = np.bincount(by[ran], minlength=len(kind))
         per_visit = kind[by] == POLICY_KINDS.index("ea_desc_vtg_per_visit")
         sort_key[i, col] = np.where(per_visit, _value_per_visit_key(rs)[same], -rs.v_tilde[same])
@@ -312,9 +302,9 @@ def visit_mask(
 
 
 def select_visits(states: Sequence[PatientState], params: Sequence[PatientParams], C: int,
-                  spec: PolicySpec, periods_remaining: int) -> Set[int]:
+                  spec: PolicySpec, periods_remaining: int, delta: float) -> Set[int]:
     """Pick this period's visit set for one cohort: visit_mask on one row."""
     states, params = _as_arrays(states, params)
     one = StateArrays(*(a[None, :] for a in states))
-    mask = visit_mask(one, params, C, (spec,), periods_remaining).mask[0]
+    mask = visit_mask(one, params, C, (spec,), periods_remaining, delta).mask[0]
     return set(np.flatnonzero(mask).tolist())

@@ -337,8 +337,7 @@ def desk_runs(scenario_name):
         replications=10,
         base_seed=0,
     )
-    policies = [PolicySpec(kind=BASELINE, delta=DELTA),
-                PolicySpec(kind=PLANNER, delta=DELTA)]
+    policies = [PolicySpec(kind=BASELINE), PolicySpec(kind=PLANNER)]
     return capacity_sweep(
         lambda seed: sample_cohort(spec, seed).cohort, policies, config
     )

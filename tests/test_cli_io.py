@@ -32,6 +32,9 @@ from chwplan.scenarios import builtin_scenarios, default_sds
 from _synthetic import generate_history
 
 NAN = float("nan")
+DELTA_MESSAGE = "SimulationConfig.delta_mgdl must be a finite number above 1 mg/dL"
+WEIGHT_MESSAGE = ("EstimationConfig.{0}: noise scales must be positive with a finite weight"
+                  " 1/{0}**2, got {1}")
 CENTROID = dict(zip(FEATURE_NAMES, (1.0, 0.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
 GROUPS = [{"name": "a", "weight": 1.0, "centroid": CENTROID}]
 
@@ -739,6 +742,25 @@ class TestCliPipelines:
         for name in names:
             assert (charts_dir / name).read_bytes() == (again / name).read_bytes()
 
+    def test_report_charts_a_run_that_visits_no_one(self, tmp_path, capsys):
+        # no visits at the detail capacity: every screening share is NaN, so
+        # the screening chart is its axes and legend alone
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", "scenario3", "--population", "20",
+                     "--policies", "visit_no_one", "--reps", "2", "--horizon", "5",
+                     "--out", str(out)]) == 0
+        assert main(["report", "--results", str(out)]) == 0
+        assert "report: 4 charts" in capsys.readouterr().out
+        names = ["ppc_vs_capacity.svg", "screening_share.svg",
+                 "enrollment_share.svg", "final_fbg.svg"]
+        assert sorted(storage.read_manifest(str(out / "charts"))["outputs"]) == sorted(names)
+        screening = (out / "charts" / "screening_share.svg").read_text()
+        assert ">visit_no_one</text>" in screening  # the legend
+        assert "<polyline" not in screening and "<circle" not in screening
+        assert all(f'fill="#222222">{tick}</text>' in screening  # the y axis spans [0, 1]
+                   for tick in ("0", "0.25", "0.5", "0.75", "1"))
+        assert "<polyline" in (out / "charts" / "enrollment_share.svg").read_text()
+
     def test_report_share_series_skips_idle_replications(self):
         # period 1: replication 1 is idle, so the mean is replication 0's
         # share alone; period 2: idle in both, so no screening share
@@ -948,23 +970,25 @@ class TestCliErrors:
         ("manifest.json", '{"config": 5}', "lacks a usable population"),
         ("manifest.json", '{"config": {"population": true}}', "lacks a usable population"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": -5}}',
-         "manifest.json: config.delta_mgdl must be a finite positive number, got -5"),
+         "manifest.json: config.delta_mgdl must be a finite number above 1 mg/dL, got -5"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": 0}}',
-         "config.delta_mgdl must be a finite positive number, got 0"),
+         "config.delta_mgdl must be a finite number above 1 mg/dL, got 0"),
+        ("manifest.json", '{"config": {"population": 5, "delta_mgdl": 1}}',
+         "config.delta_mgdl must be a finite number above 1 mg/dL, got 1"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": NaN}}',
-         "config.delta_mgdl must be a finite positive number, got nan"),
+         "config.delta_mgdl must be a finite number above 1 mg/dL, got nan"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": Infinity}}',
-         "config.delta_mgdl must be a finite positive number, got inf"),
+         "config.delta_mgdl must be a finite number above 1 mg/dL, got inf"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": "125"}}',
-         "config.delta_mgdl must be a finite positive number, got '125'"),
+         "config.delta_mgdl must be a finite number above 1 mg/dL, got '125'"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": true}}',
-         "config.delta_mgdl must be a finite positive number, got True"),
+         "config.delta_mgdl must be a finite number above 1 mg/dL, got True"),
     ], ids=["results-short-row", "results-bad-int", "results-detail-cell-empty",
             "results-replication-lacks-period", "summary-short-row", "summary-detail-row-missing",
             "summary-missing", "manifest-not-object", "manifest-invalid-json",
             "manifest-zero-population",
-            "manifest-config-not-object", "manifest-bool-population", "delta-negative", "delta-zero", "delta-nan",
-            "delta-inf", "delta-string", "delta-bool"])
+            "manifest-config-not-object", "manifest-bool-population", "delta-negative", "delta-zero",
+            "delta-one", "delta-nan", "delta-inf", "delta-string", "delta-bool"])
     def test_report_on_malformed_results_exits_one(self, tmp_path, capsys, name, text,
                                                     fragment):
         from chwplan.engine import SummaryRow
@@ -988,17 +1012,24 @@ class TestCliErrors:
     @pytest.mark.parametrize("args,fragment", [
         (["simulate", "--sigma-xi", "nan"], "SimulationConfig.sigma_xi must be finite, got nan"),
         (["simulate", "--sigma-xi", "inf"], "SimulationConfig.sigma_xi must be finite, got inf"),
-        (["simulate", "--delta-mgdl", "inf"], "--delta-mgdl must be a finite number above 1 mg/dL"),
-        (["simulate", "--delta-mgdl", "nan"], "--delta-mgdl must be a finite number above 1 mg/dL"),
-        (["simulate", "--delta-mgdl", "0"], "--delta-mgdl must be a finite number above 1 mg/dL"),
-        (["simulate", "--delta-mgdl", "0.5"], "--delta-mgdl must be a finite number above 1 mg/dL"),
+        (["simulate", "--delta-mgdl", "inf"], f"{DELTA_MESSAGE}, got inf"),
+        (["simulate", "--delta-mgdl", "nan"], f"{DELTA_MESSAGE}, got nan"),
+        (["simulate", "--delta-mgdl", "0"], f"{DELTA_MESSAGE}, got 0.0"),
+        (["simulate", "--delta-mgdl", "0.5"], f"{DELTA_MESSAGE}, got 0.5"),
         (["estimate", "--sigma-eps", "inf"], "EstimationConfig.sigma_eps must be finite, got inf"),
         (["estimate", "--sigma-eps", "nan"], "EstimationConfig.sigma_eps must be finite, got nan"),
         (["estimate", "--sigma-xi", "nan"], "EstimationConfig.sigma_xi must be finite, got nan"),
         (["estimate", "--grid-beta", "0,inf"], "s_base/beta grid values must be finite and >= 0"),
+        # 1/sigma**2 divides by zero, overflows, or is inf
+        (["estimate", "--sigma-eps", "1e-200"], WEIGHT_MESSAGE.format("sigma_eps", "1e-200")),
+        (["estimate", "--sigma-eps", "1e300"], WEIGHT_MESSAGE.format("sigma_eps", "1e+300")),
+        (["estimate", "--sigma-eps", "1e-160"], WEIGHT_MESSAGE.format("sigma_eps", "1e-160")),
+        (["estimate", "--sigma-xi", "1e-160"], WEIGHT_MESSAGE.format("sigma_xi", "1e-160")),
     ], ids=["sim-sigma-xi-nan", "sim-sigma-xi-inf", "sim-delta-inf", "sim-delta-nan",
             "sim-delta-zero", "sim-delta-below-one", "est-sigma-eps-inf", "est-sigma-eps-nan",
-            "est-sigma-xi-nan", "est-grid-beta-inf"])
+            "est-sigma-xi-nan", "est-grid-beta-inf", "est-sigma-eps-weight-zero-division",
+            "est-sigma-eps-weight-overflow", "est-sigma-eps-weight-inf",
+            "est-sigma-xi-weight-inf"])
     def test_non_finite_numbers_exit_one_naming_the_field_or_flag(self, tmp_path, capsys,
                                                                  args, fragment):
         # nan passes every comparison-based range check and inf most of them,

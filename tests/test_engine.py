@@ -66,7 +66,7 @@ def test_capacity_rounds_half_up():
 def test_capacity_rejects_bad_inputs():
     # simulate checks its fraction as SimulationConfig checks a sweep's
     cohort = fresh_cohort([4.0], GROUP_A)
-    spec = PolicySpec(kind="asc_fbg", delta=DELTA)
+    spec = PolicySpec(kind="asc_fbg")
     for fraction in (0.0, 1.5):
         with pytest.raises(ValueError, match=f"capacity fraction {fraction} outside"):
             simulate(cohort, spec, quiet_config(), fraction)
@@ -94,6 +94,12 @@ def test_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="SimulationConfig.sigma_xi must be finite"):
             quiet_config(sigma_xi=bad)
+    # the in-control threshold: log(delta_mgdl) must be finite and > 0
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -5.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="SimulationConfig.delta_mgdl must be a finite"
+                                             " number above 1 mg/dL"):
+            quiet_config(delta_mgdl=bad)
+    assert quiet_config(delta_mgdl=1.0 + 1e-9).delta_mgdl > 1.0
 
 
 def test_cohort_validation():
@@ -109,7 +115,7 @@ def test_cohort_validation():
 
 def test_unvisited_rising_patient_never_in_control():
     cohort = fresh_cohort([5.0], GROUP_A)  # starts above threshold
-    res = simulate(cohort, PolicySpec("visit_no_one", DELTA), quiet_config(), 0.5)
+    res = simulate(cohort, PolicySpec("visit_no_one"), quiet_config(), 0.5)
     assert res.ppc_fraction == 0.0
     assert all(v == 0 for v in res.visits_total)
 
@@ -120,23 +126,23 @@ def test_crossing_time_matches_closed_form():
     b0 = 4.0
     cohort = fresh_cohort([b0], prm)
     cfg = quiet_config(horizon=20)
-    res = simulate(cohort, PolicySpec("visit_no_one", DELTA), cfg, 0.5)
+    res = simulate(cohort, PolicySpec("visit_no_one"), cfg, 0.5)
     expected_periods = math.floor((DELTA - b0) / prm.p)  # = 8
     assert expected_periods == 8
     assert sum(res.in_control) == expected_periods
     assert res.ppc_fraction == pytest.approx(expected_periods / 20)
 
 
-def test_in_control_counts_at_the_policy_threshold():
+def test_in_control_counts_at_the_sweep_threshold():
     # b stays at 4.9, between log 125 and log 150: in control exactly when
-    # the policy's own delta is log 150
+    # the sweep's delta_mgdl is 150
     prm = PatientParams(p=0.0, mu=0.025, alpha=0.1, beta=0.3, lam=0.5,
                         gamma=0.2, rho=0.2, s_base=1.0, theta_base=0.7)
     cohort = fresh_cohort([4.9], prm)
     assert math.log(125.0) < 4.9 < math.log(150.0)
     for mgdl, ppc in ((150.0, 1.0), (125.0, 0.0)):
-        spec = PolicySpec("visit_no_one", math.log(mgdl))
-        (row,) = capacity_sweep(lambda seed: cohort, [spec], quiet_config())
+        spec = PolicySpec("visit_no_one")
+        (row,) = capacity_sweep(lambda seed: cohort, [spec], quiet_config(delta_mgdl=mgdl))
         assert row.final_log_fbg == (4.9,)
         assert row.ppc_fraction == ppc, mgdl
 
@@ -155,7 +161,7 @@ def test_readme_library_example_runs(capsys):
 def test_simulate_is_deterministic():
     cohort = fresh_cohort([5.0, 6.0, 4.5], GROUP_B)
     cfg = quiet_config(sigma_xi=0.2, horizon=15)
-    spec = PolicySpec("ea_desc_vtg_per_visit", DELTA)
+    spec = PolicySpec("ea_desc_vtg_per_visit")
     a = simulate(cohort, spec, cfg, 0.5, replication=2)
     b = simulate(cohort, spec, cfg, 0.5, replication=2)
     assert a == b
@@ -164,7 +170,7 @@ def test_simulate_is_deterministic():
 def test_changing_replication_changes_noise():
     cohort = fresh_cohort([5.0, 6.0], GROUP_A)
     cfg = quiet_config(sigma_xi=0.3, horizon=5)
-    spec = PolicySpec("visit_no_one", DELTA)
+    spec = PolicySpec("visit_no_one")
     a = simulate(cohort, spec, cfg, 0.5, replication=0)
     b = simulate(cohort, spec, cfg, 0.5, replication=1)
     assert a.final_log_fbg != b.final_log_fbg
@@ -175,8 +181,8 @@ def test_common_random_numbers_across_policies():
     # identical noise then forces identical trajectories
     cohort = fresh_cohort([5.0, 6.0, 4.5], GROUP_B)
     cfg = quiet_config(sigma_xi=0.25, horizon=12)
-    no_one = simulate(cohort, PolicySpec("visit_no_one", DELTA), cfg, 0.5, replication=4)
-    asc_c0 = simulate(cohort, PolicySpec("asc_fbg", DELTA), cfg, 0.1, replication=4)
+    no_one = simulate(cohort, PolicySpec("visit_no_one"), cfg, 0.5, replication=4)
+    asc_c0 = simulate(cohort, PolicySpec("asc_fbg"), cfg, 0.1, replication=4)
     assert no_one.final_log_fbg == asc_c0.final_log_fbg
     assert no_one.in_control == asc_c0.in_control
 
@@ -186,7 +192,7 @@ def test_ppc_additivity_and_visit_bounds():
     cohort = fresh_cohort(list(rng.uniform(3.5, 7.5, size=6)), GROUP_B)
     cfg = quiet_config(sigma_xi=0.1, horizon=9)
     for kind in ("asc_fbg", "ea_desc_fbg", "ea_desc_vtg"):
-        res = simulate(cohort, PolicySpec(kind, DELTA), cfg, 0.4, replication=1)
+        res = simulate(cohort, PolicySpec(kind), cfg, 0.4, replication=1)
         C = capacity_from_fraction(0.4, len(cohort))
         assert round(res.ppc_fraction * len(cohort) * 9) == sum(res.in_control)
         for scr, tot in zip(res.screening_visits, res.visits_total):
@@ -218,7 +224,7 @@ def test_sweep_cardinality_and_order():
     cohort = fresh_cohort([5.0, 6.0], GROUP_B)
     cfg = quiet_config(capacity_fractions=(0.25, 0.5, 1.0), replications=2,
                        sigma_xi=0.05, horizon=6)
-    specs = [PolicySpec("asc_fbg", DELTA), PolicySpec("ea_asc_fbg", DELTA)]
+    specs = [PolicySpec("asc_fbg"), PolicySpec("ea_asc_fbg")]
     rows = capacity_sweep(lambda seed: cohort, specs, cfg)
     assert len(rows) == 2 * 3 * 2
     keys = [(r.policy_kind, r.capacity_fraction, r.replication) for r in rows]
@@ -232,7 +238,7 @@ def test_sweep_single_replication_composes_from_simulate():
     cfg = quiet_config(capacity_fractions=(0.5, 1.0), replications=1,
                        sigma_xi=0.05, horizon=6)
     for kind in POLICY_KINDS:
-        spec = PolicySpec(kind, DELTA)
+        spec = PolicySpec(kind)
         rows = capacity_sweep(lambda seed: cohort, [spec], cfg)
         direct = [simulate(cohort, spec, cfg, f, 0) for f in cfg.capacity_fractions]
         assert rows == direct, kind
@@ -252,7 +258,7 @@ def test_sweep_shares_rollouts_across_policies_without_changing_rows():
                         PatientState(b=3.8, s=0.2, theta=0.5, z_prev=1)))
     cfg = quiet_config(capacity_fractions=(0.5, 1.0), replications=2,
                        sigma_xi=0.05, horizon=5)
-    specs = [PolicySpec(kind, DELTA) for kind in ("ea_desc_vtg", "ea_desc_vtg_per_visit")]
+    specs = [PolicySpec(kind) for kind in ("ea_desc_vtg", "ea_desc_vtg_per_visit")]
     both = capacity_sweep(lambda seed: cohort, specs, cfg)
     alone = [r for spec in specs for r in capacity_sweep(lambda seed: cohort, [spec], cfg)]
 
@@ -271,8 +277,8 @@ def test_sweep_shares_rollouts_across_policies_without_changing_rows():
 
 
 def test_sweep_rejects_a_repeated_policy_kind():
-    # rows are labelled by kind: two thresholds of one kind would pool
-    specs = [PolicySpec("ea_desc_vtg", DELTA), PolicySpec("ea_desc_vtg", math.log(300.0))]
+    # rows are labelled by kind: two specs of one kind would pool
+    specs = [PolicySpec("ea_desc_vtg"), PolicySpec("ea_desc_vtg")]
     with pytest.raises(ValueError, match="'ea_desc_vtg'"):
         capacity_sweep(lambda seed: fresh_cohort([5.0], GROUP_A), specs, quiet_config())
 
@@ -285,7 +291,7 @@ def test_sweep_generator_receives_replication_keyed_seed():
         return fresh_cohort([5.0], GROUP_A)
 
     cfg = quiet_config(capacity_fractions=(0.5, 1.0), replications=3)
-    capacity_sweep(gen, [PolicySpec("visit_no_one", DELTA)], cfg)
+    capacity_sweep(gen, [PolicySpec("visit_no_one")], cfg)
     assert seeds == [cohort_stream_seed(cfg.base_seed, r) for r in range(3)]
 
 
@@ -295,7 +301,7 @@ def test_visit_everyone_dominates_visit_no_one_on_always_enroll_cohort():
     cohort = fresh_cohort(list(rng.uniform(5.0, 7.0, size=5)), GROUP_B)
     cfg = quiet_config(capacity_fractions=(1.0,), replications=3,
                        sigma_xi=0.05, horizon=12)
-    specs = [PolicySpec("visit_everyone", DELTA), PolicySpec("visit_no_one", DELTA)]
+    specs = [PolicySpec("visit_everyone"), PolicySpec("visit_no_one")]
     rows = capacity_sweep(lambda seed: cohort, specs, cfg)
     mean = lambda kind: np.mean([r.ppc_fraction for r in rows if r.policy_kind == kind])
     assert mean("visit_everyone") >= mean("visit_no_one")
@@ -325,7 +331,7 @@ def test_brute_force_zero_capacity_matches_no_visit_simulation():
     cohort = fresh_cohort([4.0, 5.0], GROUP_B)
     cfg = quiet_config(horizon=4)
     value, schedule = brute_force_plan(cohort, C=0, N=4, delta=DELTA)
-    res = simulate(cohort, PolicySpec("visit_no_one", DELTA), cfg, 0.5)
+    res = simulate(cohort, PolicySpec("visit_no_one"), cfg, 0.5)
     assert value == sum(res.in_control)
     assert schedule == ((), (), (), ())
 

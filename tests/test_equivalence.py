@@ -88,8 +88,8 @@ def _assert_rows_independent(params, rows, C, periods):
     states = _stacked(rows)
     xi = np.random.default_rng(0).normal(0.0, 0.5, len(params.p))
     for kind in POLICY_KINDS:
-        spec = (PolicySpec(kind, DELTA),)
-        batched = visit_mask(states, params, C, spec, periods)
+        spec = (PolicySpec(kind),)
+        batched = visit_mask(states, params, C, spec, periods, DELTA)
         # step_cohort's B, computed once per decision, steps as its own benefit
         decided = states.take(batched.state)
         assert batched.benefit.tobytes() == benefit(decided, params, batched.mask).tobytes(), kind
@@ -98,7 +98,7 @@ def _assert_rows_independent(params, rows, C, periods):
             step_cohort(decided, params, batched.mask, xi))]
         assert stepped[0] == stepped[1], kind
         for k, row in enumerate(rows):
-            alone = visit_mask(_stacked([row]), params, C[k:k + 1], spec, periods)
+            alone = visit_mask(_stacked([row]), params, C[k:k + 1], spec, periods, DELTA)
             assert batched.mask[k].tolist() == alone.mask[0].tolist(), (kind, k)
             assert batched.members[k] == alone.members[0], (kind, k)
             assert batched.rolled_out[k] == alone.rolled_out[0], (kind, k)
@@ -256,23 +256,23 @@ def _visits_alone(states, params, C, kind, periods, delta):
     return set(ranked[:C])
 
 
-def _start(states, i, delta):
-    """The exact start of member i: index, state bits, z_prev and delta."""
-    bits = np.array([states.b[i], states.s[i], states.theta[i], delta]).view(np.int64)
+def _start(states, i):
+    """The exact start of member i: index, state bits and z_prev."""
+    bits = np.array([states.b[i], states.s[i], states.theta[i]]).view(np.int64)
     return (i, *bits.tolist(), int(states.z_prev[i]))
 
 
 # capacity levels whose rows are mixed patient by patient from a small pool
 # of cohort states, so rows share some patients' exact states and not
-# others'; and value-to-go policies at one of two thresholds
+# others'; and value-to-go policies, all at one of two thresholds per call
 VTG_KINDS = ("ea_desc_vtg", "ea_desc_vtg_per_visit")
 shared_st = st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.lists(params_st, min_size=n, max_size=n),
     st.lists(st.lists(state_st, min_size=n, max_size=n), min_size=1, max_size=3),
     st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=n, max_size=n),
                        st.integers(0, n)), min_size=1, max_size=6),
-    st.lists(st.tuples(st.sampled_from(VTG_KINDS), st.sampled_from((DELTA, 1.0))),
-             min_size=1, max_size=3),
+    st.lists(st.sampled_from(VTG_KINDS), min_size=1, max_size=3),
+    st.sampled_from((DELTA, 1.0)),
     st.integers(0, 10),
 ))
 
@@ -280,21 +280,22 @@ shared_st = st.integers(1, 8).flatmap(lambda n: st.tuples(
 @given(case=shared_st)
 @settings(max_examples=100, deadline=None)
 def test_shared_rollouts_rank_as_members_rolled_out_alone(case):
-    params, pool, levels, policies, periods = case
+    params, pool, levels, kinds, delta, periods = case
     params = ParamArrays.of(params)
     states = _stacked([[pool[pick % len(pool)][j] for j, pick in enumerate(picks)]
                        for picks, _ in levels])
     C = np.array([c for _, c in levels])
-    specs = [PolicySpec(kind, delta) for kind, delta in policies]
-    got = visit_mask(states, params, C, specs, periods, np.tile(np.arange(len(C)), len(specs)))
+    specs = [PolicySpec(kind) for kind in kinds]
+    got = visit_mask(states, params, C, specs, periods, delta,
+                     np.tile(np.arange(len(C)), len(specs)))
     first_row = {}
     for r, (spec, k) in enumerate((spec, k) for spec in specs for k in range(len(C))):
         level = StateArrays(*(a[k] for a in states))
         assert set(np.flatnonzero(got.mask[got.row[r]]).tolist()) == _visits_alone(
-            level, params, int(C[k]), spec.kind, periods, spec.delta), (spec, k)
+            level, params, int(C[k]), spec.kind, periods, delta), (spec, k)
         if got.members[r] > C[k]:
             for i in np.flatnonzero(single_patient_action(level, params)):
-                first_row.setdefault(_start(level, int(i), spec.delta), r)
+                first_row.setdefault(_start(level, int(i)), r)
     # the call ran each distinct start once, counted in the first row holding it
     assert got.rollouts_run.tolist() == np.bincount(
         list(first_row.values()), minlength=len(specs) * len(C)).tolist()
@@ -310,7 +311,7 @@ def test_rollout_starts_keep_signed_zeros_apart():
              PatientState(b=2.0, s=0.1, theta=z, z_prev=0)] for z in (0.0, -0.0, 0.0)]
     params = ParamArrays.of([prm] * 3)
     got = visit_mask(_stacked(rows), params, np.zeros(3, dtype=int),
-                     (PolicySpec("ea_desc_vtg", DELTA),), 4)
+                     (PolicySpec("ea_desc_vtg"),), 4, DELTA)
     assert got.rolled_out.tolist() == [3, 3, 3]
     assert got.rollouts_run.tolist() == [3, 3, 0]
     # two rows differing only in the sign of patient 0's theta: the second
@@ -319,7 +320,7 @@ def test_rollout_starts_keep_signed_zeros_apart():
     rows = [[PatientState(b=1.0, s=0.0, theta=z, z_prev=0),
              PatientState(b=2.0, s=0.0, theta=0.5, z_prev=0)] for z in (0.0, -0.0)]
     got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]), np.array([1, 1]),
-                     (PolicySpec("ea_desc_vtg", DELTA),), 4)
+                     (PolicySpec("ea_desc_vtg"),), 4, DELTA)
     assert got.rolled_out.tolist() == [2, 2]
     assert got.rollouts_run.tolist() == [2, 1]
     for k, row in enumerate(rows):
@@ -327,14 +328,14 @@ def test_rollout_starts_keep_signed_zeros_apart():
             StateArrays.of(row), ParamArrays.of([prm, prm]), 1, "ea_desc_vtg", 4, DELTA)
 
 
-# a sweep over every kind at once, each with its own threshold; fractions
+# a sweep over every kind at once, at one of three thresholds; fractions
 # that round to C = 0 or C = n on these small cohorts, deduplicated in the
 # test (a config takes each fraction once), while distinct fractions may
 # still round to one C
 sweep_st = st.tuples(
     st.lists(st.tuples(params_st, state_st), min_size=1, max_size=6),
     st.permutations(POLICY_KINDS),
-    st.lists(st.sampled_from((DELTA, 1.0, 2.5)), min_size=8, max_size=8),
+    st.sampled_from((125.0, math.exp(1.0), math.exp(2.5))),
     st.lists(st.sampled_from((0.01, 0.2, 0.34, 0.5, 0.75, 1.0)), min_size=1, max_size=4),
     st.integers(1, 6),
     st.integers(1, 2),
@@ -345,12 +346,13 @@ sweep_st = st.tuples(
 @given(case=sweep_st)
 @settings(max_examples=40, deadline=None)
 def test_sweep_rows_equal_one_spec_simulations(case):
-    patients, kinds, deltas, fractions, horizon, reps, sigma_xi = case
+    patients, kinds, delta_mgdl, fractions, horizon, reps, sigma_xi = case
     cohort = Cohort(params=tuple(p for p, _ in patients),
                     initial_states=tuple(s for _, s in patients))
     config = SimulationConfig(horizon=horizon, capacity_fractions=tuple(sorted(set(fractions))),
-                              replications=reps, base_seed=3, sigma_xi=sigma_xi)
-    specs = [PolicySpec(kind, delta) for kind, delta in zip(kinds, deltas)]
+                              replications=reps, base_seed=3, sigma_xi=sigma_xi,
+                              delta_mgdl=delta_mgdl)
+    specs = [PolicySpec(kind) for kind in kinds]
     swept = capacity_sweep(lambda seed: cohort, specs, config)
     per_spec = [r for spec in specs for r in capacity_sweep(lambda seed: cohort, [spec], config)]
     alone = {(spec.kind, f, rep): simulate(cohort, spec, config, f, rep)
@@ -373,15 +375,15 @@ def test_sweep_rows_equal_one_spec_simulations(case):
 # rollouts over one RuleTable of a cohort: starts (patient, b, s, theta,
 # z_prev) drawn from a small pool, so that they repeat within and across
 # calls, with both signed zeros of s and theta and theta on its floor;
-# then calls, each a list of (pool pick, delta) and a horizon
+# then calls, each a list of pool picks, a threshold and a horizon
 zero_st = st.sampled_from((0.0, -0.0))
 start_st = st.tuples(st.one_of(zero_st, st.floats(0.0, 10.0, **unit)),
                      st.one_of(zero_st, st.floats(0.0, 5.0, **unit)),
                      st.one_of(zero_st, st.floats(0.0, 5.0, **unit)),
                      st.integers(0, 1))
 calls_st = st.lists(st.tuples(
-    st.lists(st.tuples(st.integers(0, 99), st.sampled_from((DELTA, 1.0, 2.5))),
-             min_size=1, max_size=8),
+    st.lists(st.integers(0, 99), min_size=1, max_size=8),
+    st.sampled_from((DELTA, 1.0, 2.5)),
     st.integers(0, 60)), min_size=1, max_size=5)
 
 
@@ -408,7 +410,7 @@ def _assert_as_reference(rs, params, patient, states, periods, delta):
         ref = RefParams(*(getattr(params[i], f) for f in RefParams._fields))
         assert (rs.v_tilde[j], rs.visits[j]) == reference_rollout(
             ref, states.b[j], states.s[j], states.theta[j], int(states.z_prev[j]),
-            periods, delta[j]), j
+            periods, delta), j
 
 
 @given(case=_table_case())
@@ -417,9 +419,8 @@ def test_shared_rule_table_rolls_out_as_fresh_tables_and_the_reference(case):
     params, pool, calls = case
     cohort = ParamArrays.of(params)
     table = RuleTable(cohort)
-    for picks, periods in calls:
-        patient, states = _starts(pool, [k for k, _ in picks])
-        delta = np.array([d for _, d in picks])
+    for picks, delta, periods in calls:
+        patient, states = _starts(pool, picks)
         shared = table.rollout(patient, states, periods, delta)
         assert _counts(shared) == _counts(
             RuleTable(cohort).rollout(patient, states, periods, delta))
@@ -431,8 +432,8 @@ def test_shared_rule_table_rolls_out_as_fresh_tables_and_the_reference(case):
 def test_starts_differing_only_in_b_share_every_node(case, b):
     params, pool, calls = case
     cohort = ParamArrays.of(params)
-    picks, periods = calls[0]
-    patient, states = _starts(pool, [k for k, _ in picks])
+    picks, _, periods = calls[0]
+    patient, states = _starts(pool, picks)
     table = RuleTable(cohort)
     table.rollout(patient, states, periods, DELTA)
     nodes, rule = len(table.keys), table.rule.copy()
@@ -449,14 +450,14 @@ def test_rollout_expands_no_more_levels_than_its_horizon(case):
     # with gamma and rho near 1, a walk keeps reaching new states for
     # thousands of steps: only the 3 levels a 3-step walk reads are expanded
     params, pool, calls = case
-    patient, states = _starts(pool, [k for k, _ in calls[0][0]])
+    patient, states = _starts(pool, calls[0][0])
     table = RuleTable(ParamArrays.of(params))
-    got = table.rollout(patient, states, 3, np.full(len(patient), DELTA))
+    got = table.rollout(patient, states, 3, DELTA)
     bits = np.column_stack((states.s, states.theta)).view(np.int64)
     starts = set(zip(patient.tolist(), map(tuple, bits.tolist()), states.z_prev.tolist()))
     assert np.count_nonzero(table.rule[:, 3] >= 0) <= 3 * len(starts)
     assert len(table.keys) <= 4 * len(starts)
-    _assert_as_reference(got, params, patient, states, 3, np.full(len(patient), DELTA))
+    _assert_as_reference(got, params, patient, states, 3, DELTA)
 
 
 def test_rule_table_expands_each_level_once():

@@ -1,8 +1,9 @@
 """Tests for visit-selection rules: the single-patient policy, the
 interest-set filter, deterministic rollouts, and capacity tie-breaking."""
 
-import math
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -34,14 +35,11 @@ fresh = lambda b, prm: PatientState(b=b, s=0.0, theta=prm.theta_base, z_prev=0)
 # PolicySpec hygiene
 # ---------------------------------------------------------------------------
 
-def test_policy_spec_rejects_unknown_kind_and_bad_delta():
-    with pytest.raises(ValueError):
-        PolicySpec(kind="visit_furiously", delta=DELTA)
-    with pytest.raises(ValueError):
-        PolicySpec(kind="asc_fbg", delta=0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="PolicySpec.delta must be finite"):
-            PolicySpec(kind="asc_fbg", delta=bad)
+def test_policy_spec_rejects_unknown_kind():
+    # the in-control threshold is the sweep's (SimulationConfig.delta_mgdl)
+    with pytest.raises(ValueError, match="unknown policy kind 'visit_furiously'"):
+        PolicySpec(kind="visit_furiously")
+    assert [f.name for f in dataclasses.fields(PolicySpec)] == ["kind"]
 
 
 def test_policy_kind_enumeration_is_closed():
@@ -162,7 +160,7 @@ def test_interest_set_mixed_cohort_only_group_b():
 
 @pytest.mark.parametrize("pick", [
     interest_set, lambda states, params: select_visits(states, params, 1, PolicySpec(
-        "ea_desc_vtg", DELTA), 10)], ids=["interest_set", "select_visits"])
+        "ea_desc_vtg"), 10, DELTA)], ids=["interest_set", "select_visits"])
 def test_length_mismatch_is_an_error(pick):
     with pytest.raises(ValueError, match="misaligned"):
         pick([fresh(5.0, GROUP_A)], [GROUP_A, GROUP_B])
@@ -223,34 +221,34 @@ def _b_cohort(bs):
 
 def test_visit_no_one_selects_nothing():
     states, params = _b_cohort([5.0, 6.0, 7.0])
-    spec = PolicySpec("visit_no_one", DELTA)
+    spec = PolicySpec("visit_no_one")
     for C in (0, 1, 3):
-        assert select_visits(states, params, C, spec, 10) == set()
+        assert select_visits(states, params, C, spec, 10, DELTA) == set()
 
 
 def test_visit_everyone_ignores_capacity():
     states, params = _b_cohort([5.0, 6.0, 7.0])
-    spec = PolicySpec("visit_everyone", DELTA)
-    assert select_visits(states, params, 1, spec, 10) == {0, 1, 2}
+    spec = PolicySpec("visit_everyone")
+    assert select_visits(states, params, 1, spec, 10, DELTA) == {0, 1, 2}
 
 
 def test_ea_returns_whole_interest_set_under_capacity():
     states, params = _b_cohort([5.0, 6.0, 7.0])
     for kind in EA_KINDS:
-        spec = PolicySpec(kind, DELTA)
-        assert select_visits(states, params, 5, spec, 10) == {0, 1, 2}
+        spec = PolicySpec(kind)
+        assert select_visits(states, params, 5, spec, 10, DELTA) == {0, 1, 2}
 
 
 def test_ea_desc_fbg_tie_breaks_by_lower_index():
     states, params = _b_cohort([5.0, 7.0, 7.0, 3.0, 6.0])
-    spec = PolicySpec("ea_desc_fbg", DELTA)
-    assert select_visits(states, params, 2, spec, 10) == {1, 2}
+    spec = PolicySpec("ea_desc_fbg")
+    assert select_visits(states, params, 2, spec, 10, DELTA) == {1, 2}
 
 
 def test_ea_asc_fbg_prefers_low_fbg():
     states, params = _b_cohort([5.0, 7.0, 7.0, 3.0, 6.0])
-    spec = PolicySpec("ea_asc_fbg", DELTA)
-    assert select_visits(states, params, 2, spec, 10) == {3, 0}
+    spec = PolicySpec("ea_asc_fbg")
+    assert select_visits(states, params, 2, spec, 10, DELTA) == {3, 0}
 
 
 def test_baselines_skip_interest_filtering():
@@ -258,15 +256,15 @@ def test_baselines_skip_interest_filtering():
     # spend capacity on them
     states = [fresh(9.0, GROUP_A), fresh(4.0, GROUP_A)]
     params = [GROUP_A, GROUP_A]
-    assert select_visits(states, params, 1, PolicySpec("asc_fbg", DELTA), 10) == {1}
-    assert select_visits(states, params, 1, PolicySpec("desc_fbg", DELTA), 10) == {0}
+    assert select_visits(states, params, 1, PolicySpec("asc_fbg"), 10, DELTA) == {1}
+    assert select_visits(states, params, 1, PolicySpec("desc_fbg"), 10, DELTA) == {0}
     assert interest_set(states, params) == set()
 
 
 def test_zero_capacity_blocks_everything_but_visit_everyone():
     states, params = _b_cohort([5.0, 6.0])
     for kind in POLICY_KINDS:
-        got = select_visits(states, params, 0, PolicySpec(kind, DELTA), 10)
+        got = select_visits(states, params, 0, PolicySpec(kind), 10, DELTA)
         if kind == "visit_everyone":
             assert got == {0, 1}
         else:
@@ -287,7 +285,7 @@ def test_capacity_bound_and_interest_subset_on_random_cohorts():
         C = int(rng.integers(0, n + 2))
         members = interest_set(states, params)
         for kind in POLICY_KINDS:
-            got = select_visits(states, params, C, PolicySpec(kind, DELTA), 8)
+            got = select_visits(states, params, C, PolicySpec(kind), 8, DELTA)
             if kind != "visit_everyone":
                 assert len(got) <= C
             if kind in EA_KINDS:
@@ -299,13 +297,13 @@ def test_ranking_stable_under_permutation_with_distinct_keys():
     states, params = _b_cohort(bs)
     rng = np.random.default_rng(99)
     for kind in ("ea_asc_fbg", "ea_desc_fbg", "asc_fbg", "desc_fbg"):
-        spec = PolicySpec(kind, DELTA)
-        base = select_visits(states, params, 3, spec, 10)
+        spec = PolicySpec(kind)
+        base = select_visits(states, params, 3, spec, 10, DELTA)
         base_bs = sorted(bs[i] for i in base)
         for _ in range(5):
             perm = rng.permutation(len(bs))
             p_states = [states[j] for j in perm]
-            got = select_visits(p_states, [GROUP_B] * len(bs), 3, spec, 10)
+            got = select_visits(p_states, [GROUP_B] * len(bs), 3, spec, 10, DELTA)
             got_bs = sorted(bs[perm[j]] for j in got)
             assert got_bs == base_bs
 
@@ -340,8 +338,8 @@ def test_value_per_visit_ranking_differs_from_value_ranking():
     assert interest_set(states, params) == {0, 1}
     assert [rollout_single(s, p, 5, DELTA) for s, p in zip(states, params)] == [
         RolloutSummary(v_tilde=3, visits=1), RolloutSummary(v_tilde=5, visits=5)]
-    by_value = select_visits(states, params, 1, PolicySpec("ea_desc_vtg", DELTA), 5)
+    by_value = select_visits(states, params, 1, PolicySpec("ea_desc_vtg"), 5, DELTA)
     per_visit = select_visits(states, params, 1,
-                              PolicySpec("ea_desc_vtg_per_visit", DELTA), 5)
+                              PolicySpec("ea_desc_vtg_per_visit"), 5, DELTA)
     assert by_value == {1}
     assert per_visit == {0}

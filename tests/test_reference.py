@@ -118,7 +118,7 @@ def test_visit_mask_keeps_the_reference_c_best(case):
                            for j in range(4)))
     C = np.array([c for _, c in rows])
     for kind in RANKED_KINDS:
-        mask = visit_mask(states, arrays, C, (PolicySpec(kind, DELTA),), periods).mask
+        mask = visit_mask(states, arrays, C, (PolicySpec(kind),), periods, DELTA).mask
         for k, (row, c) in enumerate(rows):
             assert (set(np.flatnonzero(mask[k]).tolist())
                     == _reference_visits(kind, params, row, c, periods)), (kind, k)
