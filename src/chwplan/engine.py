@@ -209,6 +209,10 @@ def _simulate_rows(
         states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit)
         in_control[t - 1] = np.count_nonzero(states.b <= delta, axis=1)[state]
         enrolled[t - 1] = np.count_nonzero(z, axis=1)[state]
+    # a non-finite log-FBG stays so: the floor keeps nan and inf turns only into nan
+    if not np.isfinite(states.b).all():
+        raise ValueError(f"SimulationConfig.sigma_xi={config.sigma_xi!r} drives log-FBG past"
+                         " the largest float")
 
     return [
         RunResult(
@@ -259,6 +263,8 @@ def capacity_sweep(
     Rows are labelled by policy kind, so each kind may appear once.
     """
     kinds = [spec.kind for spec in specs]
+    if not kinds:
+        raise ValueError("need at least one policy")
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise ValueError(f"policy kind {kind!r} given more than once")

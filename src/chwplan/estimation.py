@@ -132,7 +132,7 @@ class EstimationConfig:
     def __post_init__(self):
         for name in ("grid_s_base", "grid_beta", "grid_gamma", "grid_rho"):
             if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
+                raise ValueError(f"EstimationConfig.{name} must be nonempty")
         for g in self.grid_gamma + self.grid_rho:
             if not (0.0 < g < 1.0):
                 raise ValueError(f"decay grid value {g} outside (0, 1)")
@@ -185,7 +185,6 @@ class InnerSolution:
 class EstimationResult:
     params: PatientParams
     nll: float
-    grid_cell: Cell
     latent_log_fbg: Tuple[float, ...]
     latent_adverse: Tuple[float, ...]
     latent_perception: Tuple[float, ...]
@@ -200,6 +199,11 @@ class EstimationResult:
     cells_pruned: int
     cells_reused: int
     qp_iterations: int
+
+    @property
+    def grid_cell(self) -> Cell:
+        """The grid cell of the fit: its (s_base, beta, gamma, rho)."""
+        return (self.params.s_base, self.params.beta, self.params.gamma, self.params.rho)
 
 
 def reconstruct_adverse(
@@ -240,7 +244,8 @@ def _objective(history: VisitHistory, config: EstimationConfig):
     """P and q of the inner QP: the Gaussian negative log-likelihood.
 
     It depends on the record and the noise scales only, so every grid
-    cell of a history shares it.
+    cell of a history shares it. A record whose P, q or constant term
+    (1/2)w_eps*sum(val^2) overflows is refused before any cell is solved.
     """
     y, z = history.visited, history.enrolled
     T = history.length
@@ -252,14 +257,20 @@ def _objective(history: VisitHistory, config: EstimationConfig):
     for t, val in history.observations:
         P[t, t] += config.w_eps
         q[t] -= config.w_eps * val
-    for t in range(T - 1):
-        d = np.zeros(n)
-        d[t + 1] = 1.0
-        d[t] = -1.0
-        d[ip] = -1.0
-        d[imu] = float(z[t])
-        d[ial] = float(y[t] * z[t])
-        P += config.w_xi * np.outer(d, d)
+    with np.errstate(over="ignore"):  # refused below
+        for t in range(T - 1):
+            d = np.zeros(n)
+            d[t + 1] = 1.0
+            d[t] = -1.0
+            d[ip] = -1.0
+            d[imu] = float(z[t])
+            d[ial] = float(y[t] * z[t])
+            P += config.w_xi * np.outer(d, d)
+    const = 0.5 * config.w_eps * sum(val * val for _, val in history.observations)
+    if not (np.isfinite(P).all() and np.isfinite(q).all() and math.isfinite(const)):
+        raise ValueError(f"patient {history.patient_id!r}: the likelihood overflows a float at"
+                         f" EstimationConfig.sigma_eps={config.sigma_eps!r} and"
+                         f" sigma_xi={config.sigma_xi!r}")
     return P, q
 
 
@@ -586,7 +597,6 @@ def estimate_patient(
         ("solved", "primal_infeasible", "nonconverged"), 0)
     reused = iterations = 0
     best: Optional[InnerSolution] = None
-    best_cell = None
     # a later cell replaces the best only with an nll below this
     threshold = math.inf
     solutions = solve_cells(history, config)
@@ -596,14 +606,13 @@ def estimate_patient(
         iterations += sol.iterations
         if not sol.feasible or sol.nll >= threshold:
             continue
-        best = sol
-        best_cell = cell
+        best, best_cell = sol, cell
         threshold = sol.nll - NLL_TIE_TOLERANCE * (1.0 + abs(sol.nll))
         if threshold <= bound:
             # drops the solver's pool: nothing more is stepped or loaded
             solutions.close()
             break
-    if best is None or best_cell is None:
+    if best is None:
         raise EstimationFailedError(history.patient_id)
 
     s_base, beta, gamma, rho = best_cell
@@ -617,7 +626,6 @@ def estimate_patient(
     return EstimationResult(
         params=params,
         nll=best.nll,
-        grid_cell=best_cell,
         latent_log_fbg=best.latent_log_fbg,
         latent_adverse=s,
         latent_perception=theta,

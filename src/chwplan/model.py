@@ -147,17 +147,14 @@ Num = Union[float, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num,
-             yz: Optional[Num] = None) -> Num:
+def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num) -> Num:
     """Next log-FBG: b + p - mu*z - alpha*y*z + xi.
 
     Unmitigated, log-FBG drifts up by p each period; enrollment pulls it
     down by mu and a management visit by a further alpha. The return value
-    may be any real — clamping to >= 0 happens in the period step. yz is
-    y*z when the caller has it: coef*y*z equals coef*yz bit for bit.
+    may be any real — clamping to >= 0 happens in the period step.
     """
-    return fbg_update(state.b, params.p, params.mu * z,
-                      params.alpha * (y * z if yz is None else yz), xi)
+    return fbg_update(state.b, params.p, params.mu * z, params.alpha * (y * z), xi)
 
 
 def fbg_update(b: Num, p: Num, mu_z: Num, alpha_yz: Num, xi: Num) -> Num:
@@ -173,27 +170,24 @@ def carried_adverse(s: Num, gamma: Num, s_base: Num) -> Num:
     return gamma * (s - s_base) + s_base
 
 
-def step_adverse(s: Num, params: Params, y: Num, z: Num, yz: Optional[Num] = None) -> Num:
+def step_adverse(s: Num, params: Params, y: Num, z: Num) -> Num:
     """Next adverse-factor level: z*carried_adverse(s) + beta*y*z.
 
     Deviations from the enrolled steady state s_base decay geometrically at
-    rate gamma; each visit adds beta. Unenrolled patients carry none. yz is
-    y*z when the caller has it.
+    rate gamma; each visit adds beta. Unenrolled patients carry none.
     """
-    carried = carried_adverse(s, params.gamma, params.s_base)
-    return z * carried + params.beta * (y * z if yz is None else yz)
+    return z * carried_adverse(s, params.gamma, params.s_base) + params.beta * (y * z)
 
 
-def step_perception(theta: Num, params: Params, y: Num, z: Num, yz: Optional[Num] = None) -> Num:
+def step_perception(theta: Num, params: Params, y: Num, z: Num) -> Num:
     """Next perceived importance, floored at zero.
 
     Reverts toward theta_base at rate rho; a visit while enrolled reduces
     it by lam. The raw recurrence can go negative when lam is large, so the
     result is clamped at 0 to stay in the model's feasible region (exactly
-    max(0.0, raw), elementwise). yz is y*z when the caller has it.
+    max(0.0, raw), elementwise).
     """
-    yz = y * z if yz is None else yz
-    raw = params.rho * (theta - params.theta_base) + params.theta_base - params.lam * yz
+    raw = params.rho * (theta - params.theta_base) + params.theta_base - params.lam * (y * z)
     return np.where(raw > 0.0, raw, 0.0)
 
 
@@ -239,10 +233,8 @@ def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = N
     if B is None:
         B = benefit(state, params, y)
     z = enroll_decision(state.z_prev, y, B)
-    yz = y & z
-    b = step_fbg(state, params, y, z, xi, yz)
-    return (floor_fbg(b), step_adverse(state.s, params, y, z, yz),
-            step_perception(state.theta, params, y, z, yz), z)
+    return (floor_fbg(step_fbg(state, params, y, z, xi)), step_adverse(state.s, params, y, z),
+            step_perception(state.theta, params, y, z), z)
 
 
 def step_patient(

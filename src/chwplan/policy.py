@@ -44,7 +44,8 @@ class PolicySpec:
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
+            raise ValueError(f"unknown policy kind {self.kind!r};"
+                             f" expected one of {', '.join(POLICY_KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,16 @@ class RuleTable:
     """The single-patient rule's decisions in each state a cohort's rollouts
     have reached. They never read log-FBG b, so a rollout walks a chain of
     nodes, one per distinct (patient, s bits, theta bits, z_prev), and
-    advances only b. A node's y, z, y & z and successor come from one
-    step_cohort, batched over the nodes a walk step first reaches: a walk
-    of H steps expands at most H levels. delta does not enter the rule, so
-    one table serves every threshold.
+    advances only b. A node's y, z and successor come from one step_cohort,
+    batched over the nodes a walk step first reaches: a walk of H steps
+    expands at most H levels. delta does not enter the rule, so one table
+    serves every threshold.
     """
 
     def __init__(self, params: ParamArrays):
         self.params = params  # the cohort's, indexed by patient
         self.keys = np.zeros((0, 4), dtype=np.int64)  # patient, s bits, theta bits, z_prev
-        self.rule = np.zeros((0, 4), dtype=int)  # y, z, y & z, successor; -1s unexpanded
+        self.rule = np.zeros((0, 3), dtype=int)  # y, z, successor; -1s unexpanded
         self._index = {}
 
     def _find(self, patient, s, theta, z_prev) -> np.ndarray:
@@ -118,7 +119,7 @@ class RuleTable:
         if len(index) > known:  # new nodes have the largest ids
             at = np.unique(node, return_index=True)[1][known - len(index):]
             self.keys = np.concatenate((self.keys, keys[at]))
-            self.rule = np.concatenate((self.rule, np.full((len(at), 4), -1)))
+            self.rule = np.concatenate((self.rule, np.full((len(at), 3), -1)))
         return node
 
     def _expand(self, node: np.ndarray) -> None:
@@ -129,7 +130,7 @@ class RuleTable:
         b0, b1 = benefits(states, params)
         y = _visit_pays(z_prev, b0, b1)
         nxt, z = step_cohort(states, params, y, 0.0, np.where(y, b1, b0))
-        self.rule[node] = np.column_stack((y, z, y & z, self._find(patient, nxt.s, nxt.theta, z)))
+        self.rule[node] = np.column_stack((y, z, self._find(patient, nxt.s, nxt.theta, z)))
 
     def rollout(self, patient: np.ndarray, states: StateArrays, periods_remaining: int,
                 delta: float) -> RolloutSummary:
@@ -141,8 +142,8 @@ class RuleTable:
         shared by every start. Returns a RolloutSummary of int arrays: each
         start's post-transition in-control periods and visits over the
         window, zeros when periods_remaining = 0. All starts walk at once:
-        first the node path, one successor gather per step, then y, z and
-        y & z gathered for the whole path, and last b, advanced alone.
+        first the node path, one successor gather per step, then y and z
+        gathered for the whole path, and last b, advanced alone.
         A start's result depends only on its own (patient, state),
         periods_remaining and delta, which is what lets visit_mask run each
         distinct start once.
@@ -153,13 +154,13 @@ class RuleTable:
         path = np.empty((periods_remaining, len(patient)), dtype=np.intp)  # each step's nodes
         for h in range(periods_remaining):
             path[h] = node
-            node = self.rule[:, 3].take(node)
+            node = self.rule[:, 2].take(node)
             if np.minimum.reduce(node, None, initial=0) < 0:  # an unexpanded row is all -1
                 self._expand(np.unique(path[h][node < 0]))
-                node = self.rule[:, 3].take(path[h])
-        y, z, yz, _ = np.moveaxis(self.rule.take(path, 0), 2, 0)
+                node = self.rule[:, 2].take(path[h])
+        y, z, _ = np.moveaxis(self.rule.take(path, 0), 2, 0)
         p, mu, alpha = (a.take(patient) for a in (self.params.p, self.params.mu, self.params.alpha))
-        mu_z, alpha_yz = mu * z, alpha * yz
+        mu_z, alpha_yz = mu * z, alpha * (y * z)
         b = np.empty(path.shape)  # each step's post-transition log-FBG
         for h in range(periods_remaining):
             b[h] = floor_fbg(fbg_update(b[h - 1] if h else states.b, p, mu_z[h], alpha_yz[h], 0.0))

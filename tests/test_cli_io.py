@@ -14,6 +14,7 @@ import math
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ NAN = float("nan")
 DELTA_MESSAGE = "SimulationConfig.delta_mgdl must be a finite number above 1 mg/dL"
 WEIGHT_MESSAGE = ("EstimationConfig.{0}: noise scales must be positive with a finite weight"
                   " 1/{0}**2, got {1}")
+OVERFLOW_MESSAGE = ("patient 'p1': the likelihood overflows a float at"
+                    " EstimationConfig.sigma_eps={0} and sigma_xi=0.1")
 CENTROID = dict(zip(FEATURE_NAMES, (1.0, 0.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
 GROUPS = [{"name": "a", "weight": 1.0, "centroid": CENTROID}]
 
@@ -1012,6 +1015,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("args,fragment", [
         (["simulate", "--sigma-xi", "nan"], "SimulationConfig.sigma_xi must be finite, got nan"),
         (["simulate", "--sigma-xi", "inf"], "SimulationConfig.sigma_xi must be finite, got inf"),
+        # finite, but the noise drives log-FBG to inf and nan: no nan percentiles
+        (["simulate", "--sigma-xi", "1.7e308"], "SimulationConfig.sigma_xi=1.7e+308"),
         (["simulate", "--delta-mgdl", "inf"], f"{DELTA_MESSAGE}, got inf"),
         (["simulate", "--delta-mgdl", "nan"], f"{DELTA_MESSAGE}, got nan"),
         (["simulate", "--delta-mgdl", "0"], f"{DELTA_MESSAGE}, got 0.0"),
@@ -1025,11 +1030,15 @@ class TestCliErrors:
         (["estimate", "--sigma-eps", "1e300"], WEIGHT_MESSAGE.format("sigma_eps", "1e+300")),
         (["estimate", "--sigma-eps", "1e-160"], WEIGHT_MESSAGE.format("sigma_eps", "1e-160")),
         (["estimate", "--sigma-xi", "1e-160"], WEIGHT_MESSAGE.format("sigma_xi", "1e-160")),
-    ], ids=["sim-sigma-xi-nan", "sim-sigma-xi-inf", "sim-delta-inf", "sim-delta-nan",
-            "sim-delta-zero", "sim-delta-below-one", "est-sigma-eps-inf", "est-sigma-eps-nan",
-            "est-sigma-xi-nan", "est-grid-beta-inf", "est-sigma-eps-weight-zero-division",
-            "est-sigma-eps-weight-overflow", "est-sigma-eps-weight-inf",
-            "est-sigma-xi-weight-inf"])
+        # finite weights, but p1's q (first) or its constant nll term (second) overflows
+        (["estimate", "--sigma-eps", "1e-154"], OVERFLOW_MESSAGE.format("1e-154")),
+        (["estimate", "--sigma-eps", "3.2e-154"], OVERFLOW_MESSAGE.format("3.2e-154")),
+    ], ids=["sim-sigma-xi-nan", "sim-sigma-xi-inf", "sim-sigma-xi-overflow", "sim-delta-inf",
+            "sim-delta-nan", "sim-delta-zero", "sim-delta-below-one", "est-sigma-eps-inf",
+            "est-sigma-eps-nan", "est-sigma-xi-nan", "est-grid-beta-inf",
+            "est-sigma-eps-weight-zero-division", "est-sigma-eps-weight-overflow",
+            "est-sigma-eps-weight-inf", "est-sigma-xi-weight-inf", "est-q-overflow",
+            "est-nll-constant-overflow"])
     def test_non_finite_numbers_exit_one_naming_the_field_or_flag(self, tmp_path, capsys,
                                                                  args, fragment):
         # nan passes every comparison-based range check and inf most of them,
@@ -1040,9 +1049,13 @@ class TestCliErrors:
                                 "--reps", "1", "--horizon", "2"],
                    "estimate": ["--histories", path]}[args[0]]
         out = tmp_path / "out"
-        assert main(args[:1] + command + args[1:] + ["--out", str(out)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args[:1] + command + args[1:] + ["--out", str(out)]) == 1
         assert fragment in capsys.readouterr().err
         assert not out.exists()
+        if args[0] == "estimate":  # refused before any solve, so nothing overflows
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_report_on_missing_directory_exits_one(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "void")]) == 1

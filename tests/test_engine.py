@@ -283,6 +283,18 @@ def test_sweep_rejects_a_repeated_policy_kind():
         capacity_sweep(lambda seed: fresh_cohort([5.0], GROUP_A), specs, quiet_config())
 
 
+def test_sweep_rejects_an_empty_policy_list():
+    drawn = []
+
+    def gen(seed):
+        drawn.append(seed)
+        return fresh_cohort([5.0], GROUP_A)
+
+    with pytest.raises(ValueError, match="need at least one policy"):
+        capacity_sweep(gen, [], quiet_config())
+    assert drawn == []  # refused before any cohort is drawn
+
+
 def test_sweep_generator_receives_replication_keyed_seed():
     seeds = []
 

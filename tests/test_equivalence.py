@@ -455,7 +455,7 @@ def test_rollout_expands_no_more_levels_than_its_horizon(case):
     got = table.rollout(patient, states, 3, DELTA)
     bits = np.column_stack((states.s, states.theta)).view(np.int64)
     starts = set(zip(patient.tolist(), map(tuple, bits.tolist()), states.z_prev.tolist()))
-    assert np.count_nonzero(table.rule[:, 3] >= 0) <= 3 * len(starts)
+    assert np.count_nonzero(table.rule[:, 2] >= 0) <= 3 * len(starts)
     assert len(table.keys) <= 4 * len(starts)
     _assert_as_reference(got, params, patient, states, 3, DELTA)
 
@@ -470,7 +470,7 @@ def test_rule_table_expands_each_level_once():
         assert (int(rs.v_tilde[0]), int(rs.visits[0])) == _scalar_rollout(
             PatientState(b=5.0, s=0.1, theta=0.1, z_prev=1), prm, periods, DELTA)
         # every step reached a new state: one node per level, expanded once
-        assert np.count_nonzero(table.rule[:, 3] >= 0) == periods
+        assert np.count_nonzero(table.rule[:, 2] >= 0) == periods
         assert len(table.keys) == periods + 1
 
 

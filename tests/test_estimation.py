@@ -493,6 +493,20 @@ def test_relaxed_bound_below_every_solved_cell_of_noisy_record():
     assert min(nlls) - NLL_TIE_TOLERANCE * (1.0 + min(nlls)) <= bound
 
 
+def test_overflowing_innovation_weights_are_refused_before_any_solve(monkeypatch):
+    # w_xi = 1e308 is finite, but three innovations sum it three times into
+    # P's p entry: refused by name, with no overflow warning and no QP run
+    h = VisitHistory(patient_id="x", visited=(1, 0, 0, 1), enrolled=(1, 1, 1, 1),
+                     observations={0: 5.0, 3: 5.0})
+    monkeypatch.setattr(est, "solve_qps", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"patient 'x': the likelihood overflows a float"
+                                             r" at EstimationConfig.sigma_eps=0.1 and"
+                                             r" sigma_xi=1e-154"):
+            estimate_patient(h, EstimationConfig(sigma_xi=1e-154))
+
+
 def test_box_qp_step_ratio_overflow_is_silent():
     # z - x is subnormal in the first coordinate, so its step ratio
     # overflows; only coordinates leaving the box read the ratio
@@ -713,6 +727,17 @@ def test_full_grid_recovery_on_noisy_record():
     assert result.latent_perception == pytest.approx(theta, abs=1e-12)
     assert len(result.latent_log_fbg) == h.length
     assert len(result.innovations) == h.length - 1
+
+
+def test_grid_cell_is_the_cell_of_the_fitted_params():
+    h, _ = reference_history()
+    config = small_config()
+    result = estimate_patient(h, config)
+    prm = result.params
+    assert result.grid_cell == (prm.s_base, prm.beta, prm.gamma, prm.rho)
+    assert result.grid_cell in est.grid_cells(config)
+    # the cell is stated once, in params: no field of its own
+    assert "grid_cell" not in est.EstimationResult.__dataclass_fields__
 
 
 def test_full_grid_recovery_is_deterministic():
