@@ -8,6 +8,7 @@ maps failures to exit codes (0 success, 1 user error, 2 internal error).
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -390,6 +391,7 @@ def _fmt_pct(v: float) -> str:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: parsing leaves no state on the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chwplan",
                      description="Simulate and plan community-health-worker"

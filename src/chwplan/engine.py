@@ -195,20 +195,21 @@ def _simulate_rows(
         np.zeros((n_periods, len(state)), dtype=int) for _ in range(4))
     work = np.zeros((len(WORK), len(state)), dtype=int)
 
-    for t in range(1, n_periods + 1):
-        remaining = n_periods - t + 1
-        visits = visit_mask(states, params, C, specs, remaining, delta, state, table)
-        y, state = visits.mask, visits.row
-        states = states.take(visits.state)
-        screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)[state]
-        visits_total[t - 1] = np.count_nonzero(y, axis=1)[state]
-        work += (visits.members, visits.rolled_out, visits.rolled_out * remaining,
-                 visits.rollouts_run, visits.rollouts_run * remaining,
-                 np.bincount(visits.first, minlength=len(state)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite log-FBG is refused below
+        for t in range(1, n_periods + 1):
+            remaining = n_periods - t + 1
+            visits = visit_mask(states, params, C, specs, remaining, delta, state, table)
+            y, state = visits.mask, visits.row
+            states = states.take(visits.state)
+            screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)[state]
+            visits_total[t - 1] = np.count_nonzero(y, axis=1)[state]
+            work += (visits.members, visits.rolled_out, visits.rolled_out * remaining,
+                     visits.rollouts_run, visits.rollouts_run * remaining,
+                     np.bincount(visits.first, minlength=len(state)))
 
-        states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit)
-        in_control[t - 1] = np.count_nonzero(states.b <= delta, axis=1)[state]
-        enrolled[t - 1] = np.count_nonzero(z, axis=1)[state]
+            states, z = step_cohort(states, params, y, xi[t - 1], visits.benefit)
+            in_control[t - 1] = np.count_nonzero(states.b <= delta, axis=1)[state]
+            enrolled[t - 1] = np.count_nonzero(z, axis=1)[state]
     # a non-finite log-FBG stays so: the floor keeps nan and inf turns only into nan
     if not np.isfinite(states.b).all():
         raise ValueError(f"SimulationConfig.sigma_xi={config.sigma_xi!r} drives log-FBG past"

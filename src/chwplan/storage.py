@@ -9,9 +9,11 @@ and replayed.
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import warnings
 from dataclasses import MISSING, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -240,10 +242,49 @@ def write_results_csv(path: str, results: Sequence[RunResult]) -> None:
     write_table(path, RESULTS_COLUMNS, (), blocks)
 
 
+# A plain table's bytes, the only ones the writers write: printable ASCII,
+# tab, CR and LF. np.loadtxt reads such a table as the csv module and
+# int/float do; other control characters can differ (np.loadtxt reads
+# "2\x1c" as 2, which int() refuses).
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+
+
+def _read_plain_columns(path: str, columns: Sequence[str],
+                        types) -> Optional[Dict[str, np.ndarray]]:
+    """_read_columns for a plain table under exactly the expected header
+    line, parsed by np.loadtxt's compiled reader from lines split as the
+    csv module's file splits them (newline=""). None for any other file and
+    for any table np.loadtxt refuses or warns on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="") as text:
+        header = text.readline()
+        if header.rstrip("\r\n") != ",".join(columns):
+            return None
+        if len(header) == len(data):
+            return {c: np.array((), dtype=t) for c, t in zip(columns, types)}
+        dtype = np.dtype([(c, object if t is str else t) for c, t in zip(columns, types)])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return {c: table[c].astype(t) for c, t in zip(columns, types)}
+
+
 def _read_columns(path: str, columns: Sequence[str], types) -> Dict[str, np.ndarray]:
     """A table as one array per column, each field parsed by the matching
     entry of types (numpy calls it on each field); the first row with an
-    unparsable field is named."""
+    unparsable field is named. A plain table takes _read_plain_columns'
+    path, which returns the same arrays; every other table, and any it
+    refuses, is read here with the csv module."""
+    plain = _read_plain_columns(path, columns, types)
+    if plain is not None:
+        return plain
     rows = _read_csv(path, columns)
     fields = list(zip(*filter(None, rows))) or [()] * len(columns)
     try:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from chwplan import charts, clustering, estimation, qp, storage
 from chwplan.cli import (MAX_CAPACITY_RANGE, _parse_capacities, _representative_pct,
-                         _share_series, main)
+                         _share_series, build_parser, main)
 from chwplan.clustering import FEATURE_NAMES, cluster_params
 from chwplan.engine import RunResult
 from chwplan.model import PatientParams
@@ -147,6 +147,90 @@ def _run_result(policy, fraction, rep, in_control=(1, 2)):
     )
 
 
+def csv_reference(path, columns, types):
+    """The result and summary readers' reference: the csv module's rows,
+    each column converted by numpy (which calls int, float or str on each
+    field), the first bad row named as storage names it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file (missing header row)")
+    header = [h.strip() for h in rows[0]]
+    if header != list(columns):
+        raise ValueError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
+    numbered = [(rownum, row) for rownum, row in enumerate(rows[1:], 2) if row]
+    for rownum, row in numbered:
+        if len(row) != len(columns):
+            raise ValueError(f"{path} row {rownum}: expected {len(columns)} fields,"
+                             f" got {len(row)}")
+    fields = list(zip(*(row for _, row in numbered))) or [()] * len(columns)
+    try:
+        return {c: np.array(f, dtype=t) for c, t, f in zip(columns, types, fields)}
+    except ValueError:
+        for rownum, row in numbered:
+            for t, v in zip(types, row):
+                try:
+                    t(v)
+                except ValueError as exc:
+                    raise ValueError(f"{path} row {rownum}: {exc}")
+        raise
+
+
+RESULTS_TYPES = (str, float) + (int,) * 6
+SUMMARY_TYPES = (str,) + (float,) * 7
+ODD_LABELS = ('"asc_fbg"', '"a ""b"" c"', '""', " asc_fbg ", "\tasc_fbg", "#asc_fbg",
+              "label_longer_than_thirty_two_characters", '"a,b"', '"a\nb"', '"a\r\nb"', 'a"b',
+              '"a"b', ' "a"', '"a')
+ODD_NUMBERS = ("+1_000", "\u0661", "-0", "1e400", "nan", "-nan", " 7 ", '"7"', "1.0", "", "#1")
+READERS = [(storage.read_results_csv, storage.RESULTS_COLUMNS, RESULTS_TYPES),
+           (storage.read_summary_csv, storage.SUMMARY_COLUMNS, SUMMARY_TYPES)]
+CONTROLS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028")
+
+
+@st.composite
+def table_texts(draw, columns, types):
+    """A table's text: its header, then clean rows mixed with odd fields,
+    control characters, blank and whitespace-only lines and rows of the
+    wrong length, with LF or CRLF line endings."""
+    clean = {str: st.sampled_from(POLICY_KINDS), int: st.integers(0, 400).map(str),
+             float: st.floats(0, 100).map(repr)}
+    odd = {str: st.sampled_from(ODD_LABELS), int: st.sampled_from(ODD_NUMBERS),
+           float: st.sampled_from(ODD_NUMBERS)}
+
+    def field(t):
+        value = draw(odd[t] if draw(st.integers(0, 7)) == 0 else clean[t])
+        if draw(st.integers(0, 11)) == 0:
+            at = draw(st.integers(0, len(value)))
+            value = value[:at] + draw(st.sampled_from(CONTROLS)) + value[at:]
+        return value
+
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("row",) * 6 + ("blank", "spaces", "short", "long")))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from((" ", "\t", "  \t "))))
+        else:
+            width = len(columns) + {"row": 0, "short": -1, "long": 1}[kind]
+            lines.append(",".join(field(t) for t in (types + types[-1:])[:width]))
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    return ending.join(lines) + ending * draw(st.booleans())
+
+
+def read_outcome(reader, path):
+    """What reader makes of path: its arrays, as dtype and bytes, or its
+    error; and every warning it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            columns = reader(path)
+            outcome = {c: (a.dtype, a.shape, a.tobytes()) for c, a in columns.items()}
+        except ValueError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [str(w.message) for w in caught]
+
+
 class TestTables:
     def test_results_rows_sorted_by_policy_capacity_rep_period(self, tmp_path):
         results = [_run_result("desc_fbg", 0.2, 1), _run_result("desc_fbg", 0.2, 0),
@@ -215,12 +299,14 @@ class TestTables:
             storage.read_results_csv(path)
 
     def test_results_reader_parses_quoted_fields_as_the_csv_module(self, tmp_path):
-        lines = ['"asc_fbg",10.0,0,1,"1",0,2,1', '"a,""b""",1e1,0,2,1,0,2," 1 "']
+        lines = ['"asc_fbg",10.0,0,1,"1",0,2,1', '"a,""b""",1e1,0,2,1,0,2," 1 "',
+                 '"c\r\nd",10,0,3,1,0,2,1', '"e\rf",10,0,4,1,0,2,1']
         columns = storage.read_results_csv(self._results_file(tmp_path, lines))
         parsed = list(csv.reader(lines))
-        assert columns["policy"].tolist() == [row[0] for row in parsed] == ["asc_fbg", 'a,"b"']
-        assert columns["capacity_pct"].tolist() == [10.0, 10.0]
-        assert columns["screening_visits"].tolist() == [1, 1]
+        assert columns["policy"].tolist() == [row[0] for row in parsed] \
+            == ["asc_fbg", 'a,"b"', "c\r\nd", "e\rf"]  # a quoted line break is kept as written
+        assert columns["capacity_pct"].tolist() == [10.0] * 4
+        assert columns["screening_visits"].tolist() == [1] * 4
 
     def test_results_reader_parses_numerals_as_int_and_float_do(self, tmp_path):
         numerals = [" 7 ", "+1_000", "\u0661", "-0"]
@@ -244,14 +330,45 @@ class TestTables:
             storage.read_results_csv(self._results_file(tmp_path, lines))
 
     def test_empty_tables_keep_their_column_types(self, tmp_path):
-        columns = storage.read_results_csv(self._results_file(tmp_path, []))
-        assert {c: a.dtype.str[1:] for c, a in columns.items()} == {
-            "policy": "U1", "capacity_pct": "f8", **{c: "i8" for c in storage.RESULTS_COLUMNS[2:]}}
-        assert all(a.shape == (0,) for a in columns.values())
-        path = tmp_path / "summary.csv"
-        path.write_text(",".join(storage.SUMMARY_COLUMNS) + "\n")
-        summary = storage.read_summary_csv(str(path))
-        assert [a.dtype.str[1:] for a in summary.values()] == ["U1"] + ["f8"] * 7
+        path = str(tmp_path / "table.csv")
+        dtypes = [["U1", "f8"] + ["i8"] * 6, ["U1"] + ["f8"] * 7]
+        for ending in ("", "\n", "\r\n", "\n\n"):
+            for (reader, columns, _), expected in zip(READERS, dtypes):
+                with open(path, "w", newline="", encoding="utf-8") as fh:
+                    fh.write(",".join(columns) + ending)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # np.loadtxt warns on a table with no rows
+                    read = reader(path)
+                assert [a.dtype.str[1:] for a in read.values()] == expected
+                assert all(a.shape == (0,) for a in read.values())
+
+    @pytest.mark.parametrize("reader,columns,types", READERS, ids=["results", "summary"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_readers_match_the_csv_module_reference(self, reader, columns, types, data):
+        text = data.draw(table_texts(columns, types))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            outcome, caught = read_outcome(reader, path)
+            assert outcome == read_outcome(lambda p: csv_reference(p, columns, types), path)[0]
+            assert caught == []
+
+    def test_written_tables_are_read_without_the_csv_module(self, tmp_path, monkeypatch):
+        from chwplan.engine import SummaryRow
+        results = [_run_result("desc_fbg", 0.2, 1), _run_result("asc_fbg", 0.1, 0)]
+        summary = [SummaryRow(policy_kind="ea_desc_vtg", capacity_fraction=0.15,
+                              ppc_mean=1.0 / 3.0, ppc_ci_halfwidth=-0.0,
+                              final_fbg_percentiles=(4.1, NAN, 4.9, 5.2))]
+        storage.write_results_csv(str(tmp_path / "results.csv"), results)
+        storage.write_summary_csv(str(tmp_path / "summary.csv"), summary)
+        paths = [str(tmp_path / "results.csv"), str(tmp_path / "summary.csv")]
+        expected = [read_outcome(lambda p: csv_reference(p, columns, types), path)
+                    for path, (_, columns, types) in zip(paths, READERS)]
+        monkeypatch.setattr(storage, "_read_csv", None)  # the csv-module path would fail
+        assert [read_outcome(reader, path)
+                for path, (reader, _, _) in zip(paths, READERS)] == expected
 
     def test_results_periods_are_one_based(self, tmp_path):
         path = tmp_path / "results.csv"
@@ -1054,8 +1171,33 @@ class TestCliErrors:
             assert main(args[:1] + command + args[1:] + ["--out", str(out)]) == 1
         assert fragment in capsys.readouterr().err
         assert not out.exists()
-        if args[0] == "estimate":  # refused before any solve, so nothing overflows
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # an estimate is refused before any solve; a simulate's overflow is refused after
+        # its period loop, which runs with overflow and invalid warnings off
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_one_parser_serves_calls_as_fresh_processes_would(self, tmp_path, capsys):
+        simulate = ["simulate", "--scenario", "scenario3", "--population", "5", "--policies",
+                    "asc_fbg", "--capacities", "20", "--reps", "1", "--horizon", "2",
+                    "--out", str(tmp_path / "sim")]
+        calls = [simulate + ["--bogus"], simulate, ["--help"]]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        build_parser.cache_clear()
+        in_one_process = [run(argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert in_one_process == fresh
+        assert [code for code, _, _ in fresh] == [1, 0, 0]
+        assert "unrecognized arguments: --bogus" in fresh[0][2]
+        assert fresh[1][1].startswith("simulate: 1 result cells")
+        assert fresh[2][1].startswith("usage: chwplan")
 
     def test_report_on_missing_directory_exits_one(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "void")]) == 1
