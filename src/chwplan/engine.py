@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import (ParamArrays, PatientParams, PatientState, StateArrays, _require_finite,
                     step_cohort)
-from .policy import PolicySpec, RuleTable, visit_mask
+from .policy import PolicySpec, RuleTable, visit_mask, visit_rows
 
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
@@ -186,7 +186,8 @@ def _simulate_rows(
     delta = math.log(config.delta_mgdl)
 
     states = StateArrays(*(a[None, :] for a in StateArrays.of(cohort.initial_states)))
-    state = np.zeros(len(specs) * len(C), dtype=int)
+    rows = visit_rows(specs, C, population)
+    state = np.zeros(len(rows.kind), dtype=int)
     params = ParamArrays.of(cohort.params)
     table = RuleTable(params)  # the rollouts' decisions, shared by every row and period
 
@@ -198,7 +199,7 @@ def _simulate_rows(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite log-FBG is refused below
         for t in range(1, n_periods + 1):
             remaining = n_periods - t + 1
-            visits = visit_mask(states, params, C, specs, remaining, delta, state, table)
+            visits = visit_mask(states, params, rows, remaining, delta, state, table)
             y, state = visits.mask, visits.row
             states = states.take(visits.state)
             screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)[state]
@@ -286,17 +287,28 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
 
     PPC gets a mean and a normal-approximation 95% half-width (0 by
     convention for a single replication); final log-FBG percentiles pool
-    every patient across replications.
+    every patient across replications, taken in one np.percentile(...,
+    axis=1) call for all the cells that pool as many values, which gives
+    each cell the floats a call on it alone gives.
     """
     if not results:
         raise ValueError("nothing to summarize")
     cells: Dict[Tuple[str, float], List[RunResult]] = {}
     for r in results:
         cells.setdefault((r.policy_kind, r.capacity_fraction), []).append(r)
+    groups = sorted(cells.items())
+
+    pooled = [np.concatenate([r.final_log_fbg for r in group]) for _, group in groups]
+    same_length: Dict[int, List[int]] = {}
+    for i, values in enumerate(pooled):
+        same_length.setdefault(len(values), []).append(i)
+    percentiles: Dict[int, Tuple[float, ...]] = {}
+    for same in same_length.values():
+        q = np.percentile([pooled[i] for i in same], (25, 50, 75, 90), axis=1)
+        percentiles.update(zip(same, map(tuple, q.T.tolist())))
 
     rows: List[SummaryRow] = []
-    for (kind, fraction), group in sorted(cells.items()):
-        pooled = np.concatenate([r.final_log_fbg for r in group])
+    for i, ((kind, fraction), group) in enumerate(groups):
         ppcs = np.array([r.ppc_fraction for r in group])
         half = 1.96 * ppcs.std(ddof=1) / math.sqrt(len(ppcs)) if len(ppcs) > 1 else 0.0
         rows.append(SummaryRow(
@@ -304,7 +316,7 @@ def summarize(results: Sequence[RunResult]) -> List[SummaryRow]:
             capacity_fraction=fraction,
             ppc_mean=float(ppcs.mean()),
             ppc_ci_halfwidth=float(half),
-            final_fbg_percentiles=tuple(np.percentile(pooled, (25, 50, 75, 90)).tolist()),
+            final_fbg_percentiles=percentiles[i],
         ))
     return rows
 

@@ -279,7 +279,7 @@ def _read_plain_columns(path: str, columns: Sequence[str],
 def _read_columns(path: str, columns: Sequence[str], types) -> Dict[str, np.ndarray]:
     """A table as one array per column, each field parsed by the matching
     entry of types (numpy calls it on each field); the first row with an
-    unparsable field is named. A plain table takes _read_plain_columns'
+    unparsable field, or an int field outside int64, is named. A plain table takes _read_plain_columns'
     path, which returns the same arrays; every other table, and any it
     refuses, is read here with the csv module."""
     plain = _read_plain_columns(path, columns, types)
@@ -289,12 +289,15 @@ def _read_columns(path: str, columns: Sequence[str], types) -> Dict[str, np.ndar
     fields = list(zip(*filter(None, rows))) or [()] * len(columns)
     try:
         return {c: np.array(f, dtype=t) for c, t, f in zip(columns, types, fields)}
-    except ValueError:
+    except (ValueError, OverflowError):  # an int field outside int64 overflows
         for rownum, row in _numbered(rows):
-            try:
-                [t(v) for t, v in zip(types, row)]
-            except ValueError as exc:
-                raise ValueError(f"{path} row {rownum}: {exc}")
+            for t, v in zip(types, row):
+                try:
+                    np.array(v, dtype=t)
+                except ValueError as exc:
+                    raise ValueError(f"{path} row {rownum}: {exc}")
+                except OverflowError:
+                    raise ValueError(f"{path} row {rownum}: {v!r} is outside the int64 range")
         raise
 
 

@@ -166,13 +166,15 @@ def csv_reference(path, columns, types):
     fields = list(zip(*(row for _, row in numbered))) or [()] * len(columns)
     try:
         return {c: np.array(f, dtype=t) for c, t, f in zip(columns, types, fields)}
-    except ValueError:
+    except (ValueError, OverflowError):
         for rownum, row in numbered:
             for t, v in zip(types, row):
                 try:
                     t(v)
                 except ValueError as exc:
                     raise ValueError(f"{path} row {rownum}: {exc}")
+                if t is int and not -2 ** 63 <= int(v) < 2 ** 63:
+                    raise ValueError(f"{path} row {rownum}: {v!r} is outside the int64 range")
         raise
 
 
@@ -181,7 +183,8 @@ SUMMARY_TYPES = (str,) + (float,) * 7
 ODD_LABELS = ('"asc_fbg"', '"a ""b"" c"', '""', " asc_fbg ", "\tasc_fbg", "#asc_fbg",
               "label_longer_than_thirty_two_characters", '"a,b"', '"a\nb"', '"a\r\nb"', 'a"b',
               '"a"b', ' "a"', '"a')
-ODD_NUMBERS = ("+1_000", "\u0661", "-0", "1e400", "nan", "-nan", " 7 ", '"7"', "1.0", "", "#1")
+ODD_NUMBERS = ("+1_000", "\u0661", "-0", "1e400", "nan", "-nan", " 7 ", '"7"', "1.0", "", "#1",
+               "9223372036854775807", "9223372036854775808", "-9223372036854775809")
 READERS = [(storage.read_results_csv, storage.RESULTS_COLUMNS, RESULTS_TYPES),
            (storage.read_summary_csv, storage.SUMMARY_COLUMNS, SUMMARY_TYPES)]
 CONTROLS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028")
@@ -1073,6 +1076,9 @@ class TestCliErrors:
         ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,x,0,2,1\n",
          "results.csv row 2: invalid literal"),
         ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,1,0,2,1\n"
+         '"asc_fbg",10.0,0,2,99999999999999999999,0,2,1\n',
+         "results.csv row 3: '99999999999999999999' is outside the int64 range"),
+        ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,1,0,2,1\n"
          "asc_fbg,10.0,0,2,1,0,2,1\ndesc_fbg,20.0,0,1,1,0,2,1\n",
          "results.csv: policy asc_fbg at 20% capacity has no rows"),
         ("results.csv", ",".join(storage.RESULTS_COLUMNS) + "\nasc_fbg,10.0,0,1,1,0,2,1\n"
@@ -1103,7 +1109,8 @@ class TestCliErrors:
          "config.delta_mgdl must be a finite number above 1 mg/dL, got '125'"),
         ("manifest.json", '{"config": {"population": 5, "delta_mgdl": true}}',
          "config.delta_mgdl must be a finite number above 1 mg/dL, got True"),
-    ], ids=["results-short-row", "results-bad-int", "results-detail-cell-empty",
+    ], ids=["results-short-row", "results-bad-int", "results-int-overflow",
+            "results-detail-cell-empty",
             "results-replication-lacks-period", "summary-short-row", "summary-detail-row-missing",
             "summary-missing", "manifest-not-object", "manifest-invalid-json",
             "manifest-zero-population",

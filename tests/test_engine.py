@@ -410,23 +410,24 @@ def test_summarize_pooled_percentiles():
 
 def test_summarize_percentiles_equal_per_cell_calls():
     # cells pooling 126 to 3,780 values, several of each length, with ties
-    # and zeros: one batched call per length gives each cell's own floats
+    # and signed zeros: one batched call per length gives each cell's own
+    # floats, bit for bit
     rng = np.random.default_rng(4)
     rows = []
     for c, (population, reps) in enumerate([(126, 1), (126, 1), (378, 10), (126, 3),
-                                           (378, 10), (378, 1)]):
+                                           (378, 10), (378, 1), (2, 1), (2, 2), (4, 1)]):
         for rep in range(reps):
-            finals = rng.choice([0.0, 4.0, 5.5], population) * (rng.random(population) < 0.7)
+            finals = rng.choice([0.0, -0.0, 4.0, 5.5], population) * (rng.random(population) < 0.7)
             finals = np.where(rng.random(population) < 0.5, finals, rng.gamma(9.0, 0.6, population))
             rows.append(fake_result("asc_fbg", 0.05 * (c + 1), rep, ppc=0.5,
                                     finals=finals.tolist()))
     summaries = summarize(rows)
-    assert len(summaries) == 6
+    assert len(summaries) == 9
     for summary in summaries:
         pooled = np.concatenate([r.final_log_fbg for r in rows
                                  if r.capacity_fraction == summary.capacity_fraction])
-        assert summary.final_fbg_percentiles == tuple(
-            np.percentile(pooled, (25, 50, 75, 90)).tolist())
+        assert (np.array(summary.final_fbg_percentiles).tobytes()
+                == np.percentile(pooled, (25, 50, 75, 90)).tobytes())
 
 
 def shares_of(results):

@@ -27,6 +27,8 @@ from chwplan.model import (
     StateArrays,
     benefit,
     benefits,
+    fbg_update,
+    floor_fbg,
     step_cohort,
     step_fbg,
     step_patient,
@@ -40,6 +42,7 @@ from chwplan.policy import (
     rollout_single,
     single_patient_action,
     visit_mask,
+    visit_rows,
 )
 
 from _reference import Params as RefParams
@@ -86,10 +89,11 @@ def _stacked(rows):
 
 def _assert_rows_independent(params, rows, C, periods):
     states = _stacked(rows)
-    xi = np.random.default_rng(0).normal(0.0, 0.5, len(params.p))
+    n = len(params.p)
+    xi = np.random.default_rng(0).normal(0.0, 0.5, n)
     for kind in POLICY_KINDS:
         spec = (PolicySpec(kind),)
-        batched = visit_mask(states, params, C, spec, periods, DELTA)
+        batched = visit_mask(states, params, visit_rows(spec, C, n), periods, DELTA)
         # step_cohort's B, computed once per decision, steps as its own benefit
         decided = states.take(batched.state)
         assert batched.benefit.tobytes() == benefit(decided, params, batched.mask).tobytes(), kind
@@ -98,7 +102,8 @@ def _assert_rows_independent(params, rows, C, periods):
             step_cohort(decided, params, batched.mask, xi))]
         assert stepped[0] == stepped[1], kind
         for k, row in enumerate(rows):
-            alone = visit_mask(_stacked([row]), params, C[k:k + 1], spec, periods, DELTA)
+            alone = visit_mask(_stacked([row]), params, visit_rows(spec, C[k:k + 1], n),
+                               periods, DELTA)
             assert batched.mask[k].tolist() == alone.mask[0].tolist(), (kind, k)
             assert batched.members[k] == alone.members[0], (kind, k)
             assert batched.rolled_out[k] == alone.rolled_out[0], (kind, k)
@@ -286,7 +291,7 @@ def test_shared_rollouts_rank_as_members_rolled_out_alone(case):
                        for picks, _ in levels])
     C = np.array([c for _, c in levels])
     specs = [PolicySpec(kind) for kind in kinds]
-    got = visit_mask(states, params, C, specs, periods, delta,
+    got = visit_mask(states, params, visit_rows(specs, C, len(params.p)), periods, delta,
                      np.tile(np.arange(len(C)), len(specs)))
     first_row = {}
     for r, (spec, k) in enumerate((spec, k) for spec in specs for k in range(len(C))):
@@ -310,8 +315,8 @@ def test_rollout_starts_keep_signed_zeros_apart():
              PatientState(b=1.0, s=z, theta=0.1, z_prev=0),
              PatientState(b=2.0, s=0.1, theta=z, z_prev=0)] for z in (0.0, -0.0, 0.0)]
     params = ParamArrays.of([prm] * 3)
-    got = visit_mask(_stacked(rows), params, np.zeros(3, dtype=int),
-                     (PolicySpec("ea_desc_vtg"),), 4, DELTA)
+    got = visit_mask(_stacked(rows), params,
+                     visit_rows((PolicySpec("ea_desc_vtg"),), np.zeros(3, dtype=int), 3), 4, DELTA)
     assert got.rolled_out.tolist() == [3, 3, 3]
     assert got.rollouts_run.tolist() == [3, 3, 0]
     # two rows differing only in the sign of patient 0's theta: the second
@@ -319,8 +324,8 @@ def test_rollout_starts_keep_signed_zeros_apart():
     # rows keep patient 0
     rows = [[PatientState(b=1.0, s=0.0, theta=z, z_prev=0),
              PatientState(b=2.0, s=0.0, theta=0.5, z_prev=0)] for z in (0.0, -0.0)]
-    got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]), np.array([1, 1]),
-                     (PolicySpec("ea_desc_vtg"),), 4, DELTA)
+    got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]),
+                     visit_rows((PolicySpec("ea_desc_vtg"),), np.array([1, 1]), 2), 4, DELTA)
     assert got.rolled_out.tolist() == [2, 2]
     assert got.rollouts_run.tolist() == [2, 1]
     for k, row in enumerate(rows):
@@ -472,6 +477,52 @@ def test_rule_table_expands_each_level_once():
         # every step reached a new state: one node per level, expanded once
         assert np.count_nonzero(table.rule[:, 2] >= 0) == periods
         assert len(table.keys) == periods + 1
+
+
+def _stepwise_log_fbg(prm, start, periods):
+    """A noise-free rollout's post-transition log-FBG per step, and its
+    visits, one step at a time: y, z, s and theta from the rule and
+    step_patient, b from fbg_update and floor_fbg, each into a new array."""
+    state, b, visits = start, [], 0
+    for _ in range(periods):
+        y = int(single_patient_action(state, prm))
+        nxt, z = step_patient(state, prm, y, 0.0)
+        b.append(float(floor_fbg(fbg_update(state.b, prm.p, prm.mu * z, prm.alpha * (y * z), 0.0))))
+        state = dataclasses.replace(nxt, b=b[-1])
+        visits += y
+    return b, visits
+
+
+# drift slower than enrollment and visits pull log-FBG down, from starts
+# near 0, so the floor binds on many steps
+floored_params_st = st.builds(
+    PatientParams,
+    p=st.floats(0.0, 0.5, **unit), mu=st.floats(0.0, 3.0, **unit),
+    alpha=st.floats(0.0, 3.0, **unit), beta=st.floats(0.0, 1.0, **unit),
+    lam=st.floats(0.0, 1.0, **unit), gamma=st.floats(0.05, 0.95, **unit),
+    rho=st.floats(0.05, 0.95, **unit), s_base=st.floats(0.0, 1.0, **unit),
+    theta_base=st.floats(0.0, 1.0, **unit),
+)
+floored_start_st = st.builds(PatientState, b=st.one_of(zero_st, st.floats(0.0, 2.0, **unit)),
+                             s=st.floats(0.0, 1.0, **unit), theta=st.floats(0.0, 1.0, **unit),
+                             z_prev=st.integers(0, 1))
+
+
+@given(starts=st.lists(st.tuples(floored_params_st, floored_start_st), min_size=1, max_size=6),
+       periods=st.integers(1, 30), pick=st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_rollout_advances_log_fbg_as_stepwise_updates(starts, periods, pick):
+    # thresholds at the stepwise log-FBG values themselves: a count moves if
+    # any step's b differs by one ulp from the stepwise update's
+    params = ParamArrays.of([prm for prm, _ in starts])
+    patient = np.arange(len(starts))
+    states = StateArrays.of([start for _, start in starts])
+    walks = [_stepwise_log_fbg(prm, start, periods) for prm, start in starts]
+    values = sorted({v for b, _ in walks for v in b})
+    for delta in (0.0, values[pick % len(values)], values[-1 - pick % len(values)]):
+        rs = RuleTable(params).rollout(patient, states, periods, delta)
+        assert rs.v_tilde.tolist() == [sum(v <= delta for v in b) for b, _ in walks], delta
+        assert rs.visits.tolist() == [visits for _, visits in walks], delta
 
 
 def test_rule_table_walk_floors_log_fbg():

@@ -507,6 +507,54 @@ def test_overflowing_innovation_weights_are_refused_before_any_solve(monkeypatch
             estimate_patient(h, EstimationConfig(sigma_xi=1e-154))
 
 
+def outer_product_objective(h, config):
+    """_objective's P and q, P as the sum of the T-1 innovations' rank-one
+    terms w_xi*d_t*d_t': the reference the entry-by-entry P must equal."""
+    T, n = h.length, h.length + 5
+    P, q = np.zeros((n, n)), np.zeros(n)
+    for t, val in h.observations:
+        P[t, t] += config.w_eps
+        q[t] -= config.w_eps * val
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 1):
+            d = np.zeros(n)
+            d[t + 1], d[t], d[T] = 1.0, -1.0, -1.0
+            d[T + 1], d[T + 2] = float(h.enrolled[t]), float(h.visited[t] * h.enrolled[t])
+            P += config.w_xi * np.outer(d, d)
+    return P, q
+
+
+def test_objective_equals_the_outer_product_sum():
+    # w_xi = 1/0.37**2 rounds, so a border entry's 299 additions round as
+    # they are ordered; 2.5e305 sums to near the largest float at T = 300,
+    # and 1e308 overflows an entry once it adds two terms, which both refuse
+    rng = np.random.default_rng(11)
+    refused = 0
+    for T in (1, 2, 3, 4, 5, 8, 13, 60, 61, 99, 128, 200, 255, 300):
+        visited = rng.integers(0, 2, T)
+        enrolled = []
+        for t in range(T):
+            offered = visited[t] == 1 or (t > 0 and enrolled[-1] == 1)
+            enrolled.append(int(rng.integers(0, 2)) if offered else 0)
+        observed = np.flatnonzero(rng.random(T) < 0.6)
+        h = VisitHistory(tuple(visited.tolist()), tuple(enrolled),
+                         {int(t): float(rng.uniform(3.0, 6.0)) for t in observed})
+        for sigma_xi in (0.37, 2e-153, 1e-154):
+            config = EstimationConfig(sigma_xi=sigma_xi)
+            P, q = outer_product_objective(h, config)
+            if not np.isfinite(P).all():
+                refused += 1
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="the likelihood overflows a float"):
+                        est._objective(h, config)
+                continue
+            got_P, got_q = est._objective(h, config)
+            assert got_P.tobytes() == P.tobytes(), (T, sigma_xi)
+            assert got_q.tobytes() == q.tobytes(), (T, sigma_xi)
+    assert refused == 12  # every T >= 3 at 1e308
+
+
 def test_box_qp_step_ratio_overflow_is_silent():
     # z - x is subnormal in the first coordinate, so its step ratio
     # overflows; only coordinates leaving the box read the ratio
