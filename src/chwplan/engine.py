@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import (ParamArrays, PatientParams, PatientState, StateArrays, _require_finite,
                     step_cohort)
-from .policy import PolicySpec, RuleTable, visit_mask, visit_rows
+from .policy import PolicySpec, RuleTable, visit_mask
 
 DEFAULT_CAPACITY_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
@@ -186,8 +186,7 @@ def _simulate_rows(
     delta = math.log(config.delta_mgdl)
 
     states = StateArrays(*(a[None, :] for a in StateArrays.of(cohort.initial_states)))
-    rows = visit_rows(specs, C, population)
-    state = np.zeros(len(rows.kind), dtype=int)
+    state = np.zeros(len(specs) * len(C), dtype=int)
     params = ParamArrays.of(cohort.params)
     table = RuleTable(params)  # the rollouts' decisions, shared by every row and period
 
@@ -199,7 +198,7 @@ def _simulate_rows(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite log-FBG is refused below
         for t in range(1, n_periods + 1):
             remaining = n_periods - t + 1
-            visits = visit_mask(states, params, rows, remaining, delta, state, table)
+            visits = visit_mask(states, params, C, specs, remaining, delta, state, table)
             y, state = visits.mask, visits.row
             states = states.take(visits.state)
             screening[t - 1] = np.count_nonzero(y & (states.z_prev == 0), axis=1)[state]

@@ -214,17 +214,12 @@ def benefit(state: State, params: Params, y: Num) -> Num:
     return np.where(y, b1, b0)[()]
 
 
-def floor_fbg(b: Num, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Log-FBG floored at 0 as PatientState floors it: 0.0 where b < 0.0,
-    else b, so -0.0 and nan stay as they are (np.maximum(b, 0.0) may turn
-    -0.0 into 0.0). Written into out if given (it may be b, floored in
-    place), else into a new float array."""
-    if out is None:
-        out = np.array(b, dtype=float)
-    elif out is not b:
-        np.copyto(out, b)
-    np.copyto(out, 0.0, where=out < 0.0)
-    return out
+def floor_fbg(b: np.ndarray) -> np.ndarray:
+    """Log-FBG floored at 0 in place, as PatientState floors it: 0.0 where
+    b < 0.0, else b, so -0.0 and nan stay as they are (np.maximum(b, 0.0)
+    may turn -0.0 into 0.0). Returns b."""
+    np.copyto(b, 0.0, where=b < 0.0)
+    return b
 
 
 def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
@@ -242,14 +237,14 @@ def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = N
 
     The provider's y precedes the patient's z within the period; the benefit
     is evaluated at the current (s, theta). B is benefit(state, params, y)
-    when the caller already has it. Log-FBG is advanced and clamped at 0 by
-    floor_fbg in one new array.
+    when the caller already has it. Log-FBG is advanced into a new array
+    and clamped at 0 there by floor_fbg.
     """
     if B is None:
         B = benefit(state, params, y)
     z = enroll_decision(state.z_prev, y, B)
-    b = np.asarray(step_fbg(state, params, y, z, xi))
-    return (floor_fbg(b, out=b), step_adverse(state.s, params, y, z),
+    b = floor_fbg(np.asarray(step_fbg(state, params, y, z, xi)))
+    return (b, step_adverse(state.s, params, y, z),
             step_perception(state.theta, params, y, z), z)
 
 

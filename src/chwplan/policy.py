@@ -9,8 +9,7 @@ baselines rank everyone with no filtering.
 interest_set and select_visits take one cohort as aligned sequences of
 PatientState/PatientParams. single_patient_action, RuleTable and
 visit_mask take struct-of-arrays (StateArrays, ParamArrays); visit_mask
-decides every (policy, capacity) row of one cohort, as visit_rows lays
-them out, at once.
+decides every (policy, capacity) row of one cohort at once.
 """
 
 from dataclasses import dataclass
@@ -164,8 +163,8 @@ class RuleTable:
         mu_z, alpha_yz = mu * z, alpha * (y * z)
         b = np.empty(path.shape)  # each step's post-transition log-FBG
         for h in range(periods_remaining):
-            step = fbg_update(b[h - 1] if h else states.b, p, mu_z[h], alpha_yz[h], 0.0, out=b[h])
-            floor_fbg(step, out=step)
+            floor_fbg(fbg_update(b[h - 1] if h else states.b, p, mu_z[h], alpha_yz[h], 0.0,
+                                 out=b[h]))
         return RolloutSummary(v_tilde=np.count_nonzero(b <= delta, axis=0), visits=y.sum(axis=0))
 
 
@@ -223,27 +222,6 @@ class Visits(NamedTuple):
     rollouts_run: np.ndarray  # (R,) rollouts run, each in the first row holding its start
 
 
-class Rows(NamedTuple):
-    """The (policy, capacity) rows of one cohort that visit_mask decides."""
-
-    kind: np.ndarray  # (R,) each row's index into POLICY_KINDS
-    cap: np.ndarray   # (R,) the visits each row keeps
-
-
-def visit_rows(specs: Sequence[PolicySpec], C, n: int) -> Rows:
-    """The rows of specs x C (one int or one per level), policy-major, for a
-    cohort of n: visit_no_one keeps C = 0 and visit_everyone C = n. A sweep
-    builds them once for all its periods."""
-    C = np.atleast_1d(C)
-    if (C < 0).any():
-        raise ValueError("capacity must be >= 0")
-    kind = np.repeat([POLICY_KINDS.index(s.kind) for s in specs], len(C))
-    cap = np.tile(C, len(specs))
-    cap[kind == POLICY_KINDS.index("visit_no_one")] = 0
-    cap[kind == POLICY_KINDS.index("visit_everyone")] = n
-    return Rows(kind, cap)
-
-
 # per kind: its candidates are the interest set, the sign of its log-FBG
 # ranking key, and whether it ranks by a value-to-go rollout
 _FILTERED = np.array([k in EA_KINDS for k in POLICY_KINDS])
@@ -254,7 +232,8 @@ _VTG = np.array(["vtg" in k for k in POLICY_KINDS])
 def visit_mask(
     states: StateArrays,
     params: ParamArrays,
-    rows: Rows,
+    C,
+    specs: Sequence[PolicySpec],
     periods_remaining: int,
     delta: float,
     state: Optional[np.ndarray] = None,
@@ -263,13 +242,14 @@ def visit_mask(
     """Pick this period's visits for R rows of one cohort at once.
 
     states holds G states of the cohort ((G, n) arrays), params its shared
-    (n,) constants. rows is visit_rows of the (policy, capacity) pairs for
-    this n; row r is in state state[r] (default r). Each row's mask is what
-    a one-row call on its state alone returns.
+    (n,) constants. The rows are the (policy, capacity) pairs of specs and
+    C (one int or one per level), policy-major; row r is in state state[r]
+    (default r). Each row's mask is what a one-row call on its state alone
+    returns.
 
     Every kind keeps the C best of its candidates: the interest set (ea_*
-    kinds) or the whole cohort (baselines). So a mask depends on the state
-    and the class:
+    kinds) or the whole cohort (baselines; visit_no_one and visit_everyone
+    are C = 0 and C = n). So a mask depends on the state and the class:
     every candidate (at most C of them), or the C smallest keys (+inf off
     the candidates, ties to the lower index) of its kind. Each distinct
     (state, class) is decided once, in the order of the first row holding
@@ -279,7 +259,13 @@ def visit_mask(
     walk over table (the RuleTable of params; a fresh one if None).
     """
     n = states.b.shape[1]
-    kind, cap = rows
+    C = np.atleast_1d(C)
+    if (C < 0).any():
+        raise ValueError("capacity must be >= 0")
+    kind = np.repeat([POLICY_KINDS.index(s.kind) for s in specs], len(C))
+    cap = np.tile(C, len(specs))
+    cap[kind == POLICY_KINDS.index("visit_no_one")] = 0
+    cap[kind == POLICY_KINDS.index("visit_everyone")] = n
     state = np.arange(len(kind)) if state is None else state
 
     b0, b1 = benefits(states, params)
@@ -322,6 +308,5 @@ def select_visits(states: Sequence[PatientState], params: Sequence[PatientParams
     """Pick this period's visit set for one cohort: visit_mask on one row."""
     states, params = _as_arrays(states, params)
     one = StateArrays(*(a[None, :] for a in states))
-    rows = visit_rows((spec,), C, len(states.b))
-    mask = visit_mask(one, params, rows, periods_remaining, delta).mask[0]
+    mask = visit_mask(one, params, C, (spec,), periods_remaining, delta).mask[0]
     return set(np.flatnonzero(mask).tolist())

@@ -28,7 +28,6 @@ from chwplan.model import (
     benefit,
     benefits,
     fbg_update,
-    floor_fbg,
     step_cohort,
     step_fbg,
     step_patient,
@@ -42,7 +41,6 @@ from chwplan.policy import (
     rollout_single,
     single_patient_action,
     visit_mask,
-    visit_rows,
 )
 
 from _reference import Params as RefParams
@@ -89,11 +87,10 @@ def _stacked(rows):
 
 def _assert_rows_independent(params, rows, C, periods):
     states = _stacked(rows)
-    n = len(params.p)
-    xi = np.random.default_rng(0).normal(0.0, 0.5, n)
+    xi = np.random.default_rng(0).normal(0.0, 0.5, len(params.p))
     for kind in POLICY_KINDS:
         spec = (PolicySpec(kind),)
-        batched = visit_mask(states, params, visit_rows(spec, C, n), periods, DELTA)
+        batched = visit_mask(states, params, C, spec, periods, DELTA)
         # step_cohort's B, computed once per decision, steps as its own benefit
         decided = states.take(batched.state)
         assert batched.benefit.tobytes() == benefit(decided, params, batched.mask).tobytes(), kind
@@ -102,8 +99,7 @@ def _assert_rows_independent(params, rows, C, periods):
             step_cohort(decided, params, batched.mask, xi))]
         assert stepped[0] == stepped[1], kind
         for k, row in enumerate(rows):
-            alone = visit_mask(_stacked([row]), params, visit_rows(spec, C[k:k + 1], n),
-                               periods, DELTA)
+            alone = visit_mask(_stacked([row]), params, C[k:k + 1], spec, periods, DELTA)
             assert batched.mask[k].tolist() == alone.mask[0].tolist(), (kind, k)
             assert batched.members[k] == alone.members[0], (kind, k)
             assert batched.rolled_out[k] == alone.rolled_out[0], (kind, k)
@@ -291,7 +287,7 @@ def test_shared_rollouts_rank_as_members_rolled_out_alone(case):
                        for picks, _ in levels])
     C = np.array([c for _, c in levels])
     specs = [PolicySpec(kind) for kind in kinds]
-    got = visit_mask(states, params, visit_rows(specs, C, len(params.p)), periods, delta,
+    got = visit_mask(states, params, C, specs, periods, delta,
                      np.tile(np.arange(len(C)), len(specs)))
     first_row = {}
     for r, (spec, k) in enumerate((spec, k) for spec in specs for k in range(len(C))):
@@ -315,8 +311,8 @@ def test_rollout_starts_keep_signed_zeros_apart():
              PatientState(b=1.0, s=z, theta=0.1, z_prev=0),
              PatientState(b=2.0, s=0.1, theta=z, z_prev=0)] for z in (0.0, -0.0, 0.0)]
     params = ParamArrays.of([prm] * 3)
-    got = visit_mask(_stacked(rows), params,
-                     visit_rows((PolicySpec("ea_desc_vtg"),), np.zeros(3, dtype=int), 3), 4, DELTA)
+    got = visit_mask(_stacked(rows), params, np.zeros(3, dtype=int),
+                     (PolicySpec("ea_desc_vtg"),), 4, DELTA)
     assert got.rolled_out.tolist() == [3, 3, 3]
     assert got.rollouts_run.tolist() == [3, 3, 0]
     # two rows differing only in the sign of patient 0's theta: the second
@@ -324,8 +320,8 @@ def test_rollout_starts_keep_signed_zeros_apart():
     # rows keep patient 0
     rows = [[PatientState(b=1.0, s=0.0, theta=z, z_prev=0),
              PatientState(b=2.0, s=0.0, theta=0.5, z_prev=0)] for z in (0.0, -0.0)]
-    got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]),
-                     visit_rows((PolicySpec("ea_desc_vtg"),), np.array([1, 1]), 2), 4, DELTA)
+    got = visit_mask(_stacked(rows), ParamArrays.of([prm, prm]), np.array([1, 1]),
+                     (PolicySpec("ea_desc_vtg"),), 4, DELTA)
     assert got.rolled_out.tolist() == [2, 2]
     assert got.rollouts_run.tolist() == [2, 1]
     for k, row in enumerate(rows):
@@ -482,12 +478,13 @@ def test_rule_table_expands_each_level_once():
 def _stepwise_log_fbg(prm, start, periods):
     """A noise-free rollout's post-transition log-FBG per step, and its
     visits, one step at a time: y, z, s and theta from the rule and
-    step_patient, b from fbg_update and floor_fbg, each into a new array."""
+    step_patient, b from fbg_update floored by np.where, each a new value."""
     state, b, visits = start, [], 0
     for _ in range(periods):
         y = int(single_patient_action(state, prm))
         nxt, z = step_patient(state, prm, y, 0.0)
-        b.append(float(floor_fbg(fbg_update(state.b, prm.p, prm.mu * z, prm.alpha * (y * z), 0.0))))
+        step = fbg_update(state.b, prm.p, prm.mu * z, prm.alpha * (y * z), 0.0)
+        b.append(float(np.where(step < 0.0, 0.0, step)))
         state = dataclasses.replace(nxt, b=b[-1])
         visits += y
     return b, visits

@@ -21,8 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chwplan.model import ParamArrays, StateArrays, step_cohort
-from chwplan.policy import (EA_KINDS, PolicySpec, RuleTable, single_patient_action, visit_mask,
-                            visit_rows)
+from chwplan.policy import EA_KINDS, PolicySpec, RuleTable, single_patient_action, visit_mask
 
 from _reference import Params, rollout, step, visit_pays
 
@@ -119,8 +118,7 @@ def test_visit_mask_keeps_the_reference_c_best(case):
                            for j in range(4)))
     C = np.array([c for _, c in rows])
     for kind in RANKED_KINDS:
-        mask = visit_mask(states, arrays, visit_rows((PolicySpec(kind),), C, len(params)),
-                          periods, DELTA).mask
+        mask = visit_mask(states, arrays, C, (PolicySpec(kind),), periods, DELTA).mask
         for k, (row, c) in enumerate(rows):
             assert (set(np.flatnonzero(mask[k]).tolist())
                     == _reference_visits(kind, params, row, c, periods)), (kind, k)
