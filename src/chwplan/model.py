@@ -157,17 +157,11 @@ def step_fbg(state: State, params: Params, y: Num, z: Num, xi: Num) -> Num:
     return fbg_update(state.b, params.p, params.mu * z, params.alpha * (y * z), xi)
 
 
-def fbg_update(b: Num, p: Num, mu_z: Num, alpha_yz: Num, xi: Num,
-               out: Optional[np.ndarray] = None) -> Num:
+def fbg_update(b: Num, p: Num, mu_z: Num, alpha_yz: Num, xi: Num) -> Num:
     """step_fbg from its two products, mu_z = mu*z and alpha_yz = alpha*y*z:
-    b + p - mu_z - alpha_yz + xi, evaluated left to right in one array of
-    the shape of b + p: out if given (it may be b), else a new one. A
-    caller that holds the products for many periods forms them once."""
-    out = np.add(b, p, out=out)
-    out -= mu_z
-    out -= alpha_yz
-    out += xi
-    return out
+    b + p - mu_z - alpha_yz + xi, evaluated left to right. A caller that
+    holds the products for many periods forms them once."""
+    return b + p - mu_z - alpha_yz + xi
 
 
 def carried_adverse(s: Num, gamma: Num, s_base: Num) -> Num:
@@ -214,12 +208,9 @@ def benefit(state: State, params: Params, y: Num) -> Num:
     return np.where(y, b1, b0)[()]
 
 
-def floor_fbg(b: np.ndarray) -> np.ndarray:
-    """Log-FBG floored at 0 in place, as PatientState floors it: 0.0 where
-    b < 0.0, else b, so -0.0 and nan stay as they are (np.maximum(b, 0.0)
-    may turn -0.0 into 0.0). Returns b."""
-    np.copyto(b, 0.0, where=b < 0.0)
-    return b
+def floor_fbg(b: Num) -> Num:
+    """Log-FBG floored at 0 as PatientState floors it: np.where(b < 0.0, 0.0, b)."""
+    return np.where(b < 0.0, 0.0, b)
 
 
 def enroll_decision(z_prev: Num, y: Num, B: Num) -> Num:
@@ -237,14 +228,12 @@ def _advance(state: State, params: Params, y: Num, xi: Num, B: Optional[Num] = N
 
     The provider's y precedes the patient's z within the period; the benefit
     is evaluated at the current (s, theta). B is benefit(state, params, y)
-    when the caller already has it. Log-FBG is advanced into a new array
-    and clamped at 0 there by floor_fbg.
+    when the caller already has it. Log-FBG is clamped at 0 by floor_fbg.
     """
     if B is None:
         B = benefit(state, params, y)
     z = enroll_decision(state.z_prev, y, B)
-    b = floor_fbg(np.asarray(step_fbg(state, params, y, z, xi)))
-    return (b, step_adverse(state.s, params, y, z),
+    return (floor_fbg(step_fbg(state, params, y, z, xi)), step_adverse(state.s, params, y, z),
             step_perception(state.theta, params, y, z), z)
 
 

@@ -163,8 +163,7 @@ class RuleTable:
         mu_z, alpha_yz = mu * z, alpha * (y * z)
         b = np.empty(path.shape)  # each step's post-transition log-FBG
         for h in range(periods_remaining):
-            floor_fbg(fbg_update(b[h - 1] if h else states.b, p, mu_z[h], alpha_yz[h], 0.0,
-                                 out=b[h]))
+            b[h] = floor_fbg(fbg_update(b[h - 1] if h else states.b, p, mu_z[h], alpha_yz[h], 0.0))
         return RolloutSummary(v_tilde=np.count_nonzero(b <= delta, axis=0), visits=y.sum(axis=0))
 
 
