@@ -25,20 +25,19 @@ import numpy as np
 
 from .model import PatientParams, _require_finite, carried_adverse, step_adverse
 # unused: bench/test_bench.py wraps solve_qp and calls it as chwplan.estimation.solve_qp
-from .qp import QP_TOLERANCE, QPResult, solve_qp, solve_qps  # noqa: F401
+from .qp import RHO_MAX, QPResult, solve_qp, solve_qps  # noqa: F401
 
 Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
 
 
 class EstimationFailedError(Exception):
-    """Every grid cell was infeasible for a patient's history."""
+    """No grid cell was solved for a patient's history."""
 
-    def __init__(self, patient_id: str):
+    def __init__(self, patient_id: str, statuses: Dict[str, int]):
         self.patient_id = patient_id
-        super().__init__(
-            f"estimation failed for patient {patient_id!r}:"
-            " every grid cell was infeasible"
-        )
+        super().__init__(f"estimation failed for patient {patient_id!r}: no grid cell was"
+                         f" solved: {statuses['primal_infeasible']} primal_infeasible,"
+                         f" {statuses['nonconverged']} nonconverged")
 
 
 @dataclass(frozen=True)
@@ -241,11 +240,12 @@ def perception_coefficients(history: VisitHistory, rho: float) -> Tuple[float, .
 
 
 def _objective(history: VisitHistory, config: EstimationConfig):
-    """P and q of the inner QP: the Gaussian negative log-likelihood.
+    """P, q and const of the inner QP's objective (1/2)x'Px + q'x + const,
+    the Gaussian negative log-likelihood; const = (1/2)w_eps*sum(val^2).
 
     It depends on the record and the noise scales only, so every grid
-    cell of a history shares it. A record whose P, q or constant term
-    (1/2)w_eps*sum(val^2) overflows is refused before any cell is solved.
+    cell of a history shares it. A record whose P, q or const overflows is
+    refused before any cell is solved.
     """
     T = history.length
     n = T + 5
@@ -279,7 +279,7 @@ def _objective(history: VisitHistory, config: EstimationConfig):
         raise ValueError(f"patient {history.patient_id!r}: the likelihood overflows a float at"
                          f" EstimationConfig.sigma_eps={config.sigma_eps!r} and"
                          f" sigma_xi={config.sigma_xi!r}")
-    return P, q
+    return P, q, const
 
 
 def _box(history: VisitHistory):
@@ -407,8 +407,8 @@ def _box_qp(P, q, lo, hi):
 def relaxed_lower_bound(history: VisitHistory, config: EstimationConfig) -> float:
     """A certified lower bound on the nll of every grid cell of a history.
 
-    Each cell's nll is F(x) = (1/2)x'Px + q'x + (1/2)w_eps*sum(val^2), with
-    _objective's P and q, at a point x of _box (_inner_solution clips the
+    Each cell's nll is F(x) = (1/2)x'Px + q'x + const, with _objective's
+    P, q and const, at a point x of _box (_inner_solution clips the
     QP's x to _box's l and u, the ones minimized over here), so the minimum
     of F over the box bounds every cell. That minimum comes from _box_qp,
     and is certified by weak duality: F is a sum of squares, hence convex,
@@ -435,12 +435,11 @@ def relaxed_lower_bound(history: VisitHistory, config: EstimationConfig) -> floa
     squares is never negative, so 0 is a bound as well; it is returned
     whenever the certificate is weaker, or not finite.
     """
-    P, q = _objective(history, config)
+    P, q, const = _objective(history, config)
     lo, hi = _box(history)
     T, n = history.length, q.shape[0]
     w_eps, w_xi = config.w_eps, config.w_xi
     values = np.array([val for _, val in history.observations])
-    const = 0.5 * w_eps * float(values @ values)
 
     w = np.clip(_box_qp(P, q, lo, hi), lo, hi)
     g = P @ w + q
@@ -467,30 +466,20 @@ def relaxed_lower_bound(history: VisitHistory, config: EstimationConfig) -> floa
 
 
 def _inner_solution(
-    history: VisitHistory, problem, config: EstimationConfig, result: QPResult
+    history: VisitHistory, config: EstimationConfig, result: QPResult
 ) -> InnerSolution:
-    """A cell's fit from the result of its QP, whose A, l, u are problem;
-    unsolved cells get nll = +inf.
-
-    A cell whose subproblem is infeasible, or cannot be solved to
-    tolerance within the iteration budget, cannot be trusted as the
-    minimizer either way; it is dropped from the search instead of
-    aborting the whole grid.
+    """A cell's fit from its QP's result, iterations included. A solved x
+    meets each of the cell's constraints to qp.QP_TOLERANCE, which
+    solve_qps tests before it reports a QP solved. An infeasible or
+    nonconverged cell cannot be trusted as the minimizer, so it gets
+    nll = +inf and is dropped from the search instead of aborting the grid.
     """
     if result.status != "solved":
         return InnerSolution(result.status, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0,
                              (), (), result.iterations)
 
-    x = result.x
-    A, l, u = problem
-    audit = max(float(np.max(l - A @ x)), float(np.max(A @ x - u)))
-    if audit > 10.0 * QP_TOLERANCE:
-        raise RuntimeError(
-            f"solver reported success but a constraint is violated by {audit:.3e}"
-        )
-
     # the box relaxed_lower_bound minimizes over, so that it bounds this nll
-    x = np.clip(x, *_box(history))
+    x = np.clip(result.x, *_box(history))
     y, z = history.visited, history.enrolled
     T = history.length
     b = tuple(float(v) for v in x[:T])
@@ -540,40 +529,47 @@ def solve_cells(history: VisitHistory, config: EstimationConfig) -> Iterator[Inn
     batched solve of the byte-distinct cell QPs.
 
     The cells share the objective, so it is built once, and their
-    constraint terms come from one _cell_terms table. Before the solve,
-    each cell is keyed by the bytes of its rho's c, its triple's h and its
-    big_m, and only the first cell of each key is assembled for the
-    solver's pool. Equal terms give byte-equal A, l, u and the solver is
-    deterministic, so a later cell with the same key is yielded the first
-    cell's solution, marked reused. Each cell's solution is yielded as soon
-    as the cells before it are done.
+    constraint terms come from one _cell_terms table. A grid is refused
+    before any solve if a cell's terms, or RHO_MAX times the squares of h
+    and h*c summed over the periods (the solver's rho*A'A), overflow a
+    float. Each cell is keyed by the bytes of its rho's c, its triple's h
+    and its big_m. Equal terms give byte-equal A, l, u and the solver is
+    deterministic, so one QP per key is assembled, as the solver's pool
+    loads it, and a later cell with the key of an earlier one is yielded
+    that cell's solution, marked reused. Each cell's solution is yielded
+    as soon as the cells before it are done.
     """
-    triples = itertools.product(config.grid_s_base, config.grid_beta, config.grid_gamma)
-    c, h, big_m = _cell_terms(history, list(triples), config.grid_rho)
+    triples = list(itertools.product(config.grid_s_base, config.grid_beta, config.grid_gamma))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        c, h, big_m = _cell_terms(history, triples, config.grid_rho)
+        overflows = ~np.isfinite(RHO_MAX * ((h * h) @ (1.0 + c * c).T) + big_m)
+    if overflows.any():
+        k, r = np.argwhere(overflows)[0]
+        raise ValueError(f"patient {history.patient_id!r}: the constraints of grid cell"
+                         f" {triples[k] + (config.grid_rho[r],)!r} overflow a float at"
+                         f" EstimationConfig.grid_s_base={config.grid_s_base!r} and"
+                         f" grid_beta={config.grid_beta!r}")
     c_keys, h_keys = ([row.tobytes() for row in terms] for terms in (c, h))
-    # each cell as (triple, rho) indices, in grid_cells order, and its key
+    # each cell as (triple, rho) indices, in grid_cells order, and its key;
+    # distinct holds one cell per key, in the order the keys first appear
     cells = list(itertools.product(range(len(h)), range(len(c))))
     keys = [(c_keys[r], h_keys[k], big_m[k, r].tobytes()) for k, r in cells]
-    first: Dict[Tuple[bytes, bytes, bytes], Tuple[int, int]] = {}
-    for key, cell in zip(keys, cells):
-        first.setdefault(key, cell)
-
-    def problem(k, r):
-        return _assemble(history, c[r], h[k], big_m[k, r])
+    distinct = dict(zip(keys, cells))
 
     # closing this generator drops the last reference to the pool, which
     # closes it too: nothing more is stepped or assembled
-    results = iter(solve_qps(*_objective(history, config),
-                             (problem(*cell) for cell in first.values())))
+    P, q, _ = _objective(history, config)
+    results = iter(solve_qps(P, q, (_assemble(history, c[r], h[k], big_m[k, r])
+                                    for k, r in distinct.values())))
     solved: Dict[Tuple[bytes, bytes, bytes], InnerSolution] = {}
     stepped = 0
-    for key, cell in zip(keys, cells):
+    for key in keys:
         if key in solved:
             yield replace(solved[key], iterations=0, reused=True)
             continue
         result = next(results)
-        sol = _inner_solution(history, problem(*cell), config, result)
-        solved[key] = replace(sol, iterations=result.pool_iterations - stepped)
+        solved[key] = _inner_solution(history, config, replace(
+            result, iterations=result.pool_iterations - stepped))
         stepped = result.pool_iterations
         yield solved[key]
 
@@ -621,7 +617,7 @@ def estimate_patient(
             solutions.close()
             break
     if best is None:
-        raise EstimationFailedError(history.patient_id)
+        raise EstimationFailedError(history.patient_id, statuses)
 
     s_base, beta, gamma, rho = best_cell
     s = reconstruct_adverse(history, s_base, beta, gamma)

@@ -16,8 +16,8 @@ variables and ~200 boxed or one-sided rows):
   rescaled; with sigma > 0 that matrix is positive definite.
 - The objective is normalized by c = max(1, max|P|, max|q|), so the
   dual-side stopping test is relative to the objective's scale. The
-  primal (constraint) residual is tested unscaled — downstream
-  feasibility audits rely on the unscaled bound.
+  primal residual |Ax - z|_inf is tested unscaled, with z clipped into
+  [l, u], so a solved x meets every row of l <= Ax <= u to QP_TOLERANCE.
 - Primal infeasibility is certified by the separating-direction test on
   the dual increment, of the last step or of the whole check interval.
   Dual infeasibility (an unbounded objective) is not checked: every
@@ -74,14 +74,15 @@ POOL_WIDTH = 8
 CHECK_INTERVAL = 25
 # Residual tolerance (absolute, infinity norm), iteration budget and the
 # infeasibility certificate's threshold; the x-update
-# regularization, over-relaxation and initial step size are OSQP's
-# defaults.
+# regularization, over-relaxation and the step size's initial value and
+# range are OSQP's defaults.
 QP_TOLERANCE = 1e-6
 MAX_ITERATIONS = 10000
 INFEASIBILITY_EPS = 1e-7
 SIGMA = 1e-6
 RELAXATION = 1.6
 RHO_INITIAL = 0.1
+RHO_MIN, RHO_MAX = 1e-6, 1e6
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def solve_qps(
                     dual_ref = np.maximum(np.maximum(np.maximum(
                         _absmax(Psx[R]), _absmax(Aty[R])), qs_norm), 1e-12)
                     ratio = (r_prim[R] / prim_ref) / np.maximum(r_dual[R] / dual_ref, 1e-16)
-                    candidate = np.minimum(np.maximum(rho[R] * np.sqrt(ratio), 1e-6), 1e6)
+                    candidate = np.clip(rho[R] * np.sqrt(ratio), RHO_MIN, RHO_MAX)
                     for s, new in zip(R, candidate):
                         if new > 5.0 * rho[s] or new < rho[s] / 5.0:
                             rho[s] = new

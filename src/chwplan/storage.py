@@ -263,8 +263,6 @@ def _read_plain_columns(path: str, columns: Sequence[str],
         header = text.readline()
         if header.rstrip("\r\n") != ",".join(columns):
             return None
-        if len(header) == len(data):
-            return {c: np.array((), dtype=t) for c, t in zip(columns, types)}
         dtype = np.dtype([(c, object if t is str else t) for c, t in zip(columns, types)])
         try:
             with warnings.catch_warnings():

@@ -38,6 +38,9 @@ WEIGHT_MESSAGE = ("EstimationConfig.{0}: noise scales must be positive with a fi
                   " 1/{0}**2, got {1}")
 OVERFLOW_MESSAGE = ("patient 'p1': the likelihood overflows a float at"
                     " EstimationConfig.sigma_eps={0} and sigma_xi=0.1")
+GRID_MESSAGE = ("patient 'p1': the constraints of grid cell {0} overflow a float at"
+                " EstimationConfig.grid_s_base={1} and grid_beta={2}")
+DEFAULT_GRID = "(0.0, 1.0, 2.0, 3.0)"
 CENTROID = dict(zip(FEATURE_NAMES, (1.0, 0.5, 0.5, 1.0, 0.5, 0.0, 1.0)))
 GROUPS = [{"name": "a", "weight": 1.0, "centroid": CENTROID}]
 
@@ -1157,12 +1160,20 @@ class TestCliErrors:
         # finite weights, but p1's q (first) or its constant nll term (second) overflows
         (["estimate", "--sigma-eps", "1e-154"], OVERFLOW_MESSAGE.format("1e-154")),
         (["estimate", "--sigma-eps", "3.2e-154"], OVERFLOW_MESSAGE.format("3.2e-154")),
+        # finite grid values, but h**2 in the solver's rho*A'A overflows
+        (["estimate", "--grid-s-base", "1e160"], GRID_MESSAGE.format(
+            "(1e+160, 0.0, 0.2, 0.2)", "(1e+160,)", DEFAULT_GRID)),
+        (["estimate", "--grid-s-base", "0,1e160"], GRID_MESSAGE.format(
+            "(1e+160, 0.0, 0.2, 0.2)", "(0.0, 1e+160)", DEFAULT_GRID)),
+        (["estimate", "--grid-beta", "0,1e160"], GRID_MESSAGE.format(
+            "(0.0, 1e+160, 0.2, 0.2)", DEFAULT_GRID, "(0.0, 1e+160)")),
     ], ids=["sim-sigma-xi-nan", "sim-sigma-xi-inf", "sim-sigma-xi-overflow", "sim-delta-inf",
             "sim-delta-nan", "sim-delta-zero", "sim-delta-below-one", "est-sigma-eps-inf",
             "est-sigma-eps-nan", "est-sigma-xi-nan", "est-grid-beta-inf",
             "est-sigma-eps-weight-zero-division", "est-sigma-eps-weight-overflow",
             "est-sigma-eps-weight-inf", "est-sigma-xi-weight-inf", "est-q-overflow",
-            "est-nll-constant-overflow"])
+            "est-nll-constant-overflow", "est-grid-s-base-overflow",
+            "est-grid-s-base-overflow-after-zero", "est-grid-beta-overflow"])
     def test_non_finite_numbers_exit_one_naming_the_field_or_flag(self, tmp_path, capsys,
                                                                  args, fragment):
         # nan passes every comparison-based range check and inf most of them,
@@ -1181,6 +1192,17 @@ class TestCliErrors:
         # an estimate is refused before any solve; a simulate's overflow is refused after
         # its period loop, which runs with overflow and invalid warnings off
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_large_grid_values_run_without_a_warning(self, tmp_path):
+        # every cell's h is about 1e150, whose square is still finite in rho*A'A
+        path = write_history_csv(tmp_path / "h.csv", ["p1,0,1,1,130", "p1,1,0,1,125"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["estimate", "--histories", path, "--grid-s-base", "1e150",
+                         "--grid-beta", "1e150", "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "estimates.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (float(row["s_base"]), float(row["beta"])) == (1e150, 1e150)
 
     def test_one_parser_serves_calls_as_fresh_processes_would(self, tmp_path, capsys):
         simulate = ["simulate", "--scenario", "scenario3", "--population", "5", "--policies",

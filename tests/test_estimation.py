@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chwplan.estimation as est
+from chwplan import storage
 from chwplan.estimation import (
     NLL_TIE_TOLERANCE,
     EstimationConfig,
@@ -225,7 +226,7 @@ def test_inner_exact_on_noise_free_record():
     assert sol.feasible
     assert sol.nll <= 1e-6
     # a one-cell grid's pool steps only that cell's QP
-    P, q = est._objective(h, small_config())
+    P, q, _ = est._objective(h, small_config())
     assert sol.iterations == solve_qp(P, q, *cell_constraints(h, TRUE_CELL)).iterations
     assert sol.p == pytest.approx(TRUE.p, abs=1e-4)
     assert sol.mu == pytest.approx(TRUE.mu, abs=1e-4)
@@ -290,7 +291,7 @@ def test_intermittent_infeasibility_certified_over_the_interval(monkeypatch):
         observations={0: 1.144833, 1: 3.707108, 2: 1.888736, 3: 1.191087,
                       4: 3.905185, 5: 2.623981, 6: 2.229287, 7: 0.66933,
                       8: 0.83149, 10: 0.880101, 13: 0.558384, 14: 0.362858})
-    P, q = est._objective(h, EstimationConfig())
+    P, q, _ = est._objective(h, EstimationConfig())
     A, l, u = cell_constraints(h, (0.0, 2.0, 0.2, 0.8))
     result = solve_qp(P, q, A, l, u)
     assert result.status == "primal_infeasible"
@@ -311,7 +312,7 @@ def test_objective_ignores_theta_base_and_lam():
     # are where the solver stopped
     h, _ = reference_history()
     T = h.length
-    P, q = est._objective(h, EstimationConfig())
+    P, q, _ = est._objective(h, EstimationConfig())
     assert not np.any(P[T + 3:]) and not np.any(P[:, T + 3:]) and not np.any(q[T + 3:])
     assert np.any(P[T:T + 3]) and np.any(q[:T])
     A, _, _ = cell_constraints(h, TRUE_CELL)
@@ -402,8 +403,24 @@ def test_estimation_failed_when_every_cell_infeasible(monkeypatch):
     h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0},
                      patient_id="pt-042")
     monkeypatch.setattr(est, "solve_cells", never_feasible)
-    with pytest.raises(EstimationFailedError, match="pt-042"):
+    with pytest.raises(EstimationFailedError, match="patient 'pt-042': no grid cell was solved:"
+                                                    " 400 primal_infeasible, 0 nonconverged"):
         estimate_patient(h, EstimationConfig())
+
+
+def test_estimation_failed_counts_nonconverged_cells(monkeypatch):
+    # every QP stalls: the message counts them as nonconverged, not infeasible
+    def always_stalls(P, q, constraints):
+        for _ in constraints:
+            yield QPResult("nonconverged", None, None, MAX_ITERATIONS)
+
+    h = VisitHistory(visited=(1, 0), enrolled=(1, 1), observations={0: 1.0},
+                     patient_id="pt-042")
+    monkeypatch.setattr(est, "solve_qps", always_stalls)
+    cfg = EstimationConfig(grid_s_base=(1.0, 2.0), grid_gamma=(0.2,), grid_rho=(0.2, 0.5))
+    with pytest.raises(EstimationFailedError, match="patient 'pt-042': no grid cell was solved:"
+                                                    " 0 primal_infeasible, 16 nonconverged"):
+        estimate_patient(h, cfg)
 
 
 def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
@@ -507,6 +524,56 @@ def test_overflowing_innovation_weights_are_refused_before_any_solve(monkeypatch
             estimate_patient(h, EstimationConfig(sigma_xi=1e-154))
 
 
+def test_grid_whose_constraints_overflow_is_refused_before_any_solve(monkeypatch):
+    # beta = 1e160 is a finite grid value, but the visit at period 0 puts it
+    # in h, and h**2 overflows the solver's rho*A'A: refused by name, with
+    # no overflow warning and no QP run
+    h = VisitHistory(patient_id="x", visited=(1, 0), enrolled=(1, 1), observations={0: 1.0})
+    monkeypatch.setattr(est, "solve_qps", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"patient 'x': the constraints of grid cell"
+                                             r" \(0.0, 1e\+160, 0.2, 0.2\) overflow a float at"
+                                             r" EstimationConfig.grid_s_base=\(0.0,\) and"
+                                             r" grid_beta=\(0.0, 1e\+160\)"):
+            estimate_patient(h, EstimationConfig(grid_s_base=(0.0,), grid_beta=(0.0, 1e160)))
+
+
+CI_HISTORIES = ["a,0,1,1,180", "a,1,0,1,171", "a,2,0,1,165", "a,3,1,1,150",
+                "b,0,0,0,160", "b,1,1,0,166", "b,2,0,0,172",
+                "c,0,1,1,155", "c,1,1,0,156", "c,2,0,0,144"]
+
+
+def test_each_cell_loaded_into_the_pool_is_assembled_once(tmp_path, monkeypatch):
+    # the console-script histories of CI: the three searches load 48
+    # byte-distinct cell QPs into the pool (pruned and reused cells are
+    # never loaded), and each is assembled only as it is loaded
+    path = tmp_path / "histories.csv"
+    path.write_text("patient_id,period,visited,enrolled,fbg_mgdl\n"
+                    + "".join(line + "\n" for line in CI_HISTORIES))
+    assembled, loaded = [], []
+    real_assemble, real_solve_qps = est._assemble, est.solve_qps
+
+    def counted_assemble(*args):
+        assembled.append(args)
+        return real_assemble(*args)
+
+    def counted_solve_qps(P, q, constraints):
+        def load():
+            for A, l, u in constraints:
+                loaded.append((A.tobytes(), l.tobytes(), u.tobytes()))
+                yield A, l, u
+        return real_solve_qps(P, q, load())
+
+    monkeypatch.setattr(est, "_assemble", counted_assemble)
+    monkeypatch.setattr(est, "solve_qps", counted_solve_qps)
+    for h in storage.ingest_histories(str(path)):
+        before = len(loaded)
+        estimate_patient(h)
+        assert len(set(loaded[before:])) == len(loaded) - before
+    assert len(assembled) == len(loaded) == 48
+
+
 def outer_product_objective(h, config):
     """_objective's P and q, P as the sum of the T-1 innovations' rank-one
     terms w_xi*d_t*d_t': the reference the entry-by-entry P must equal."""
@@ -549,7 +616,7 @@ def test_objective_equals_the_outer_product_sum():
                     with pytest.raises(ValueError, match="the likelihood overflows a float"):
                         est._objective(h, config)
                 continue
-            got_P, got_q = est._objective(h, config)
+            got_P, got_q, _ = est._objective(h, config)
             assert got_P.tobytes() == P.tobytes(), (T, sigma_xi)
             assert got_q.tobytes() == q.tobytes(), (T, sigma_xi)
     assert refused == 12  # every T >= 3 at 1e308
