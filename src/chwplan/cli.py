@@ -19,10 +19,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import charts, clustering, estimation, qp, storage
+from . import charts, clustering, engine, estimation, qp, storage
 from .clustering import cluster_params
-from .engine import (WORK, SimulationConfig, capacity_pct, capacity_sweep, period_shares,
-                     summarize)
+from .engine import SimulationConfig, capacity_pct, capacity_sweep, period_shares, summarize
 from .estimation import EstimationConfig, EstimationFailedError, estimate_patient
 from .policy import POLICY_KINDS, PolicySpec
 from .scenarios import SamplingError, ScenarioSpec, sample_cohort
@@ -117,11 +116,12 @@ def _parse_float_list(text: str, flag: str) -> Tuple[float, ...]:
         raise ValueError(f"{flag}: bad number in {text!r}")
 
 
-def _constants(module, *names: str) -> dict:
-    """Module constants a command's outputs depend on, keyed
-    "module.NAME", for its manifest."""
-    prefix = module.__name__.rsplit(".", 1)[-1]
-    return {f"{prefix}.{name}": getattr(module, name) for name in names}
+def _constants(*modules) -> dict:
+    """Every upper-case int or float name of the modules a command's
+    outputs depend on, keyed "module.NAME", for its manifest."""
+    return {f"{module.__name__.rsplit('.', 1)[-1]}.{name}": value
+            for module in modules for name, value in vars(module).items()
+            if name.isupper() and isinstance(value, (int, float))}
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +166,8 @@ def _cmd_simulate(args) -> _Run:
         "delta_mgdl": config.delta_mgdl,
         "population": spec.population,
     }
-    work = {key: sum(getattr(r, key) for r in results) for key in WORK}
+    work = {key: sum(getattr(r, key) for r in results) for key in engine.WORK}
     work["row_periods"] = len(results) * config.horizon
-    work["row_periods_stepped"] = work.pop("periods_stepped")
     return _Run(out_dir, manifest_config, args.seed, inputs, ["results.csv", "summary.csv"],
                 f"{len(results)} result cells ({len(kinds)} policies x"
                 f" {len(fractions)} capacities x {args.reps} replications) -> {out_dir}",
@@ -194,20 +193,9 @@ def _cmd_estimate(args) -> _Run:
     manifest_config = {
         "histories": args.histories,
         **asdict(config),
-        **_constants(qp, "QP_TOLERANCE", "MAX_ITERATIONS", "CHECK_INTERVAL",
-                     "POOL_WIDTH", "INFEASIBILITY_EPS", "SIGMA", "RELAXATION",
-                     "RHO_INITIAL"),
-        **_constants(estimation, "PARAM_UPPER_BOUND", "STRICT_GAP",
-                     "NLL_TIE_TOLERANCE"),
+        **_constants(qp, estimation),
     }
-    work = {
-        "grid_cells_solved": sum(e.cells_solved for _, e in estimates),
-        "grid_cells_primal_infeasible": sum(e.cells_infeasible for _, e in estimates),
-        "grid_cells_nonconverged": sum(e.cells_nonconverged for _, e in estimates),
-        "grid_cells_pruned": sum(e.cells_pruned for _, e in estimates),
-        "grid_cells_reused": sum(e.cells_reused for _, e in estimates),
-        "qp_iterations": sum(e.qp_iterations for _, e in estimates),
-    }
+    work = {key: sum(getattr(e, key) for _, e in estimates) for key in estimation.WORK}
     return _Run(out_dir, manifest_config, 0, [args.histories], ["estimates.csv"],
                 f"{len(estimates)} patients -> {out_dir}", work)
 
@@ -251,16 +239,15 @@ def _cmd_cluster(args) -> _Run:
         storage.write_table(os.path.join(out_dir, "elbow.csv"), ("k", "inertia"),
                             [(k, fits[k].inertia) for k in ks])
         outputs.append("elbow.csv")
+    work = {key: sum(getattr(f, key) for f in fits.values()) for key in clustering.WORK}
+    work["restarts_run"] = clustering.RESTARTS * len(fits)
     return _Run(
         out_dir,
         {"params": args.params, "k": args.k,
          "elbow": [ks[0], ks[-1]] if ks else None,
-         **_constants(clustering, "MAX_ITERATIONS", "TOLERANCE", "RESTARTS")},
+         **_constants(clustering)},
         args.seed, [args.params], outputs,
-        f"k={args.k} inertia={result.inertia!r} -> {out_dir}",
-        {"lloyd_iterations": sum(f.lloyd_iterations for f in fits.values()),
-         "restarts_run": clustering.RESTARTS * len(fits),
-         "distance_rows": sum(f.distance_rows for f in fits.values())},
+        f"k={args.k} inertia={result.inertia!r} -> {out_dir}", work,
     )
 
 

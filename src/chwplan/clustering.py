@@ -64,6 +64,10 @@ class ClusterResult:
     distance_rows: int
 
 
+# ClusterResult's work counts
+WORK = ("lloyd_iterations", "distance_rows")
+
+
 @dataclass(frozen=True)
 class FeatureTable:
     """A parameter table converted and checked once, held feature-major:

@@ -97,13 +97,13 @@ class RunResult:
     # rollout steps taken by those members; the distinct rollouts run and
     # their steps, and the periods decided and stepped, each counted in the
     # first row of the replication holding that start or decision (so
-    # periods_stepped depends on which rows ran together: equality skips it)
+    # row_periods_stepped depends on which rows ran together: equality skips it)
     interest_set_members: int = 0
     members_ranked_by_rollout: int = 0
     rollout_member_steps: int = 0
     rollouts_run: int = 0
     rollout_steps_run: int = 0
-    periods_stepped: int = field(default=0, compare=False)
+    row_periods_stepped: int = field(default=0, compare=False)
 
     @property
     def population(self) -> int:
@@ -112,7 +112,7 @@ class RunResult:
 
 # RunResult's work counts
 WORK = ("interest_set_members", "members_ranked_by_rollout", "rollout_member_steps",
-        "rollouts_run", "rollout_steps_run", "periods_stepped")
+        "rollouts_run", "rollout_steps_run", "row_periods_stepped")
 
 
 @dataclass(frozen=True)

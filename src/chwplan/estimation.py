@@ -23,9 +23,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import qp
 from .model import PatientParams, _require_finite, carried_adverse, step_adverse
 # unused: bench/test_bench.py wraps solve_qp and calls it as chwplan.estimation.solve_qp
-from .qp import RHO_MAX, QPResult, solve_qp, solve_qps  # noqa: F401
+from .qp import QPResult, solve_qp, solve_qps  # noqa: F401
 
 Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
 
@@ -33,11 +34,11 @@ Cell = Tuple[float, float, float, float]  # (s_base, beta, gamma, rho)
 class EstimationFailedError(Exception):
     """No grid cell was solved for a patient's history."""
 
-    def __init__(self, patient_id: str, statuses: Dict[str, int]):
+    def __init__(self, patient_id: str, work: Dict[str, int]):
         self.patient_id = patient_id
         super().__init__(f"estimation failed for patient {patient_id!r}: no grid cell was"
-                         f" solved: {statuses['primal_infeasible']} primal_infeasible,"
-                         f" {statuses['nonconverged']} nonconverged")
+                         f" solved: {work['grid_cells_primal_infeasible']} primal_infeasible,"
+                         f" {work['grid_cells_nonconverged']} nonconverged")
 
 
 @dataclass(frozen=True)
@@ -192,17 +193,31 @@ class EstimationResult:
     # stopped before, the cells (of any status) that reused an earlier
     # cell's QP, and the ADMM slot-iterations stepped, each distinct QP's
     # once and those of the QPs in flight when the search stopped
-    cells_solved: int
-    cells_infeasible: int
-    cells_nonconverged: int
-    cells_pruned: int
-    cells_reused: int
+    grid_cells_solved: int
+    grid_cells_primal_infeasible: int
+    grid_cells_nonconverged: int
+    grid_cells_pruned: int
+    grid_cells_reused: int
     qp_iterations: int
 
     @property
     def grid_cell(self) -> Cell:
         """The grid cell of the fit: its (s_base, beta, gamma, rho)."""
         return (self.params.s_base, self.params.beta, self.params.gamma, self.params.rho)
+
+
+# EstimationResult's work counts
+WORK = ("grid_cells_solved", "grid_cells_primal_infeasible", "grid_cells_nonconverged",
+        "grid_cells_pruned", "grid_cells_reused", "qp_iterations")
+
+
+def _fold(terms):
+    """The terms (floats, or arrays added elementwise) added in order from
+    0.0 on every Python: from 3.12 on the builtin sum compensates its rounding."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
 
 
 def reconstruct_adverse(
@@ -272,9 +287,8 @@ def _objective(history: VisitHistory, config: EstimationConfig):
         columns[:, :-1] += w * -border
         P[T:T + 3, :T] = columns
         P[:T, T:T + 3] = columns.T
-        steps = np.concatenate((np.zeros((3, 3, 1)), w * (border[:, None] * border)), axis=2)
-        P[T:T + 3, T:T + 3] = np.cumsum(steps, axis=2)[:, :, -1]
-    const = 0.5 * config.w_eps * sum(val * val for _, val in history.observations)
+        P[T:T + 3, T:T + 3] = _fold(w * (border.T[:, :, None] * border.T[:, None]))
+    const = 0.5 * config.w_eps * _fold(val * val for _, val in history.observations)
     if not (np.isfinite(P).all() and np.isfinite(q).all() and math.isfinite(const)):
         raise ValueError(f"patient {history.patient_id!r}: the likelihood overflows a float at"
                          f" EstimationConfig.sigma_eps={config.sigma_eps!r} and"
@@ -487,8 +501,9 @@ def _inner_solution(
     xi = tuple(
         b[t + 1] - b[t] - p + mu * z[t] + alpha * y[t] * z[t] for t in range(T - 1)
     )
-    nll = 0.5 * config.w_eps * sum((b[t] - val) ** 2 for t, val in history.observations)
-    nll += 0.5 * config.w_xi * sum(v**2 for v in xi)
+    # Python's ** 2 (libm's pow): numpy's rounds some squares differently
+    nll = 0.5 * config.w_eps * _fold((b[t] - val) ** 2 for t, val in history.observations)
+    nll += 0.5 * config.w_xi * _fold(v**2 for v in xi)
     return InnerSolution("solved", nll, p, mu, alpha, theta_base, lam, b, xi,
                          result.iterations)
 
@@ -530,7 +545,7 @@ def solve_cells(history: VisitHistory, config: EstimationConfig) -> Iterator[Inn
 
     The cells share the objective, so it is built once, and their
     constraint terms come from one _cell_terms table. A grid is refused
-    before any solve if a cell's terms, or RHO_MAX times the squares of h
+    before any solve if a cell's terms, or qp.RHO_MAX times the squares of h
     and h*c summed over the periods (the solver's rho*A'A), overflow a
     float. Each cell is keyed by the bytes of its rho's c, its triple's h
     and its big_m. Equal terms give byte-equal A, l, u and the solver is
@@ -542,7 +557,7 @@ def solve_cells(history: VisitHistory, config: EstimationConfig) -> Iterator[Inn
     triples = list(itertools.product(config.grid_s_base, config.grid_beta, config.grid_gamma))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         c, h, big_m = _cell_terms(history, triples, config.grid_rho)
-        overflows = ~np.isfinite(RHO_MAX * ((h * h) @ (1.0 + c * c).T) + big_m)
+        overflows = ~np.isfinite(qp.RHO_MAX * ((h * h) @ (1.0 + c * c).T) + big_m)
     if overflows.any():
         k, r = np.argwhere(overflows)[0]
         raise ValueError(f"patient {history.patient_id!r}: the constraints of grid cell"
@@ -597,17 +612,16 @@ def estimate_patient(
     """
     cells = grid_cells(config)
     bound = relaxed_lower_bound(history, config)
-    statuses: Dict[str, int] = dict.fromkeys(
-        ("solved", "primal_infeasible", "nonconverged"), 0)
-    reused = iterations = 0
+    work = {**dict.fromkeys(WORK, 0), "grid_cells_pruned": len(cells)}
     best: Optional[InnerSolution] = None
     # a later cell replaces the best only with an nll below this
     threshold = math.inf
     solutions = solve_cells(history, config)
     for cell, sol in zip(cells, solutions):
-        statuses[sol.status] += 1
-        reused += sol.reused
-        iterations += sol.iterations
+        work["grid_cells_" + sol.status] += 1  # a WORK name per QP status
+        work["grid_cells_pruned"] -= 1
+        work["grid_cells_reused"] += sol.reused
+        work["qp_iterations"] += sol.iterations
         if not sol.feasible or sol.nll >= threshold:
             continue
         best, best_cell = sol, cell
@@ -617,7 +631,7 @@ def estimate_patient(
             solutions.close()
             break
     if best is None:
-        raise EstimationFailedError(history.patient_id, statuses)
+        raise EstimationFailedError(history.patient_id, work)
 
     s_base, beta, gamma, rho = best_cell
     s = reconstruct_adverse(history, s_base, beta, gamma)
@@ -634,10 +648,5 @@ def estimate_patient(
         latent_adverse=s,
         latent_perception=theta,
         innovations=best.innovations,
-        cells_solved=statuses["solved"],
-        cells_infeasible=statuses["primal_infeasible"],
-        cells_nonconverged=statuses["nonconverged"],
-        cells_pruned=len(cells) - sum(statuses.values()),
-        cells_reused=reused,
-        qp_iterations=iterations,
+        **work,
     )

@@ -65,7 +65,7 @@ raises.
 """
 
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -172,25 +172,21 @@ def solve_qps(
     base = Ps + SIGMA * np.eye(n)
 
     pending = (_checked(n, *problem) for problem in constraints)
-    first = next(pending, None)
-    if first is None:
-        return
-    m = first[0].shape[0]
-    pending = chain([first], pending)
-    del first  # once loaded, a problem is held by its slot alone
     # Slot s holds one problem: A, l, u, the x-update's inverse, the iterate
     # (x, z, y), y_checked (y at the slot's last check), rho, the slot's
     # iteration count k and the problem's index in the stream. The live
     # slots are the first w; vectors are (w, rows, 1) column stacks, so a
     # stacked product A @ x is one matmul over all slots.
-    pool = [np.empty((POOL_WIDTH,) + shape) for shape in (
-        (m, n), (m, 1), (m, 1), (n, n), (n, 1), (m, 1), (m, 1), (m, 1), ())]
-    pool += [np.empty(POOL_WIDTH, dtype=np.int64) for _ in range(2)]
     w = loaded = stepped = next_out = 0
     finished: Dict[int, QPResult] = {}
     while True:
         # load: each free slot, past the live ones, takes the next problem
         for A_s, l_s, u_s in islice(pending, POOL_WIDTH - w):
+            if not loaded:  # the first problem sizes the pool
+                m = A_s.shape[0]
+                pool = [np.empty((POOL_WIDTH,) + shape) for shape in (
+                    (m, n), (m, 1), (m, 1), (n, n), (n, 1), (m, 1), (m, 1), (m, 1), ())]
+                pool += [np.empty(POOL_WIDTH, dtype=np.int64) for _ in range(2)]
             if A_s.shape[0] != m:
                 raise ValueError("every problem of a batch needs the same rows")
             start = (A_s, l_s[:, None], u_s[:, None],  # A, l, u

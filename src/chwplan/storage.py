@@ -60,7 +60,7 @@ def write_table(path: str, header: Sequence[str], rows, lines: Sequence[str] = (
 def _rows(path: str) -> Tuple[List[str], List[List[str]]]:
     """A CSV file's stripped header and every row under it, a blank one as
     [], so that rows[i] is row i + 2 of the file (see _numbered)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # past a byte order mark
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -90,7 +90,7 @@ def _read_csv(path: str, expected_header: Sequence[str]) -> List[List[str]]:
 
 def _read_json(path: str):
     """A JSON file's value; a decode error names the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # past a byte order mark
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chwplan import charts, clustering, estimation, qp, storage
+from chwplan import charts, cli, clustering, engine, estimation, qp, storage
 from chwplan.cli import (MAX_CAPACITY_RANGE, _parse_capacities, _representative_pct,
                          _share_series, build_parser, main)
 from chwplan.clustering import FEATURE_NAMES, cluster_params
@@ -133,6 +133,26 @@ class TestIngestHistories:
         path.write_text("id,week,y,z,fbg\np1,0,1,1,130\n")
         with pytest.raises(ValueError, match="expected header patient_id"):
             storage.ingest_histories(str(path))
+
+
+BOM_INPUTS = {
+    "histories": (b"patient_id,period,visited,enrolled,fbg_mgdl\np1,0,1,1,130\np1,2,0,1,141.5\n",
+                  storage.ingest_histories),
+    "feature table": (("patient_id," + ",".join(FEATURE_NAMES)
+                       + "\np1,1,0.5,0.5,1,0.5,0,1\n").encode(), storage.read_feature_table),
+    "scenario": (json.dumps(storage.scenario_to_dict(builtin_scenarios()[2])).encode(),
+                 lambda path: storage.load_scenario(path)[0]),
+}
+
+
+@pytest.mark.parametrize("kind", list(BOM_INPUTS))
+def test_leading_byte_order_mark_is_skipped(kind, tmp_path):
+    # spreadsheets export CSV with a UTF-8 byte order mark
+    data, read = BOM_INPUTS[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    assert read(str(marked)) == read(str(plain))
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +965,7 @@ class TestCliEstimate:
         assert (work["grid_cells_solved"] + work["grid_cells_primal_infeasible"]
                 + work["grid_cells_nonconverged"] + work["grid_cells_pruned"]) == 400 * 3
 
-    def test_manifest_records_solver_constants(self, tmp_path):
+    def test_manifest_records_every_numeric_constant(self, tmp_path):
         params = PatientParams(p=1.0, mu=0.22, alpha=1.2, beta=1.0, lam=0.02,
                                gamma=0.2, rho=0.2, s_base=0.0, theta_base=1.0)
         hist, _ = generate_history(params, 2.0, (0, 1, 2, 4), 8, sigma_eps=0.0)
@@ -958,15 +978,11 @@ class TestCliEstimate:
                      "--grid-beta", "1", "--grid-gamma", "0.2",
                      "--grid-rho", "0.2", "--out", str(out)]) == 0
         config = storage.read_manifest(str(out))["config"]
-        for module, names in (
-                (qp, ("QP_TOLERANCE", "MAX_ITERATIONS", "CHECK_INTERVAL",
-                      "POOL_WIDTH", "INFEASIBILITY_EPS", "SIGMA", "RELAXATION",
-                      "RHO_INITIAL")),
-                (estimation, ("PARAM_UPPER_BOUND", "STRICT_GAP",
-                              "NLL_TIE_TOLERANCE"))):
-            prefix = module.__name__.rsplit(".", 1)[-1]
-            for name in names:
-                assert config[f"{prefix}.{name}"] == getattr(module, name), name
+        numbers = {f"{module.__name__.rsplit('.', 1)[-1]}.{name}": value
+                   for module in (qp, estimation) for name, value in vars(module).items()
+                   if name.isupper() and isinstance(value, (int, float))}
+        assert {"qp.RHO_MIN", "qp.RHO_MAX", "estimation.STRICT_GAP"} <= set(numbers)
+        assert {key: config.get(key) for key in numbers} == numbers
 
 
 # each command's argv, given a directory of inputs (a simulate run, a
@@ -990,6 +1006,31 @@ def command_inputs(tmp_path_factory):
     assert main(COMMAND_ARGV["scenario-gen"](inputs, inputs)) == 0
     write_history_csv(inputs / "hist.csv", ["a,0,1,1,180", "a,1,0,1,171", "a,3,1,1,150"])
     return inputs
+
+
+@pytest.mark.parametrize("command, layer, entry, derived", [
+    ("simulate", engine, "capacity_sweep", {"row_periods"}),
+    ("estimate", estimation, "estimate_patient", set()),
+    ("cluster", clustering, "cluster_params", {"restarts_run"}),
+])
+def test_manifest_work_sums_the_layer_work_fields(command, layer, entry, derived,
+                                                 command_inputs, tmp_path, monkeypatch):
+    # each work key is the result field of that name, summed over the results
+    # the command's layer returned; the command adds only its derived totals
+    results = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.extend(result if command == "simulate" else [result])
+        return result
+
+    original = getattr(cli, entry)
+    monkeypatch.setattr(cli, entry, recorded)
+    assert main(COMMAND_ARGV[command](command_inputs, tmp_path / "out")) == 0
+    work = storage.read_manifest(str(tmp_path / "out"))["work"]
+    assert results and set(work) == set(layer.WORK) | derived
+    for key in layer.WORK:
+        assert work[key] == sum(getattr(r, key) for r in results), key
 
 
 @pytest.mark.parametrize("command", list(COMMAND_ARGV))

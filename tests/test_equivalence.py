@@ -367,9 +367,9 @@ def test_sweep_rows_equal_one_spec_simulations(case):
     for key in ("rollouts_run", "rollout_steps_run"):
         assert (sum(getattr(r, key) for r in swept) <= sum(getattr(r, key) for r in per_spec)
                 <= sum(getattr(r, key) for r in alone.values()))
-    assert all(r.periods_stepped == horizon for r in alone.values())
+    assert all(r.row_periods_stepped == horizon for r in alone.values())
     # the first row steps every period; later rows step only what is new
-    stepped = [r.periods_stepped for r in swept]
+    stepped = [r.row_periods_stepped for r in swept]
     assert max(stepped) == horizon and sum(stepped) <= len(swept) * horizon
 
 

@@ -391,7 +391,7 @@ def test_reading_below_one_mgdl_is_estimated():
         warnings.simplefilter("error", RuntimeWarning)
         result = estimate_patient(h, cfg)
     assert math.isfinite(result.nll)
-    assert result.cells_solved >= 1
+    assert result.grid_cells_solved >= 1
     assert min(result.latent_log_fbg) >= 0.0
 
 
@@ -449,8 +449,8 @@ def test_infeasible_and_nonconverged_cells_dropped_from_one_batch(monkeypatch):
     result = estimate_patient(h, cfg)
     assert result.grid_cell == cells[2]
     # the third cell fits exactly, so the search stops there
-    assert (result.cells_solved, result.cells_infeasible,
-            result.cells_nonconverged, result.cells_pruned) == (1, 1, 1, 1)
+    assert (result.grid_cells_solved, result.grid_cells_primal_infeasible,
+            result.grid_cells_nonconverged, result.grid_cells_pruned) == (1, 1, 1, 1)
     assert result.nll == third_nll
 
 
@@ -622,6 +622,37 @@ def test_objective_equals_the_outer_product_sum():
     assert refused == 12  # every T >= 3 at 1e308
 
 
+def in_order(terms):
+    # float additions from 0.0, left to right: the order on every Python
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_fold_adds_in_order_on_every_python():
+    # from Python 3.12 on the builtin sum compensates its rounding: 1.0 here
+    assert est._fold([0.1] * 10) == in_order([0.1] * 10) == 0.9999999999999999
+    assert est._fold([]) == 0.0
+    # arrays, as _objective's border block adds them, elementwise in the same order
+    terms = np.random.default_rng(3).lognormal(0.0, 3.0, size=(50, 3, 3))
+    assert est._fold(terms).tolist() == [[in_order(terms[:, i, j].tolist()) for j in range(3)]
+                                         for i in range(3)]
+
+
+def test_solved_cell_nll_is_the_fold_of_its_terms():
+    h, _ = reference_history()
+    config = small_config()
+    sol = solve_inner(h, *TRUE_CELL, config)
+    assert sol.feasible
+    b, xi = sol.latent_log_fbg, sol.innovations
+    nll = 0.5 * config.w_eps * in_order((b[t] - val) ** 2 for t, val in h.observations)
+    nll += 0.5 * config.w_xi * in_order(v**2 for v in xi)
+    assert sol.nll == nll
+    const = 0.5 * config.w_eps * in_order(val * val for _, val in h.observations)
+    assert est._objective(h, config)[2] == const
+
+
 def test_box_qp_step_ratio_overflow_is_silent():
     # z - x is subnormal in the first coordinate, so its step ratio
     # overflows; only coordinates leaving the box read the ratio
@@ -636,9 +667,9 @@ def test_criterion_06_fixture_stops_early():
     h, _ = reference_history()
     result = estimate_patient(h, small_config())
     assert result.grid_cell == TRUE_CELL
-    assert result.cells_pruned > 0
-    assert (result.cells_solved + result.cells_infeasible
-            + result.cells_nonconverged + result.cells_pruned) == 400
+    assert result.grid_cells_pruned > 0
+    assert (result.grid_cells_solved + result.grid_cells_primal_infeasible
+            + result.grid_cells_nonconverged + result.grid_cells_pruned) == 400
 
 
 def test_search_stops_at_first_cell_within_tie_slack_of_bound(monkeypatch):
@@ -661,7 +692,7 @@ def test_search_stops_at_first_cell_within_tie_slack_of_bound(monkeypatch):
     cells = est.grid_cells(EstimationConfig())
     assert result.grid_cell == cells[1]
     assert walked == cells[:2] and closed == [True]
-    assert (result.cells_solved, result.cells_pruned) == (2, 398)
+    assert (result.grid_cells_solved, result.grid_cells_pruned) == (2, 398)
 
 
 @st.composite
@@ -698,7 +729,7 @@ def test_pruned_search_equals_full_search(h):
     assert (pruned is None) == (full is None)
     if full is None:
         return
-    assert full.cells_pruned == 0
+    assert full.grid_cells_pruned == 0
     assert pruned.grid_cell == full.grid_cell
     assert pruned.nll == full.nll
     assert pruned.params == full.params
@@ -786,16 +817,16 @@ def test_pool_receives_each_distinct_qp_once_and_closes_on_stop(monkeypatch):
     monkeypatch.setattr(est, "solve_qps", counting)
     result = estimate_patient(h, cfg)
     assert result.grid_cell == TRUE_CELL
-    assert result.cells_pruned > 0
+    assert result.grid_cells_pruned > 0
     assert ends == ["closed"]
     # the pool read the first len(received) distinct QPs of the grid, in
     # grid order, each once
     distinct = list(dict.fromkeys(_constraints_bytes(h, cell) for cell in cells))
     assert received == distinct[:len(received)]
-    reached = 400 - result.cells_pruned
+    reached = 400 - result.grid_cells_pruned
     reached_distinct = len(set(_constraints_bytes(h, cell) for cell in cells[:reached]))
     assert reached_distinct == 6
-    assert result.cells_reused == reached - reached_distinct
+    assert result.grid_cells_reused == reached - reached_distinct
     # the work counts the slots still in flight when the search stopped
     assert result.qp_iterations == yielded[-1].pool_iterations
     assert result.qp_iterations > sum(r.iterations for r in yielded)
